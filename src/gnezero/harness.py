@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .games import GameSpec, resolve_game
-from .learner import TrajectoryRecord, run
+from .learner import TrajectoryRecord, _resolve_reference, run
 from .schedules import Schedules
 
 __all__ = [
@@ -102,9 +102,9 @@ def write_aggregate_csv(table: MetricsTable, path: Path):
 
 
 def _run_one(args) -> TrajectoryRecord:
-    game, sched, T, seed, record_every, allow_invalid = args
+    game, sched, T, seed, record_every, allow_invalid, reference = args
     return run(game, sched, T, seed, record_every=record_every,
-               allow_invalid_schedules=allow_invalid)
+               allow_invalid_schedules=allow_invalid, reference=reference)
 
 
 def _aggregate(label: str, records: list[TrajectoryRecord]) -> MetricsTable:
@@ -147,8 +147,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
         if not os.access(outdir, os.W_OK):
             raise PermissionError(f"output directory {outdir} is not writable")
 
+    reference = _resolve_reference(game, None)  # one exact solve serves every seed
     jobs = [(game, cfg.schedules, cfg.T, seed, cfg.record_every,
-             cfg.allow_invalid_schedules) for seed in cfg.seeds]
+             cfg.allow_invalid_schedules, reference) for seed in cfg.seeds]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_run_one, jobs))

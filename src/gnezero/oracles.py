@@ -1,16 +1,17 @@
 """Exact first-order solvers used as ground truth for the learning algorithm.
 
 For quadratic games the variational equilibrium and its Tikhonov-regularized
-counterpart are computed to near machine precision by enumerating candidate
-active sets of the affine constraints and solving the resulting linear
-optimality systems. An extragradient iteration over the extended primal-dual
-space serves as an independent cross-check and as the only solver available
-for non-quadratic (black-box) costs.
+counterpart solve one KKT system, to near machine precision in polynomial
+time and for any number of constraints: eliminating the primal leaves a
+monotone linear complementarity problem in the multipliers, complementary
+pivoting (Lemke's method) identifies the active set, and an exact linear
+solve on that set polishes the answer. An extragradient iteration over the
+extended primal-dual space serves as an independent cross-check and as the
+only solver available for non-quadratic (black-box) costs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,6 @@ __all__ = [
     "solve_vi_extragradient",
     "first_order_trajectory",
 ]
-
-MAX_ENUMERATED_CONSTRAINTS = 20
 
 
 class SolverError(RuntimeError):
@@ -71,162 +70,146 @@ def _require_quadratic(game: GameSpec, who: str) -> QuadraticGame:
     return game
 
 
-def _guard_enumeration(n: int):
-    if n > MAX_ENUMERATED_CONSTRAINTS:
-        raise SolverError(
-            f"active-set enumeration limited to {MAX_ENUMERATED_CONSTRAINTS} "
-            f"constraints, got {n}"
-        )
+def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solution lam of the LCP 0 <= lam, M lam + r >= 0, lam'(M lam + r) = 0.
+
+    Lemke's complementary pivoting with covering vector e and a ratio test
+    lexicographic over the right-hand side and the initial basis inverse, so
+    degenerate pivots cannot cycle; on a tie the artificial z0 leaves first.
+    For monotone M, ray termination proves the LCP infeasible.
+    """
+    n = r.shape[0]
+    if n == 0 or r.min() >= 0.0:
+        return np.zeros(n)
+    # tableau of w - M lam - e z0 = r; columns w (0..n-1), lam (n..2n-1), z0, rhs
+    z0, rhs = 2 * n, 2 * n + 1
+    T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), r[:, None]])
+    basis = np.arange(n)
+
+    def lex_min_row(rows, denom):
+        for c in (rhs, *range(n)):
+            ratios = T[rows, c] / denom[rows]
+            rows = rows[ratios <= ratios.min() + 1e-12 * max(1.0, abs(ratios.min()))]
+            if rows.size == 1:
+                break
+            if c == rhs and z0 in basis[rows]:
+                return rows[basis[rows] == z0][0]
+        return rows[0]
+
+    row, entering = lex_min_row(np.arange(n), np.ones(n)), z0
+    for _ in range(50 * (n + 1)):  # no basis repeats; the cap guards round-off
+        pivot_row = T[row] / T[row, entering]
+        T -= np.outer(T[:, entering], pivot_row)
+        T[row] = pivot_row
+        leaving, basis[row] = basis[row], entering
+        if leaving == z0:
+            values = np.zeros(rhs)
+            values[basis] = T[:, rhs]
+            return np.maximum(values[n:z0], 0.0)
+        entering = leaving + n if leaving < n else leaving - n
+        col = T[:, entering]
+        rows = np.flatnonzero(col > 1e-12 * max(1.0, float(np.abs(col).max())))
+        if rows.size == 0:
+            raise SolverError("complementary pivoting ended on a ray: the KKT system is infeasible")
+        row = lex_min_row(rows, col)
+    raise SolverError("complementary pivoting did not terminate")
 
 
-def _residuals(game: QuadraticGame, a: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
-    K = game.constraints.K
-    stat = float(np.linalg.norm(game.P @ a + game.q + K.T @ lam))
-    comp = float(np.max(np.abs(lam * game.constraints.value(a)))) if lam.size else 0.0
-    return stat, comp
+def _min_norm_multiplier(K_T: np.ndarray, c: np.ndarray, check_tol: float) -> np.ndarray:
+    """Minimal-norm lam >= 0 with K_T' lam = c, given that one exists.
+
+    That is the minimal-norm solution lam_p of the equations when it is
+    nonnegative. Otherwise lam = lam_p + Pi y solves the least-distance
+    problem, with Pi the projector onto the null space of K_T' and y from
+    LCP(Pi, lam_p); the multipliers are then recomputed on its support. A
+    shift of lam_p far below check_tol keeps that LCP feasible when round-off
+    would push a multiplier forced to zero just below it.
+    """
+    lam, *_ = np.linalg.lstsq(K_T.T, c, rcond=None)
+    if np.any(lam < -check_tol):
+        Pi = np.eye(K_T.shape[0]) - np.linalg.pinv(K_T.T) @ K_T.T
+        shifted = lam + 1e-3 * check_tol
+        support = np.flatnonzero(Pi @ _lemke(Pi, shifted) + shifted > check_tol)
+        lam = np.zeros(K_T.shape[0])
+        lam[support], *_ = np.linalg.lstsq(K_T[support].T, c, rcond=None)
+    return np.maximum(lam, 0.0)
+
+
+def _solve_kkt(game: QuadraticGame, eps: float, tol: float):
+    """Exact solution (a, lam, active, stat, comp) of the KKT system at eps >= 0.
+
+    Stationarity P a + q + K' lam = 0 gives a = -P^{-1}(q + K' lam), which
+    leaves the dual LCP 0 <= lam, M lam + r >= 0, lam'(M lam + r) = 0 with
+    M = K P^{-1} K' + eps I and r = l + K P^{-1} q; M is monotone because P's
+    symmetric part is positive definite. Lemke's method identifies the active
+    set A, whose rows are independent, and the saddle system
+        [P    K_A'   ] [a    ]   [-q ]
+        [K_A  -eps I ] [lam_A] = [l_A]
+    (second row: (K a - l)_j = eps lam_j) gives the exact answer, for eps > 0
+    by a solve with one refinement step, for eps = 0 by least squares.
+    """
+    K, l, P, q = game.constraints.K, game.constraints.l, game.P, game.q
+    D, n = game.D, K.shape[0]
+    check_tol = 1e-9 * (1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(l)))
+    X = np.linalg.solve(P, np.column_stack([q, K.T]))  # P^{-1} [q, K']
+    active = tuple(int(j) for j in np.flatnonzero(
+        _lemke(K @ X[:, 1:] + eps * np.eye(n), l + K @ X[:, 0]) > 0.0))
+    idx, k = list(active), len(active)
+    sys = np.zeros((D + k, D + k))
+    sys[:D, :D], sys[:D, D:], sys[D:, :D] = P, K[idx].T, K[idx]
+    rhs = np.concatenate([-q, l[idx]])
+    if eps > 0:
+        sys[D:, D:] = -eps * np.eye(k)
+        sol = np.linalg.solve(sys, rhs)
+        sol += np.linalg.solve(sys, rhs - sys @ sol)  # refinement
+    else:
+        sol, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
+    a, lam = sol[:D], np.zeros(n)
+    lam[idx] = np.maximum(sol[D:], 0.0)
+    if eps == 0:
+        # tight rows outside the support can make the multiplier non-unique;
+        # the one of minimal norm lives on the tight set
+        active = tuple(int(j) for j in np.flatnonzero(np.abs(K @ a - l) <= check_tol))
+        lam = np.zeros(n)
+        lam[list(active)] = _min_norm_multiplier(K[list(active)], -(P @ a + q), check_tol)
+    if np.any(sol[D:] < -check_tol) or np.any(K @ a - l - eps * lam > check_tol):
+        raise SolverError("the identified active set fails the optimality checks")
+    stat = float(np.linalg.norm(P @ a + q + K.T @ lam))
+    # complementarity against the shifted constraint value (K a - l) - eps lam
+    comp = float(np.max(np.abs(lam * (K @ a - l - eps * lam)), initial=0.0))
+    if stat > tol or comp > tol:
+        raise SolverError(f"optimality residuals at eps={eps:g} exceed tol={tol:g}: "
+                          f"stationarity {stat:.3e}, complementarity {comp:.3e}")
+    return a, lam, active, stat, comp
 
 
 def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
-    """Exact variational equilibrium of a quadratic game via active-set enumeration.
+    """Exact variational equilibrium of a quadratic game, any number of constraints.
 
-    For each candidate active set the saddle system
-        [P  K_A'] [a    ]   [-q ]
-        [K_A  0 ] [lam_A] = [l_A]
-    is solved; a candidate is accepted if its multipliers are nonnegative and
-    the inactive constraints are satisfied. The primal part is unique; among
-    multiplier solutions the one of minimal norm is returned.
+    Solves the KKT system of the game extended by the dual player through
+    its dual linear complementarity problem and an exact polish on the
+    identified active set. The primal part is unique, and so are the
+    multipliers when the tight constraint rows are linearly independent.
+    Otherwise the multiplier of minimal norm is returned: a row repeated k
+    times carries 1/k of the multiplier in each copy.
     """
     game = _require_quadratic(game, "solve_vgne")
-    K, l = game.constraints.K, game.constraints.l
-    n, D = K.shape[0], game.D
-    _guard_enumeration(n)
-    P, q = game.P, game.q
-    scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(l))
-    check_tol = 1e-9 * scale
-
-    candidates = []
-    for size in range(n + 1):
-        for active in itertools.combinations(range(n), size):
-            active = tuple(active)
-            K_A = K[list(active)]
-            k = len(active)
-            sys = np.zeros((D + k, D + k))
-            sys[:D, :D] = P
-            sys[:D, D:] = K_A.T
-            sys[D:, :D] = K_A
-            rhs = np.concatenate([-q, l[list(active)]])
-            sol, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
-            if np.linalg.norm(sys @ sol - rhs) > check_tol:
-                continue  # active set is inconsistent (e.g. dependent rows)
-            a = sol[:D]
-            # minimal-norm multipliers supported on the active set
-            lam = np.zeros(n)
-            if k:
-                lam_A, *_ = np.linalg.lstsq(K_A.T, -(P @ a + q), rcond=None)
-                if np.linalg.norm(K_A.T @ lam_A + P @ a + q) > check_tol:
-                    continue
-                if np.any(lam_A < -check_tol):
-                    continue
-                lam[list(active)] = np.maximum(lam_A, 0.0)
-            else:
-                if np.linalg.norm(P @ a + q) > check_tol:
-                    continue
-            if np.any(game.constraints.value(a) > check_tol):
-                continue
-            candidates.append((a, lam, active))
-
-    if not candidates:
-        raise SolverError(
-            "no active set satisfies the optimality conditions; the game may "
-            "violate feasibility or strong monotonicity"
-        )
-    a, lam, active = min(candidates, key=lambda c: float(np.linalg.norm(c[1])))
-    stat, comp = _residuals(game, a, lam)
-    if stat > tol or comp > tol:
-        raise SolverError(
-            f"optimality residuals exceed tol={tol:g}: stationarity {stat:.3e}, "
-            f"complementarity {comp:.3e}"
-        )
-    return OracleSolution(
-        primal=JointAction(a, game.dims),
-        dual=lam,
-        active_set=active,
-        stationarity_residual=stat,
-        complementarity_residual=comp,
-    )
+    a, lam, active, stat, comp = _solve_kkt(game, 0.0, tol)
+    return OracleSolution(JointAction(a, game.dims), lam, active, stat, comp)
 
 
 def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) -> RegularizedSolution:
     """Unique solution of the Tikhonov-regularized variational problem.
 
-    On the candidate active set A the optimality system is the saddle form
-        [P    K_A'   ] [a    ]   [-q ]
-        [K_A  -eps I ] [lam_A] = [l_A]
-    (the second row encodes (K a - l)_j = eps lam_j for active j), solved
-    with one step of iterative refinement to keep residuals near machine
-    precision even for tiny eps.
+    Solved like solve_vgne with the term eps * lam on the dual block, which
+    makes the multipliers unique; the polish adds one refinement step so the
+    residuals stay near machine precision even for tiny eps.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     game = _require_quadratic(game, "solve_regularized_vi")
-    K, l = game.constraints.K, game.constraints.l
-    n, D = K.shape[0], game.D
-    _guard_enumeration(n)
-    P, q = game.P, game.q
-    scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(l))
-    check_tol = 1e-9 * scale
-
-    candidates = []
-    for size in range(n + 1):
-        for active in itertools.combinations(range(n), size):
-            K_A = K[list(active)]
-            l_A = l[list(active)]
-            k = len(active)
-            sys = np.zeros((D + k, D + k))
-            sys[:D, :D] = P
-            sys[:D, D:] = K_A.T
-            sys[D:, :D] = K_A
-            sys[D:, D:] = -eps * np.eye(k)
-            rhs = np.concatenate([-q, l_A])
-            try:
-                sol = np.linalg.solve(sys, rhs)
-                sol += np.linalg.solve(sys, rhs - sys @ sol)  # refinement
-            except np.linalg.LinAlgError:
-                continue
-            a = sol[:D]
-            g = game.constraints.value(a)
-            lam = np.zeros(n)
-            if k:
-                lam_A = sol[D:]
-                if np.any(lam_A < -check_tol):
-                    continue
-                lam[list(active)] = np.maximum(lam_A, 0.0)
-            inactive = [j for j in range(n) if j not in active]
-            if inactive and np.any(g[inactive] > check_tol):
-                continue
-            candidates.append((a, lam, tuple(active)))
-
-    if not candidates:
-        raise SolverError("no active set satisfies the regularized optimality conditions")
-    a, lam, active = min(candidates, key=lambda c: float(np.linalg.norm(c[1])))
-    K = game.constraints.K
-    stat = float(np.linalg.norm(game.P @ a + game.q + K.T @ lam))
-    # complementarity against the shifted constraint value (K a - l) - eps lam
-    comp_vec = lam * (game.constraints.value(a) - eps * lam)
-    comp = float(np.max(np.abs(comp_vec))) if lam.size else 0.0
-    if stat > tol or comp > tol:
-        raise SolverError(
-            f"regularized residuals exceed tol={tol:g}: stationarity {stat:.3e}, "
-            f"complementarity {comp:.3e}"
-        )
-    return RegularizedSolution(
-        primal=JointAction(a, game.dims),
-        dual=lam,
-        epsilon=eps,
-        active_set=active,
-        stationarity_residual=stat,
-        complementarity_residual=comp,
-    )
+    a, lam, active, stat, comp = _solve_kkt(game, float(eps), tol)
+    return RegularizedSolution(JointAction(a, game.dims), lam, eps, active, stat, comp)
 
 
 def solve_vi_extragradient(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,59 @@ def central_difference_gradient(f, x, h=None):
         xm[k] -= h
         out[k] = (f(xp) - f(xm)) / (2 * h)
     return out
+
+
+def enumerate_kkt(game, eps=0.0):
+    """Test-local reference: the KKT solution by enumerating all 2^n active sets.
+
+    For each candidate set A the saddle system
+        [P    K_A'   ] [a    ]   [-q ]
+        [K_A  -eps I ] [lam_A] = [l_A]
+    is solved (least squares plus minimal-norm multipliers at eps = 0, solve
+    plus one refinement step at eps > 0). A candidate is kept when the system
+    is consistent, its multipliers are nonnegative and the inactive
+    constraints hold; the candidate of minimal multiplier norm is returned
+    as (a, lam, active). Exponential in n, so only for small games.
+    """
+    K, l = game.constraints.K, game.constraints.l
+    n, D = K.shape[0], game.D
+    P, q = game.P, game.q
+    check_tol = 1e-9 * (1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(l)))
+    candidates = []
+    for size in range(n + 1):
+        for active in itertools.combinations(range(n), size):
+            idx = list(active)
+            K_A = K[idx]
+            sys = np.zeros((D + size, D + size))
+            sys[:D, :D] = P
+            sys[:D, D:] = K_A.T
+            sys[D:, :D] = K_A
+            sys[D:, D:] = -eps * np.eye(size)
+            rhs = np.concatenate([-q, l[idx]])
+            if eps > 0:
+                try:
+                    sol = np.linalg.solve(sys, rhs)
+                    sol += np.linalg.solve(sys, rhs - sys @ sol)
+                except np.linalg.LinAlgError:
+                    continue
+                a, lam_A = sol[:D], sol[D:]
+            else:
+                sol, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
+                if np.linalg.norm(sys @ sol - rhs) > check_tol:
+                    continue
+                a, lam_A = sol[:D], np.zeros(0)
+                if size:
+                    lam_A, *_ = np.linalg.lstsq(K_A.T, -(P @ a + q), rcond=None)
+                    if np.linalg.norm(K_A.T @ lam_A + P @ a + q) > check_tol:
+                        continue
+            if np.any(lam_A < -check_tol):
+                continue
+            g = game.constraints.value(a)
+            if np.any(np.delete(g, idx) > check_tol):
+                continue
+            lam = np.zeros(n)
+            lam[idx] = np.maximum(lam_A, 0.0)
+            candidates.append((a, lam, tuple(active)))
+    if not candidates:
+        raise AssertionError("no active set satisfies the KKT conditions")
+    return min(candidates, key=lambda c: float(np.linalg.norm(c[1])))

@@ -66,6 +66,18 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     assert (out1 / "det_agg.csv").read_bytes() == (out2 / "det_agg.csv").read_bytes()
 
 
+def test_reference_solved_once_per_experiment(monkeypatch):
+    import gnezero.oracles
+
+    calls = []
+    solve = gnezero.oracles.solve_vgne
+    monkeypatch.setattr(gnezero.oracles, "solve_vgne",
+                        lambda game: calls.append(game) or solve(game))
+    run_experiment(ExperimentConfig(game="paper-example", schedules=Schedules(), T=10,
+                                    seeds=[0, 1, 2]))
+    assert len(calls) == 1
+
+
 def test_aggregation_permutation_invariant():
     base = ExperimentConfig(game="paper-example", schedules=Schedules(), T=40,
                             seeds=[1, 2, 3, 4])

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from conftest import enumerate_kkt
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gnezero.augmented import AugmentedPoint
-from gnezero.games import ConstraintSet, QuadraticGame, random_quadratic_game, softplus_game
+from gnezero.games import (
+    ConstraintSet,
+    InfeasibleConstraintsError,
+    QuadraticGame,
+    paper_example,
+    random_quadratic_game,
+    softplus_game,
+)
 from gnezero.learner import Schedules, run
 from gnezero.oracles import (
-    SolverError,
     first_order_trajectory,
     solve_regularized_vi,
     solve_vgne,
@@ -64,13 +73,127 @@ def test_agrees_with_grid_search_oracle():
         assert np.linalg.norm(best - a_star) <= 1.5 * res * np.sqrt(2)
 
 
-def test_enumeration_guard_and_type_check(paper_game):
+def test_no_constraint_cap_and_type_check(paper_game):
+    # 22 rows (eye(2) repeated 11 times), none binding: no cap on n any more
     big = ConstraintSet(np.vstack([np.eye(2)] * 11), np.full(22, 5.0))
-    game = QuadraticGame(paper_game.A, paper_game.b, big)
-    with pytest.raises(SolverError):
-        solve_vgne(game)
+    sol = solve_vgne(QuadraticGame(paper_game.A, paper_game.b, big))
+    assert sol.stationarity_residual <= 1e-10
+    assert sol.complementarity_residual <= 1e-10
+    assert np.array_equal(sol.dual, np.zeros(22))
     with pytest.raises(TypeError):
         solve_vgne(softplus_game(0))
+
+
+def _solve(game, eps):
+    return solve_vgne(game) if eps == 0 else solve_regularized_vi(game, eps)
+
+
+def test_large_random_game_solves():
+    # D = 24, n = 40: far beyond any active-set enumeration
+    rng = np.random.default_rng(0)
+    base = random_quadratic_game(7, dims=[2] * 12, num_constraints=1)
+    K = rng.standard_normal((40, 24))
+    cs = ConstraintSet(K, rng.uniform(0.05, 0.5, size=40))  # a = 0 is strictly feasible
+    game = QuadraticGame(base.A, base.b, cs, dims=base.dims)
+    for eps in (0.0, 1e-3):
+        sol = _solve(game, eps)
+        assert len(sol.active_set) >= 5
+        assert sol.stationarity_residual <= 1e-10
+        assert sol.complementarity_residual <= 1e-10
+        assert np.all(sol.dual >= 0)
+        assert np.all(cs.value(sol.primal.flat) - eps * sol.dual <= 1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1])
+def test_matches_enumeration_bit_for_bit_when_strictly_complementary(
+        eps, paper_game, random_games):
+    for game in [paper_game, *random_games]:
+        a, lam, active = enumerate_kkt(game, eps)
+        sol = _solve(game, eps)
+        assert np.array_equal(sol.primal.flat, a)
+        assert np.array_equal(sol.dual, lam)
+        assert sol.active_set == active
+
+
+def _repeated_paper_row():
+    # paper-example's constraint row three times: the multiplier splits evenly
+    game = paper_example()
+    cs = game.constraints
+    return QuadraticGame(game.A, game.b, ConstraintSet(np.vstack([cs.K] * 3), np.tile(cs.l, 3)))
+
+
+def _corner_with_sum_row():
+    # P = I, q = (-1, -0.1): a* = 0 with rows (1,0), (0,1), (1,1) all tight. The
+    # multipliers are (1-t, 0.1-t, t); the minimal-norm one (t = 11/30) is
+    # negative, the minimal-norm nonnegative one has t = 0.1
+    A = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    b = np.array([[-1.0, 0.0], [0.0, -0.1]])
+    return QuadraticGame(A, b, ConstraintSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3)))
+
+
+@pytest.mark.parametrize("build, a_star, lam_star", [
+    (_repeated_paper_row, [0.0, 1.0], [1.0 / 3.0] * 3),
+    (_corner_with_sum_row, [0.0, 0.0], [0.9, 0.0, 0.1]),
+])
+def test_dependent_tight_rows_give_min_norm_multiplier(build, a_star, lam_star):
+    game = build()
+    sol = solve_vgne(game)
+    assert sol.primal.flat == pytest.approx(a_star, abs=1e-12)
+    assert sol.dual == pytest.approx(lam_star, abs=1e-12)
+    assert enumerate_kkt(game)[1] == pytest.approx(lam_star, abs=1e-12)
+
+
+@st.composite
+def degenerate_games(draw):
+    """Small games with repeated, weakly active and slack rows, plus an eps.
+
+    The binding base rows come from random_quadratic_game, followed by
+    positively scaled copies of them. Rows tight at the solution with zero
+    multiplier (weakly active, possibly repeated) are drawn orthogonal to the
+    base rows, so the tight rows stay well conditioned up to exact repeats
+    and 1e-10 is a fair tolerance; slack rows point anywhere.
+    """
+    seed = draw(st.integers(0, 2**16))
+    eps = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)))
+    D = sum(dims)
+    num_base = draw(st.integers(0, min(D, 3)))
+    base = random_quadratic_game(seed, dims=dims, num_constraints=num_base)
+    K, l = base.constraints.K, base.constraints.l
+    if num_base:
+        copies = draw(st.lists(st.tuples(st.integers(0, num_base - 1),
+                                         st.sampled_from([1.0, 0.5, 3.0])), max_size=2))
+        K = np.vstack([K] + [s * K[i] for i, s in copies])
+        l = np.concatenate([l] + [[s * l[i]] for i, s in copies])
+    a = enumerate_kkt(QuadraticGame(base.A, base.b, ConstraintSet(K, l), dims=dims), eps)[0]
+    rng = np.random.default_rng(seed)
+    num_weak = draw(st.integers(0, min(2, D - num_base)))
+    basis, _ = np.linalg.qr(np.column_stack([base.constraints.K.T, rng.standard_normal((D, D))]))
+    weak = basis[:, num_base:num_base + num_weak].T * rng.uniform(0.5, 2.0, size=(num_weak, 1))
+    if num_weak and draw(st.booleans()):
+        weak = np.vstack([weak, 2.0 * weak[0]])
+    slack = rng.standard_normal((draw(st.integers(0, min(1, 8 - len(K) - len(weak)))), D))
+    try:
+        cs = ConstraintSet(np.vstack([K, weak, slack]), np.concatenate(
+            [l, weak @ a, slack @ a + rng.uniform(0.1, 1.0, size=len(slack))]))
+    except InfeasibleConstraintsError:
+        assume(False)
+    return QuadraticGame(base.A, base.b, cs, dims=dims), eps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(degenerate_games())
+def test_matches_enumeration_on_degenerate_games(case):
+    game, eps = case
+    a, lam, _ = enumerate_kkt(game, eps)
+    sol = _solve(game, eps)
+    assert np.linalg.norm(sol.primal.flat - a) <= 1e-10
+    tight = np.abs(game.constraints.value(a)) <= 1e-9
+    if eps > 0 or np.linalg.matrix_rank(game.constraints.K[tight]) == int(tight.sum()):
+        assert np.linalg.norm(sol.dual - lam) <= 1e-10  # the multiplier is unique
+    else:
+        assert abs(np.linalg.norm(sol.dual) - np.linalg.norm(lam)) <= 1e-10
 
 
 # -- regularized solutions ------------------------------------------------------
@@ -122,7 +245,7 @@ def test_extragradient_cross_validates_active_set(random_games):
 def test_extragradient_works_on_nonquadratic():
     game = softplus_game(0)
     sol = solve_vi_extragradient(game, 0.1, tol=1e-9)
-    assert sol.stationarity_residual <= 1e-6 or np.all(sol.dual >= 0)
+    assert sol.stationarity_residual <= 1e-6 and sol.complementarity_residual <= 1e-6
     assert np.all(sol.dual >= 0)
 
 
