@@ -6,15 +6,7 @@ iteration with Tikhonov-regularized dual updates, and a diagnostics /
 rate-measurement harness.
 """
 
-from .augmented import (
-    AugmentedPoint,
-    RegularizationState,
-    augmented_cost,
-    dual_cost,
-    extended_pseudo_gradient,
-    primal_block,
-    regularized_pseudo_gradient,
-)
+from .augmented import AugmentedPoint, extended_pseudo_gradient
 from .diagnostics import (
     CheckCase,
     CheckReport,
@@ -37,14 +29,11 @@ from .games import (
     QuadraticGame,
     SoftplusQuadraticGame,
     builtin_game,
-    constraint_value,
-    evaluate_cost,
     game_from_config,
     load_game,
     paper_example,
     probe_lipschitz,
     probe_monotonicity,
-    pseudo_gradient,
     random_quadratic_game,
     resolve_game,
     softplus_game,
@@ -59,14 +48,12 @@ from .harness import (
     run_experiment,
 )
 from .learner import (
+    DivergenceError,
     Feedback,
-    LearnerState,
     PayoffEnvironment,
     TrajectoryRecord,
     checkpoints,
     run,
-    sample_action,
-    step,
     two_point_estimate,
 )
 from .oracles import (

@@ -1,15 +1,16 @@
-"""Dual-extended game: Lagrangian costs, extended pseudo-gradient, regularization.
+"""Dual-extended game: the extended pseudo-gradient and the projected step.
 
 The original game is extended with one virtual dual player whose action is the
-multiplier vector on the shared constraints. Primal costs become Lagrangians,
-the dual player maximizes the aggregate constraint value, and a Tikhonov term
-acting on the dual block only restores strong monotonicity of the extended
-pseudo-gradient.
+multiplier vector on the shared constraints. Primal costs become Lagrangians
+J^i(a) + <lam, K a - l>, the dual player maximizes the aggregate constraint
+value, and a Tikhonov term eps * lam acting on the dual block only restores
+strong monotonicity of the extended pseudo-gradient. One operator, with eps
+as an argument, and one projected primal-dual step serve every solver: the
+extragradient oracle, the exact-gradient baseline and the payoff-based
+learner.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +18,7 @@ from .games import DimensionMismatchError, GameSpec, JointAction, _as_flat
 
 __all__ = [
     "AugmentedPoint",
-    "RegularizationState",
-    "augmented_cost",
-    "dual_cost",
     "extended_pseudo_gradient",
-    "primal_block",
-    "regularized_pseudo_gradient",
 ]
 
 
@@ -44,6 +40,9 @@ class AugmentedPoint:
     def __setattr__(self, name, value):
         raise AttributeError("AugmentedPoint is immutable")
 
+    def __reduce__(self):
+        return AugmentedPoint, (self.a, self.lam)
+
     @property
     def primal(self) -> np.ndarray:
         return self.a
@@ -52,76 +51,36 @@ class AugmentedPoint:
     def dual(self) -> np.ndarray:
         return self.lam
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.a, self.lam])
-
-    @classmethod
-    def from_vector(cls, z, num_primal: int) -> "AugmentedPoint":
-        z = np.asarray(z, dtype=float).reshape(-1)
-        return cls(z[:num_primal], z[num_primal:])
-
     def __repr__(self) -> str:
         return f"AugmentedPoint(a={self.a.tolist()}, lam={self.lam.tolist()})"
 
 
-@dataclass(frozen=True)
-class RegularizationState:
-    """Tikhonov weight applied to the dual block of the extended pseudo-gradient."""
+def _operator(game: GameSpec, a: np.ndarray, lam: np.ndarray, eps: float):
+    """Primal and dual blocks of the extended pseudo-gradient at (a, lam).
 
-    epsilon: float
+    Primal block: M(a) + K' lam; dual block: -(K a - l) + eps * lam. The
+    arrays are used as given; extended_pseudo_gradient is the checked entry.
+    """
+    K, l = game.constraints.K, game.constraints.l
+    return game.pseudo_gradient(a) + K.T @ lam, -(K @ a) + l + eps * lam
 
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+
+def _projected_step(a: np.ndarray, lam: np.ndarray, tau: float, v, w):
+    """One primal-dual step (a - tau v, max(lam - tau w, 0)); the dual stays >= 0."""
+    return a - tau * v, np.maximum(lam - tau * w, 0.0)
 
 
-def _split(game: GameSpec, z: AugmentedPoint) -> tuple[np.ndarray, np.ndarray]:
+def extended_pseudo_gradient(game: GameSpec, z: AugmentedPoint, eps: float = 0.0) -> np.ndarray:
+    """Pseudo-gradient of the extended game at z, length D + n.
+
+    Primal block i is M^i(a) + (K' lam) restricted to block i; the dual block
+    is -K a + l + eps * lam, the Tikhonov term acting on the dual block only.
+    """
+    if eps < 0:
+        raise ValueError(f"epsilon must be >= 0, got {eps}")
     a = _as_flat(z.a, game.D)
     lam = np.asarray(z.lam, dtype=float).reshape(-1)
     n = game.constraints.num_constraints
     if lam.shape[0] != n:
         raise DimensionMismatchError("dual variable", n, lam.shape[0])
-    return a, lam
-
-
-def augmented_cost(game: GameSpec, i: int, z: AugmentedPoint) -> float:
-    """Lagrangian cost of primal player i: J^i(a) + <lam, K a - l>."""
-    a, lam = _split(game, z)
-    return game.cost(i, a) + float(lam @ game.constraints.value(a))
-
-
-def dual_cost(game: GameSpec, z: AugmentedPoint) -> float:
-    """Cost of the dual player: -<lam, K a - l>."""
-    a, lam = _split(game, z)
-    return -float(lam @ game.constraints.value(a))
-
-
-def extended_pseudo_gradient(game: GameSpec, z: AugmentedPoint) -> np.ndarray:
-    """Pseudo-gradient of the extended game, length D + n.
-
-    Primal block i is M^i(a) + (K' lam) restricted to block i; the dual block
-    is -K a + l.
-    """
-    a, lam = _split(game, z)
-    K, l = game.constraints.K, game.constraints.l
-    primal = game.pseudo_gradient(a) + K.T @ lam
-    dual = -(K @ a) + l
-    return np.concatenate([primal, dual])
-
-
-def primal_block(w, num_primal: int) -> np.ndarray:
-    """First num_primal coordinates of an extended pseudo-gradient vector."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape[0] < num_primal:
-        raise DimensionMismatchError("extended gradient", num_primal, w.shape[0])
-    return w[:num_primal]
-
-
-def regularized_pseudo_gradient(game: GameSpec, z: AugmentedPoint, eps) -> np.ndarray:
-    """Extended pseudo-gradient with eps * lam added to the dual block only."""
-    epsilon = eps.epsilon if isinstance(eps, RegularizationState) else float(eps)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    out = extended_pseudo_gradient(game, z)
-    out[game.D:] += epsilon * z.lam
-    return out
+    return np.concatenate(_operator(game, a, lam, eps))

@@ -12,6 +12,7 @@ import numpy as np
 from . import diagnostics as diag
 from .games import QuadraticGame, resolve_game
 from .harness import ExperimentConfig, fit_rate, reproduce_fig1, run_experiment
+from .learner import DivergenceError
 from .oracles import solve_regularized_vi, solve_vgne
 from .schedules import Schedules
 
@@ -102,7 +103,11 @@ def cmd_learn(args) -> int:
         allow_invalid_schedules=args.allow_invalid_schedules,
         workers=args.workers,
     )
-    table = run_experiment(cfg)
+    try:
+        table = run_experiment(cfg)
+    except DivergenceError as err:
+        print(f"learn diverged, no CSV written: {err}", file=sys.stderr)
+        return 1
     print(f"game: {args.game}, T={args.T}, seeds={cfg.seeds[0]}..{cfg.seeds[-1]}")
     print(f"checkpoints: {table.t.shape[0]}")
     print(f"final mean err_primal_sq: {table.mean_err_primal_sq[-1]:.6e}")

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .games import GameSpec, JointAction, QuadraticGame
+from .learner import two_point_estimate
 from .oracles import solve_regularized_vi, solve_vgne
 
 __all__ = [
@@ -119,26 +120,36 @@ class SmoothingBias:
     num_samples: int
 
 
-def smoothing_bias_stats(game: GameSpec, probe: SmoothingProbe, i: int) -> SmoothingBias:
-    """Sample mean of the two-point estimate for player i minus the exact gradient."""
+def _estimates(game: GameSpec, probe: SmoothingProbe, i: int):
+    """Two-point estimates of player i's gradient block at the probe point, in chunks.
+
+    Yields (size, d_i) arrays whose rows use independent Gaussian actions
+    around probe.mu, drawn from the probe's seeded stream.
+    """
     rng = np.random.default_rng(probe.seed)
     mu, lam, sigma = probe.mu, probe.lam, probe.sigma
     sl = game.slices[i]
-    d_i = sl.stop - sl.start
     u_mu = game.cost(i, mu) + float(lam @ game.constraints.value(mu))
+    for size in _iter_chunks(probe.num_samples):
+        X = mu + sigma * rng.standard_normal((size, mu.shape[0]))
+        u_X = _lagrangian_values(game, X, lam, i)
+        yield two_point_estimate(u_X[:, None], u_mu, X[:, sl], mu[sl], sigma)
+
+
+def smoothing_bias_stats(game: GameSpec, probe: SmoothingProbe, i: int) -> SmoothingBias:
+    """Sample mean of the two-point estimate for player i minus the exact gradient."""
+    sl = game.slices[i]
+    d_i = sl.stop - sl.start
     sum_m = np.zeros(d_i)
     sumsq_m = np.zeros(d_i)
-    M = probe.num_samples
-    for size in _iter_chunks(M):
-        X = mu + sigma * rng.standard_normal((size, mu.shape[0]))
-        du = _lagrangian_values(game, X, lam, i) - u_mu
-        m = du[:, None] * (X[:, sl] - mu[sl]) / (sigma * sigma)
+    for m in _estimates(game, probe, i):
         sum_m += m.sum(axis=0)
         sumsq_m += np.einsum("kj,kj->j", m, m)
+    M = probe.num_samples
     mean_m = sum_m / M
     var_m = np.maximum(sumsq_m / M - mean_m**2, 0.0)
     se = np.sqrt(var_m / M)
-    exact = game.pseudo_gradient(mu)[sl] + (game.constraints.K.T @ lam)[sl]
+    exact = game.pseudo_gradient(probe.mu)[sl] + (game.constraints.K.T @ probe.lam)[sl]
     bias = mean_m - exact
     return SmoothingBias(
         bias=bias,
@@ -170,18 +181,8 @@ def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[floa
 
 def estimator_second_moment(game: GameSpec, probe: SmoothingProbe, i: int) -> float:
     """Empirical E||m^i||^2 of the two-point estimate at the probe point."""
-    rng = np.random.default_rng(probe.seed)
-    mu, lam, sigma = probe.mu, probe.lam, probe.sigma
-    sl = game.slices[i]
-    u_mu = game.cost(i, mu) + float(lam @ game.constraints.value(mu))
-    total = 0.0
-    M = probe.num_samples
-    for size in _iter_chunks(M):
-        X = mu + sigma * rng.standard_normal((size, mu.shape[0]))
-        du = _lagrangian_values(game, X, lam, i) - u_mu
-        m = du[:, None] * (X[:, sl] - mu[sl]) / (sigma * sigma)
-        total += float(np.einsum("kj,kj->", m, m))
-    return total / M
+    total = sum(float(np.einsum("kj,kj->", m, m)) for m in _estimates(game, probe, i))
+    return total / probe.num_samples
 
 
 # -- reports -----------------------------------------------------------------

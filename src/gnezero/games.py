@@ -9,6 +9,7 @@ pseudo-gradients and exact strong-monotonicity / Lipschitz constants.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Callable, Sequence
 
@@ -23,10 +24,6 @@ __all__ = [
     "GameSpec",
     "QuadraticGame",
     "SoftplusQuadraticGame",
-    "MonotonicityEstimate",
-    "evaluate_cost",
-    "pseudo_gradient",
-    "constraint_value",
     "probe_monotonicity",
     "probe_lipschitz",
     "paper_example",
@@ -97,6 +94,9 @@ class JointAction:
 
     def __setattr__(self, name, value):
         raise AttributeError("JointAction is immutable")
+
+    def __reduce__(self):
+        return JointAction, (self.flat, self.dims)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence) -> "JointAction":
@@ -280,7 +280,7 @@ class GameSpec:
         if self.known_nu is not None:
             return self.known_nu
         if self._probed_nu is None:
-            self._probed_nu = probe_monotonicity(self, 20000, 3.0, seed=0).value
+            self._probed_nu = probe_monotonicity(self, 20000, 3.0, seed=0)
         return self._probed_nu
 
     def lipschitz(self) -> float:
@@ -296,6 +296,49 @@ class GameSpec:
             f"{type(self).__name__}(name={self.name!r}, players={self.num_players}, "
             f"dims={self.dims}, constraints={self.constraints.num_constraints})"
         )
+
+
+def _affine_pseudo_gradient(A: np.ndarray, b: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
+    """(P, q) of the pseudo-gradient P a + q of the costs 0.5 a' A_i a + b_i' a.
+
+    The block-i rows of P are the block-i rows of the symmetrized A_i, and
+    q's block i is b_i's block i.
+    """
+    D = A.shape[1]
+    P = np.empty((D, D))
+    q = np.empty(D)
+    for i, sl in enumerate(block_slices(dims)):
+        sym = 0.5 * (A[i] + A[i].T)
+        P[sl, :] = sym[sl, :]
+        q[sl] = b[i, sl]
+    return P, q
+
+
+# Per-player costs are partials of module-level functions over the game's
+# own arrays: they pickle without hooks and share those arrays in the
+# pickle, and unlike costs bound to the game they form no reference cycle,
+# so a dropped game is freed at once.
+
+
+def _quadratic_cost(A: np.ndarray, b: np.ndarray, i: int, vec: np.ndarray) -> float:
+    """Player i's quadratic cost 0.5 a' A_i a + b_i' a at one point."""
+    return 0.5 * float(vec @ (A[i] @ vec)) + float(b[i] @ vec)
+
+
+def _softplus(u, beta: float):
+    return np.logaddexp(0.0, beta * u) / beta
+
+
+def _softplus_ridge_cost(A, b, W, delta, beta: float, i: int, vec: np.ndarray) -> float:
+    """Player i's quadratic cost plus delta_i * softplus_beta(w_i' a)^2 at one point."""
+    return _quadratic_cost(A, b, i, vec) + float(delta[i] * _softplus(W[i] @ vec, beta) ** 2)
+
+
+def _quadratic_costs(game, points: np.ndarray) -> np.ndarray:
+    """Quadratic part of every player's cost at each row of points; returns (P, N)."""
+    AX = points @ game._A_flat.T  # (P, N*D)
+    quad = AX.reshape(points.shape[0], game.num_players, game.D) * points[:, None, :]
+    return 0.5 * quad.sum(axis=2) + points @ game.b.T
 
 
 class QuadraticGame(GameSpec):
@@ -327,12 +370,7 @@ class QuadraticGame(GameSpec):
             raise GameConfigError(f"dims {dims} inconsistent with A of shape {A.shape}")
         self.A = A
         self.b = b
-        P = np.empty((D, D))
-        q = np.empty(D)
-        for i, sl in enumerate(block_slices(dims)):
-            sym = 0.5 * (A[i] + A[i].T)
-            P[sl, :] = sym[sl, :]
-            q[sl] = b[i, sl]
+        P, q = _affine_pseudo_gradient(A, b, dims)
         self.P = P
         self.q = q
         sym_eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
@@ -342,39 +380,12 @@ class QuadraticGame(GameSpec):
                 f"pseudo-gradient is not strongly monotone (min symmetric eigenvalue {nu:.3e})"
             )
         L = float(np.linalg.svd(P, compute_uv=False).max())
-        costs = [self._make_cost(i) for i in range(N)]
+        costs = [functools.partial(_quadratic_cost, A, b, i) for i in range(N)]
         super().__init__(dims, costs, constraints, nu=nu, lipschitz=L, name=name)
         # flattened stack of A used for fast multi-point cost evaluation
         self._A_flat = A.reshape(N * D, D)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_costs"] = None  # closures are rebuilt on unpickle
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._costs = [self._make_cost(i) for i in range(self.num_players)]
-
-    def _make_cost(self, i: int):
-        A_i, b_i = self.A[i], self.b[i]
-        return lambda a: 0.5 * float(a @ (A_i @ a)) + float(b_i @ a)
-
-    def cost(self, i: int, a) -> float:
-        self._check_player(i)
-        vec = _as_flat(a, self.D)
-        return 0.5 * float(vec @ (self.A[i] @ vec)) + float(self.b[i] @ vec)
-
-    def costs_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self.D:
-            raise DimensionMismatchError("points", self.D, points.shape[1])
-        return self._costs_batch_unchecked(points)
-
-    def _costs_batch_unchecked(self, points: np.ndarray) -> np.ndarray:
-        AX = points @ self._A_flat.T  # (P, N*D)
-        quad = AX.reshape(points.shape[0], self.num_players, self.D) * points[:, None, :]
-        return 0.5 * quad.sum(axis=2) + points @ self.b.T
+    _costs_batch_unchecked = _quadratic_costs
 
     def pseudo_gradient(self, a) -> np.ndarray:
         return self.P @ _as_flat(a, self.D) + self.q
@@ -403,61 +414,20 @@ class SoftplusQuadraticGame(GameSpec):
         self.beta = float(beta)
         if self.A.shape != (N, D, D) or self.b.shape != (N, D):
             raise GameConfigError("A/b shapes inconsistent with dims")
-        P = np.empty((D, D))
-        q = np.empty(D)
-        for i, sl in enumerate(block_slices(dims)):
-            sym = 0.5 * (self.A[i] + self.A[i].T)
-            P[sl, :] = sym[sl, :]
-            q[sl] = self.b[i, sl]
-        self.P = P
-        self.q = q
-        costs = [self._make_cost(i) for i in range(N)]
+        self.P, self.q = _affine_pseudo_gradient(self.A, self.b, dims)
+        costs = [functools.partial(_softplus_ridge_cost, self.A, self.b, self.W, self.delta,
+                                   self.beta, i) for i in range(N)]
         super().__init__(dims, costs, constraints, name=name)
         self._A_flat = self.A.reshape(N * D, D)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_costs"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._costs = [self._make_cost(i) for i in range(self.num_players)]
-
-    def _softplus(self, u):
-        return np.logaddexp(0.0, self.beta * u) / self.beta
 
     def _softplus_prime(self, u):
         # derivative of softplus_beta(u)^2: 2 * softplus_beta(u) * sigmoid(beta u)
         sig = 0.5 * (1.0 + np.tanh(0.5 * self.beta * u))
-        return 2.0 * self._softplus(u) * sig
-
-    def _make_cost(self, i: int):
-        A_i, b_i, w_i, d_i = self.A[i], self.b[i], self.W[i], self.delta[i]
-
-        def cost(a):
-            quad = 0.5 * float(a @ (A_i @ a)) + float(b_i @ a)
-            return quad + d_i * float(self._softplus(w_i @ a) ** 2)
-
-        return cost
-
-    def cost(self, i: int, a) -> float:
-        self._check_player(i)
-        vec = _as_flat(a, self.D)
-        quad = 0.5 * float(vec @ (self.A[i] @ vec)) + float(self.b[i] @ vec)
-        return quad + float(self.delta[i] * self._softplus(self.W[i] @ vec) ** 2)
-
-    def costs_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self.D:
-            raise DimensionMismatchError("points", self.D, points.shape[1])
-        return self._costs_batch_unchecked(points)
+        return 2.0 * _softplus(u, self.beta) * sig
 
     def _costs_batch_unchecked(self, points: np.ndarray) -> np.ndarray:
-        AX = points @ self._A_flat.T
-        quad = AX.reshape(points.shape[0], self.num_players, self.D) * points[:, None, :]
-        ridge = self.delta * self._softplus(points @ self.W.T) ** 2  # (P, N)
-        return 0.5 * quad.sum(axis=2) + points @ self.b.T + ridge
+        ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
+        return _quadratic_costs(self, points) + ridge
 
     def pseudo_gradient(self, a) -> np.ndarray:
         vec = _as_flat(a, self.D)
@@ -477,42 +447,6 @@ class SoftplusQuadraticGame(GameSpec):
         return out
 
 
-# -- spec-level operations --------------------------------------------------
-
-
-def evaluate_cost(game: GameSpec, i: int, a) -> float:
-    """Player i's cost J^i(a) at the joint action a."""
-    return game.cost(i, a)
-
-
-def pseudo_gradient(game: GameSpec, a) -> np.ndarray:
-    """Stacked per-player partial gradients of the game at a."""
-    return game.pseudo_gradient(a)
-
-
-def constraint_value(cs, a) -> np.ndarray:
-    """g(a) = K a - l for a ConstraintSet or a game's constraint set."""
-    if isinstance(cs, GameSpec):
-        cs = cs.constraints
-    return cs.value(a)
-
-
-class MonotonicityEstimate(float):
-    """Sampled strong-monotonicity constant; `violated` flags a nonpositive estimate."""
-
-    def __new__(cls, value: float):
-        obj = super().__new__(cls, value)
-        return obj
-
-    @property
-    def value(self) -> float:
-        return float(self)
-
-    @property
-    def violated(self) -> bool:
-        return float(self) <= 0.0
-
-
 def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
     direction = rng.standard_normal((count, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -520,12 +454,12 @@ def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return direction * r[:, None]
 
 
-def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int) -> MonotonicityEstimate:
+def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int) -> float:
     """Estimate the strong-monotonicity constant of the pseudo-gradient.
 
     Returns the minimum over sampled pairs of
-    <M(a1) - M(a2), a1 - a2> / ||a1 - a2||^2; a nonpositive value is flagged
-    via the result's `violated` property.
+    <M(a1) - M(a2), a1 - a2> / ||a1 - a2||^2; a value <= 0 means the
+    sampled pairs violate strong monotonicity.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
@@ -539,7 +473,7 @@ def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int)
         raise ValueError("all sampled pairs were degenerate; increase radius")
     m_diff = game.pseudo_gradient_at(x1[keep]) - game.pseudo_gradient_at(x2[keep])
     ratios = np.einsum("ij,ij->i", m_diff, diff[keep]) / norms_sq[keep]
-    return MonotonicityEstimate(float(ratios.min()))
+    return float(ratios.min())
 
 
 def probe_lipschitz(game: GameSpec, num_pairs: int, radius: float, seed: int) -> float:
@@ -601,6 +535,10 @@ def random_quadratic_game(
     if num_constraints is None:
         num_constraints = int(rng.integers(1, min(3, D) + 1))
     n = int(num_constraints)
+    if n > D:
+        raise GameConfigError(
+            f"num_constraints={n} exceeds D={D}: K has orthonormal rows, so at most D"
+        )
 
     # target pseudo-gradient P = S + Z: symmetric PD part plus cross-block skew
     eigs = rng.uniform(nu_range[0], nu_range[1] + spread, size=D)
@@ -659,9 +597,9 @@ def softplus_game(
         name=f"softplus-{seed}",
     )
     est = probe_monotonicity(game, 4000, 2.0, seed=seed + 1)
-    if est.violated:
+    if est <= 0:
         raise GameConfigError(
-            f"softplus perturbation too strong: probed monotonicity {est.value:.3e} <= 0"
+            f"softplus perturbation too strong: probed monotonicity {est:.3e} <= 0"
         )
     return game
 

@@ -4,9 +4,11 @@ Each primal player keeps a running mean, samples its action from a Gaussian
 centered there, and observes only realized cost values (its Lagrangian cost
 at the sampled and at the mean joint action) plus the realized constraint
 values. A two-point difference of the observed costs yields an unbiased
-estimate of the smoothed pseudo-gradient, which drives a primal-dual update
-with a vanishing Tikhonov term on the dual block. No gradients and no
-constraint data cross the feedback boundary.
+estimate of the smoothed pseudo-gradient, which drives a projected
+primal-dual step with a vanishing Tikhonov term on the dual block. No
+gradients and no constraint data cross the feedback boundary. `run` is the
+one implementation of the iteration; there is no separate sampling or
+single-step API.
 """
 
 from __future__ import annotations
@@ -15,24 +17,44 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import GameSpec, JointAction, QuadraticGame
+from .augmented import _projected_step
+from .games import GameSpec, QuadraticGame
 from .schedules import ScheduleError, ScheduleReport, Schedules, validate_schedules
 
 __all__ = [
+    "DivergenceError",
     "Feedback",
     "PayoffEnvironment",
-    "LearnerState",
     "TrajectoryRecord",
     "Schedules",
     "ScheduleReport",
     "ScheduleError",
     "validate_schedules",
-    "sample_action",
     "two_point_estimate",
-    "step",
     "run",
     "checkpoints",
 ]
+
+
+class DivergenceError(ArithmeticError):
+    """The learning iterate left the finite floats.
+
+    Carries the seed, the step at whose checkpoint a non-finite mean or
+    multiplier was found, and the last checkpoint with a finite iterate
+    (None when there was none).
+    """
+
+    def __init__(self, seed: int, step: int, last_finite: int | None):
+        super().__init__(
+            f"seed {seed}: non-finite iterate at step {step} "
+            f"(last finite checkpoint: {'none' if last_finite is None else last_finite})"
+        )
+        self.seed = seed
+        self.step = step
+        self.last_finite = last_finite
+
+    def __reduce__(self):
+        return DivergenceError, (self.seed, self.step, self.last_finite)
 
 
 @dataclass(frozen=True)
@@ -75,64 +97,21 @@ class PayoffEnvironment:
         )
 
 
-@dataclass
-class LearnerState:
-    """Current means, dual variable, iteration counter, and RNG stream."""
+def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
+    """Gradient estimate (u_at_a - u_at_mu) * (a_i - mu_i) / sigma^2.
 
-    mu: JointAction
-    lam: np.ndarray
-    t: int
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float).reshape(-1)
-        if np.any(self.lam < 0):
-            raise ValueError("dual variable must be componentwise nonnegative")
-
-
-def sample_action(state: LearnerState, sigma: float) -> JointAction:
-    """Draw every player's action from N(mu^i, sigma^2 I), advancing the RNG."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    mu = state.mu.flat
-    draw = mu + sigma * state.rng.standard_normal(mu.shape[0])
-    return JointAction(draw, state.mu.dims)
-
-
-def two_point_estimate(u_at_a: float, u_at_mu: float, a_i, mu_i, sigma: float) -> np.ndarray:
-    """Gradient estimate (u_at_a - u_at_mu) * (a_i - mu_i) / sigma^2."""
+    a_i is one action (d,) or a batch of actions (P, d) drawn around the
+    mean mu_i (d,); the cost values broadcast against a_i - mu_i (a scalar,
+    one value per coordinate, or a (P, 1) column for a batch).
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     a_i = np.asarray(a_i, dtype=float)
     mu_i = np.asarray(mu_i, dtype=float)
-    if a_i.shape != mu_i.shape:
-        raise ValueError(f"a_i and mu_i must have equal shapes, got {a_i.shape} vs {mu_i.shape}")
+    if a_i.shape[-1:] != mu_i.shape:
+        raise ValueError(f"a_i and mu_i must have equal block dimensions, "
+                         f"got {a_i.shape} vs {mu_i.shape}")
     return (u_at_a - u_at_mu) * (a_i - mu_i) / (sigma * sigma)
-
-
-def step(state: LearnerState, action: JointAction, feedback: Feedback,
-         sched: Schedules) -> LearnerState:
-    """One primal-dual update from the feedback of the current iteration.
-
-    The action must be the one sampled around state.mu at this iteration;
-    it is the player-local half of the two-point estimator. Returns the new
-    state with the counter advanced; the dual stays in the nonnegative
-    orthant by projection.
-    """
-    t = state.t
-    gamma = sched.gamma(t)
-    eps = sched.eps(t)
-    sigma = sched.sigma(t)
-    mu = state.mu.flat
-    a = action.flat
-    m = np.empty(mu.shape[0])
-    for i, sl in enumerate(state.mu._slices):
-        m[sl] = two_point_estimate(
-            feedback.u_at_a[i], feedback.u_at_mu[i], a[sl], mu[sl], sigma
-        )
-    mu_new = mu - gamma * m
-    lam_new = np.maximum(state.lam - gamma * (eps * state.lam - feedback.g_at_a), 0.0)
-    return LearnerState(JointAction(mu_new, state.mu.dims), lam_new, t + 1, state.rng)
 
 
 def checkpoints(T: int, record_every) -> np.ndarray:
@@ -212,13 +191,16 @@ def run(
     """Run the payoff-based iteration for T steps with a seeded RNG stream.
 
     The loop touches the game only through a PayoffEnvironment: per step it
-    samples one joint action, obtains the two cost values per player and the
-    realized constraint values, and applies the primal-dual update. The
-    reference solution (computed by the exact oracle for quadratic games, or
-    supplied explicitly) is used only to record error metrics.
+    samples one joint action a ~ N(mu, sigma_t^2 I), obtains the two cost
+    values per player and the realized constraint values, and applies the
+    projected primal-dual step with the two-point estimate as the primal
+    direction and eps_t * lam - g(a) as the dual one. The reference solution
+    (computed by the exact oracle for quadratic games, or supplied
+    explicitly) is used only to record error metrics.
 
     Raises ScheduleError when the schedule exponents are invalid, unless
-    allow_invalid_schedules is set.
+    allow_invalid_schedules is set, and DivergenceError when a checkpoint
+    finds a non-finite mean or multiplier.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -246,30 +228,31 @@ def run(
     if np.any(lam < 0):
         raise ValueError("lam0 must be componentwise nonnegative")
 
-    grid = checkpoints(T, record_every)
-    grid_pos = 0
+    record_at = set(checkpoints(T, record_every).tolist())
     rows_t, rows_ep, rows_ed, rows_g, rows_e, rows_s = [], [], [], [], [], []
 
-    for t in range(1, T + 1):
-        gamma = sched.gamma(t)
-        eps = sched.eps(t)
-        sigma = sched.sigma(t)
-        a = mu + sigma * rng.standard_normal(D)
-        fb = env.feedback(a, mu, lam)
-        du = fb.u_at_a - fb.u_at_mu
-        m = du[block_of] * (a - mu) / (sigma * sigma)
-        mu = mu - gamma * m
-        lam = np.maximum(lam - gamma * (eps * lam - fb.g_at_a), 0.0)
-        if grid_pos < len(grid) and t == grid[grid_pos]:
-            d_mu = mu - a_ref
-            d_lam = lam - lam_ref
-            rows_t.append(t)
-            rows_ep.append(float(d_mu @ d_mu))
-            rows_ed.append(float(d_lam @ d_lam))
-            rows_g.append(gamma)
-            rows_e.append(eps)
-            rows_s.append(sigma)
-            grid_pos += 1
+    # overflow shows as a non-finite iterate, which a checkpoint reports
+    # as a DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            gamma = sched.gamma(t)
+            eps = sched.eps(t)
+            sigma = sched.sigma(t)
+            a = mu + sigma * rng.standard_normal(D)
+            fb = env.feedback(a, mu, lam)
+            m = two_point_estimate(fb.u_at_a[block_of], fb.u_at_mu[block_of], a, mu, sigma)
+            mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - fb.g_at_a)
+            if t in record_at:
+                if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
+                    raise DivergenceError(seed, t, rows_t[-1] if rows_t else None)
+                d_mu = mu - a_ref
+                d_lam = lam - lam_ref
+                rows_t.append(t)
+                rows_ep.append(float(d_mu @ d_mu))
+                rows_ed.append(float(d_lam @ d_lam))
+                rows_g.append(gamma)
+                rows_e.append(eps)
+                rows_s.append(sigma)
 
     return TrajectoryRecord(
         seed=seed,

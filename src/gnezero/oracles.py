@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import AugmentedPoint
+from .augmented import AugmentedPoint, _operator, _projected_step
 from .games import GameSpec, JointAction, QuadraticGame
 
 __all__ = [
@@ -228,7 +228,7 @@ def solve_vi_extragradient(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    K, l = game.constraints.K, game.constraints.l
+    K = game.constraints.K
     D, n = game.D, K.shape[0]
     norm_K = float(np.linalg.norm(K, 2))
     tau = 1.0 / (2.0 * (game.lipschitz() + norm_K + eps))
@@ -239,39 +239,28 @@ def solve_vi_extragradient(
     else:
         a, lam = z0.a.copy(), np.maximum(z0.lam, 0.0)
 
-    def operator(a_cur, lam_cur):
-        primal = game.pseudo_gradient(a_cur) + K.T @ lam_cur
-        dual = -(K @ a_cur) + l + eps * lam_cur
-        return primal, dual
-
     residual = np.inf
     for _ in range(max_iter):
-        fp, fd = operator(a, lam)
-        a_half = a - tau * fp
-        lam_half = np.maximum(lam - tau * fd, 0.0)
+        a_half, lam_half = _projected_step(a, lam, tau, *_operator(game, a, lam, eps))
         residual = float(np.linalg.norm(a - a_half) + np.linalg.norm(lam - lam_half))
         if residual <= tol * tau:
             break
-        fp_h, fd_h = operator(a_half, lam_half)
-        a = a - tau * fp_h
-        lam = np.maximum(lam - tau * fd_h, 0.0)
+        a, lam = _projected_step(a, lam, tau, *_operator(game, a_half, lam_half, eps))
     else:
         raise SolverError(
             f"extragradient did not reach tolerance {tol:g} within {max_iter} "
             f"iterations (residual {residual:.3e})"
         )
 
-    g = game.constraints.value(a)
-    active = tuple(int(j) for j in range(n) if lam[j] > tol)
-    stat = float(np.linalg.norm(game.pseudo_gradient(a) + K.T @ lam))
-    comp = float(np.max(np.abs(lam * (g - eps * lam)))) if n else 0.0
+    # the dual block is -(K a - l - eps lam), the shifted constraint value
+    primal, dual = _operator(game, a, lam, eps)
     return RegularizedSolution(
         primal=JointAction(a, game.dims),
         dual=lam,
         epsilon=eps,
-        active_set=active,
-        stationarity_residual=stat,
-        complementarity_residual=comp,
+        active_set=tuple(int(j) for j in range(n) if lam[j] > tol),
+        stationarity_residual=float(np.linalg.norm(primal)),
+        complementarity_residual=float(np.max(np.abs(lam * dual))) if n else 0.0,
     )
 
 
@@ -291,18 +280,13 @@ def first_order_trajectory(
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    K, l = game.constraints.K, game.constraints.l
+    n = game.constraints.num_constraints
     mu = np.zeros(game.D) if z0 is None else z0.a.copy()
-    lam = np.zeros(K.shape[0]) if z0 is None else np.maximum(z0.lam, 0.0)
+    lam = np.zeros(n) if z0 is None else np.maximum(z0.lam, 0.0)
     out = [AugmentedPoint(mu.copy(), lam.copy())]
     for t in range(1, T + 1):
-        gamma = sched.gamma(t)
-        eps = sched.eps(t)
         # simultaneous update: both blocks read the same current point
-        primal_step = game.pseudo_gradient(mu) + K.T @ lam
-        dual_step = -(K @ mu) + l + eps * lam
-        mu = mu - gamma * primal_step
-        lam = np.maximum(lam - gamma * dual_step, 0.0)
+        mu, lam = _projected_step(mu, lam, sched.gamma(t), *_operator(game, mu, lam, sched.eps(t)))
         if t % record_every == 0 or t == T:
             out.append(AugmentedPoint(mu.copy(), lam.copy()))
     return out

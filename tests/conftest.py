@@ -91,3 +91,33 @@ def enumerate_kkt(game, eps=0.0):
     if not candidates:
         raise AssertionError("no active set satisfies the KKT conditions")
     return min(candidates, key=lambda c: float(np.linalg.norm(c[1])))
+
+
+def reference_run(game, sched, T, seed, mu0=None, lam0=None):
+    """Test-local reference: the payoff-based iteration written out per player.
+
+    At step t the joint action a = mu + sigma_t xi is drawn with one
+    standard-normal vector xi of length D from default_rng(seed). Player i
+    sees its Lagrangian cost U^i = J^i + lam'(K x - l) at x = a and x = mu,
+    evaluated on the two stacked points, and moves its block by gamma_t times
+    the two-point estimate (U^i(a) - U^i(mu)) (a^i - mu^i) / sigma_t^2. The
+    dual moves by gamma_t (eps_t lam - (K a - l)) and is clipped at zero.
+    Both blocks read the same current point. Returns the final (mu, lam).
+    """
+    K, l = game.constraints.K, game.constraints.l
+    rng = np.random.default_rng(seed)
+    mu = np.zeros(game.D) if mu0 is None else np.array(mu0, dtype=float)
+    lam = np.zeros(K.shape[0]) if lam0 is None else np.array(lam0, dtype=float)
+    for t in range(1, T + 1):
+        gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
+        a = mu + sigma * rng.standard_normal(game.D)
+        X = np.stack([a, mu])
+        g = X @ K.T - l
+        U = game.costs_at(X) + (g @ lam)[:, None]
+        new_mu = mu.copy()
+        for i, sl in enumerate(game.slices):
+            m_i = (U[0, i] - U[1, i]) * (a[sl] - mu[sl]) / (sigma * sigma)
+            new_mu[sl] = mu[sl] - gamma * m_i
+        lam = np.maximum(lam - gamma * (eps * lam - g[0]), 0.0)
+        mu = new_mu
+    return mu, lam

@@ -1,33 +1,34 @@
 import numpy as np
 import pytest
 
-from gnezero.augmented import (
-    AugmentedPoint,
-    RegularizationState,
-    augmented_cost,
-    dual_cost,
-    extended_pseudo_gradient,
-    primal_block,
-    regularized_pseudo_gradient,
-)
+from gnezero.augmented import AugmentedPoint, extended_pseudo_gradient
 from gnezero.games import DimensionMismatchError, random_quadratic_game
 
 from conftest import central_difference_gradient
 
 
+def lagrangian(game, i, a, lam):
+    """Primal player i's cost in the extended game: J^i(a) + <lam, K a - l>."""
+    return game.cost(i, a) + lam @ game.constraints.value(a)
+
+
+def dual_player_cost(game, a, lam):
+    """The dual player's cost: -<lam, K a - l>."""
+    return -(lam @ game.constraints.value(a))
+
+
 def test_augmented_cost_paper_equilibrium(paper_game):
-    z = AugmentedPoint([0.0, 1.0], [1.0])
     # J^1(0,1) = 0 and the constraint is exactly active, so the cost is 0
-    assert augmented_cost(paper_game, 0, z) == pytest.approx(0.0, abs=1e-14)
+    assert lagrangian(paper_game, 0, np.array([0.0, 1.0]), np.array([1.0])) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_augmented_cost_zero_dual_equals_cost(paper_game):
     rng = np.random.default_rng(0)
     for _ in range(5):
         a = rng.normal(size=2)
-        z = AugmentedPoint(a, [0.0])
         for i in range(2):
-            assert augmented_cost(paper_game, i, z) == pytest.approx(paper_game.cost(i, a))
+            assert lagrangian(paper_game, i, a, np.zeros(1)) == pytest.approx(paper_game.cost(i, a))
 
 
 def test_augmented_cost_matches_summation_oracle():
@@ -37,26 +38,26 @@ def test_augmented_cost_matches_summation_oracle():
     for _ in range(10):
         a = rng.normal(size=game.D)
         lam = np.abs(rng.normal(size=n))
-        z = AugmentedPoint(a, lam)
         g = game.constraints.value(a)
         for i in range(game.num_players):
             expected = game.cost(i, a) + sum(lam[j] * g[j] for j in range(n))
-            assert augmented_cost(game, i, z) == pytest.approx(expected, rel=1e-12)
+            assert lagrangian(game, i, a, lam) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dual_cost_cases(paper_game):
-    assert dual_cost(paper_game, AugmentedPoint([3.0, -2.0], [0.0])) == 0.0
-    assert dual_cost(paper_game, AugmentedPoint([0.0, 1.0], [1.0])) == pytest.approx(0.0, abs=1e-14)
+    assert dual_player_cost(paper_game, np.array([3.0, -2.0]), np.array([0.0])) == 0.0
+    assert dual_player_cost(paper_game, np.array([0.0, 1.0]), np.array([1.0])) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_lagrangian_terms_cancel(paper_game):
     # U^i + U^{N+1} = J^i: the multiplier term cancels exactly
     rng = np.random.default_rng(2)
     for _ in range(5):
-        z = AugmentedPoint(rng.normal(size=2), np.abs(rng.normal(size=1)))
+        a, lam = rng.normal(size=2), np.abs(rng.normal(size=1))
         for i in range(2):
-            total = augmented_cost(paper_game, i, z) + dual_cost(paper_game, z)
-            assert total == pytest.approx(paper_game.cost(i, z.a), rel=1e-12)
+            total = lagrangian(paper_game, i, a, lam) + dual_player_cost(paper_game, a, lam)
+            assert total == pytest.approx(paper_game.cost(i, a), rel=1e-12)
 
 
 def test_extended_pseudo_gradient_paper_equilibrium(paper_game):
@@ -78,36 +79,32 @@ def test_extended_pseudo_gradient_matches_finite_differences():
     lam = np.abs(rng.normal(size=game.constraints.num_constraints))
     w = extended_pseudo_gradient(game, AugmentedPoint(a, lam))
     for i, sl in enumerate(game.slices):
-        fd = central_difference_gradient(
-            lambda x: augmented_cost(game, i, AugmentedPoint(x, lam)), a)
+        fd = central_difference_gradient(lambda x: lagrangian(game, i, x, lam), a)
         assert w[sl] == pytest.approx(fd[sl], rel=1e-5, abs=1e-6)
-    fd_dual = central_difference_gradient(
-        lambda y: dual_cost(game, AugmentedPoint(a, y)), lam)
+    fd_dual = central_difference_gradient(lambda y: dual_player_cost(game, a, y), lam)
     assert w[game.D:] == pytest.approx(fd_dual, rel=1e-5, abs=1e-6)
 
 
 def test_primal_block_cases(paper_game):
-    assert primal_block([0.0, 0.0, 0.0], 2) == pytest.approx([0.0, 0.0])
+    # the first D coordinates are the primal block, the last n the dual one
     w = extended_pseudo_gradient(paper_game, AugmentedPoint([0.0, 1.0], [1.0]))
-    assert primal_block(w, 2) == pytest.approx([0.0, 0.0], abs=1e-14)
-    # concatenation round-trip
-    full = np.concatenate([[1.0, 2.0], [3.0]])
-    assert primal_block(full, 2) == pytest.approx([1.0, 2.0])
+    assert w.shape == (3,)
+    assert w[:2] == pytest.approx([0.0, 0.0], abs=1e-14)
     with pytest.raises(DimensionMismatchError):
-        primal_block([1.0], 2)
+        extended_pseudo_gradient(paper_game, AugmentedPoint([1.0], [1.0]))
+    with pytest.raises(DimensionMismatchError):
+        extended_pseudo_gradient(paper_game, AugmentedPoint([0.0, 1.0], [1.0, 2.0]))
 
 
 def test_regularized_pseudo_gradient(paper_game):
     z = AugmentedPoint([0.0, 1.0], [1.0])
     base = extended_pseudo_gradient(paper_game, z)
-    assert regularized_pseudo_gradient(paper_game, z, 0.0) == pytest.approx(base)
-    reg = regularized_pseudo_gradient(paper_game, z, RegularizationState(0.5))
+    assert extended_pseudo_gradient(paper_game, z, 0.0) == pytest.approx(base)
+    reg = extended_pseudo_gradient(paper_game, z, 0.5)
     assert reg[:2] == pytest.approx(base[:2])
     assert reg[2] == pytest.approx(base[2] + 0.5 * 1.0)
     with pytest.raises(ValueError):
-        regularized_pseudo_gradient(paper_game, z, -0.1)
-    with pytest.raises(ValueError):
-        RegularizationState(-1.0)
+        extended_pseudo_gradient(paper_game, z, -0.1)
 
 
 def test_affine_in_dual(paper_game):

@@ -58,6 +58,14 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     assert "g>1/2" in str(exc.value)
 
 
+def test_learn_divergence_writes_no_csv(tmp_path, capsys):
+    rc = main(["learn", "--G", "1e300", "--T", "50", "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == []
+    assert err.count("\n") == 1 and "seed 0: non-finite iterate at step" in err
+
+
 def test_learn_allows_override(tmp_path, capsys):
     rc, _ = run_cli(capsys, "learn", "--g", "0.5", "--T", "10",
                     "--outdir", str(tmp_path), "--allow-invalid-schedules")

@@ -1,25 +1,42 @@
+import pickle
+
 import numpy as np
 import pytest
+from conftest import reference_run
 
-from gnezero.games import JointAction
+from gnezero.games import ConstraintSet, QuadraticGame, random_quadratic_game
+from gnezero.harness import ExperimentConfig, run_experiment
 from gnezero.learner import (
-    Feedback,
-    LearnerState,
+    DivergenceError,
     PayoffEnvironment,
     ScheduleError,
     Schedules,
     checkpoints,
     run,
-    sample_action,
-    step,
     two_point_estimate,
     validate_schedules,
 )
 
 
-def fresh_state(mu, lam, seed=0, t=1):
-    return LearnerState(JointAction(mu, tuple([1] * len(mu))), np.asarray(lam, float),
-                        t, np.random.default_rng(seed))
+@pytest.fixture
+def feedback_log(monkeypatch):
+    """Every (a, mu, lam, feedback) that run passes through the payoff boundary."""
+    calls = []
+    original = PayoffEnvironment.feedback
+
+    def recording(self, a, mu, lam):
+        fb = original(self, a, mu, lam)
+        calls.append((a.copy(), mu.copy(), lam.copy(), fb))
+        return fb
+
+    monkeypatch.setattr(PayoffEnvironment, "feedback", recording)
+    return calls
+
+
+def scalar_game(K, l):
+    # two scalar players with J^i = (a^i)^2, so M(a) = 2 a
+    A = np.stack([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])])
+    return QuadraticGame(A, np.zeros((2, 2)), ConstraintSet(K, l))
 
 
 # -- schedules ------------------------------------------------------------------
@@ -56,33 +73,34 @@ def test_schedule_values():
 # -- sampling --------------------------------------------------------------------
 
 
-def test_sample_action_moments():
+def test_sample_action_moments(feedback_log):
+    # G = 0 freezes the mean, so every step samples around the same point
     mu = np.array([0.0, 1.0])
     sigma = 0.1
-    state = fresh_state(mu, [], seed=123)
     M = 100_000
-    draws = np.empty((M, 2))
-    for k in range(M):
-        draws[k] = sample_action(state, sigma).flat
+    run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seed=123,
+        record_every=M, mu0=mu, allow_invalid_schedules=True)
+    draws = np.array([a for a, *_ in feedback_log])
     mean_tol = 4 * sigma / np.sqrt(M)
     assert np.all(np.abs(draws.mean(axis=0) - mu) <= mean_tol)
     assert np.all(np.abs(draws.var(axis=0) / sigma**2 - 1.0) <= 0.05)
 
 
-def test_sample_action_deterministic_stream():
-    s1 = fresh_state([0.0, 0.0], [], seed=7)
-    s2 = fresh_state([0.0, 0.0], [], seed=7)
-    seq1 = [sample_action(s1, 0.3).flat for _ in range(10)]
-    seq2 = [sample_action(s2, 0.3).flat for _ in range(10)]
-    assert all(np.array_equal(x, y) for x, y in zip(seq1, seq2))
+def test_sample_action_deterministic_stream(paper_game, feedback_log):
+    run(paper_game, Schedules(S=0.3), 10, seed=7)
+    run(paper_game, Schedules(S=0.3), 10, seed=7)
+    seq1, seq2 = feedback_log[:10], feedback_log[10:]
+    assert all(np.array_equal(x[0], y[0]) for x, y in zip(seq1, seq2))
 
 
 def test_sample_action_rejects_bad_sigma():
-    state = fresh_state([0.0], [], seed=0)
+    # the spread reaches run only through Schedules, which keeps it positive
     with pytest.raises(ValueError):
-        sample_action(state, 0.0)
+        Schedules(S=0.0)
     with pytest.raises(ValueError):
-        sample_action(state, -1.0)
+        Schedules(S=-1.0)
+    with pytest.raises(ValueError):
+        two_point_estimate(1.0, 0.0, [0.1], [0.0], -1.0)
 
 
 # -- two-point estimate ------------------------------------------------------------
@@ -101,6 +119,16 @@ def test_two_point_estimate_validations():
         two_point_estimate(1.0, 0.0, [0.1], [0.0], 0.0)
     with pytest.raises(ValueError):
         two_point_estimate(1.0, 0.0, [0.1, 0.2], [0.0], 1.0)
+    with pytest.raises(ValueError):
+        two_point_estimate(np.ones((3, 1)), 0.0, np.zeros((3, 2)), [0.0], 1.0)
+
+
+def test_two_point_estimate_batch_matches_rows():
+    rng = np.random.default_rng(1)
+    a, mu, u = rng.normal(size=(5, 2)), rng.normal(size=2), rng.normal(size=5)
+    batch = two_point_estimate(u[:, None], 0.3, a, mu, 0.7)
+    for k in range(5):
+        assert np.array_equal(batch[k], two_point_estimate(u[k], 0.3, a[k], mu, 0.7))
 
 
 def test_two_point_estimate_unbiased_for_quadratic(paper_game):
@@ -126,47 +154,41 @@ def test_two_point_estimate_unbiased_for_quadratic(paper_game):
         assert np.all(np.abs(mean - target[sl]) <= 4 * se)
 
 
-# -- step ---------------------------------------------------------------------------
+# -- the primal-dual step ------------------------------------------------------------
 
 
-def test_step_zero_gamma_freezes_point():
+def test_step_zero_gamma_freezes_point(paper_game):
     sched = Schedules(G=0.0, g=4 / 7, E=1.0, e=2 / 7, S=1.0, s=4 / 7)
-    state = fresh_state([0.5, -0.5], [0.3], seed=0)
-    action = JointAction([0.6, -0.4], (1, 1))
-    fb = Feedback(np.array([1.0, 2.0]), np.array([0.5, 1.5]), np.array([0.2]))
-    new = step(state, action, fb, sched)
-    assert np.array_equal(new.mu.flat, state.mu.flat)
-    assert np.array_equal(new.lam, state.lam)
-    assert new.t == 2
+    rec = run(paper_game, sched, 5, seed=0, mu0=[0.5, -0.5], lam0=[0.3])
+    assert np.array_equal(rec.final_mu, [0.5, -0.5])
+    assert np.array_equal(rec.final_lam, [0.3])
 
 
-def test_step_interior_zero_dual_is_fixed_point():
-    sched = Schedules()
-    state = fresh_state([0.1, 0.1], [0.0], seed=0)
-    action = JointAction([0.1, 0.1], (1, 1))
-    fb = Feedback(np.array([0.0, 0.0]), np.array([0.0, 0.0]), np.array([0.0]))
-    new = step(state, action, fb, sched)
-    assert new.lam == pytest.approx([0.0])
+def test_step_interior_zero_dual_is_fixed_point(feedback_log):
+    # the constraint a1 + a2 <= 10 is slack at every sampled point
+    rec = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seed=0, mu0=[0.1, 0.1])
+    assert all(np.all(fb.g_at_a < 0) for *_, fb in feedback_log)
+    assert rec.final_lam == pytest.approx([0.0])
 
 
 def test_step_dual_projection_hand_case():
-    # lam - gamma * (-g + eps lam) = 0.5 - (2 + 0.05) projects to 0
+    # g = 0 a - 2 = -2 everywhere: lam - gamma * (-g + eps lam) = 0.5 - (2 + 0.05)
+    # projects to 0
     sched = Schedules(G=1.0, g=4 / 7, E=0.1, e=0.0, S=1.0, s=4 / 7)
-    state = fresh_state([0.0], [0.5], seed=0, t=1)
-    action = JointAction([0.0], (1,))
-    fb = Feedback(np.array([0.0]), np.array([0.0]), np.array([-2.0]))
-    new = step(state, action, fb, sched)
-    assert new.lam == pytest.approx([0.0])
+    rec = run(scalar_game([[0.0, 0.0]], [2.0]), sched, 1, seed=0, lam0=[0.5],
+              allow_invalid_schedules=True)
+    assert rec.final_lam == pytest.approx([0.0])
 
 
-def test_step_uses_two_point_estimate():
+def test_step_uses_two_point_estimate(feedback_log):
     sched = Schedules(G=1.0, g=0.0, E=1.0, e=0.0, S=1.0, s=0.0)  # all params 1 at t=1
-    state = fresh_state([0.0, 0.0], [0.0], seed=0)
-    action = JointAction([0.2, -0.1], (1, 1))
-    fb = Feedback(np.array([0.5, 1.0]), np.array([0.0, 0.0]), np.array([0.0]))
-    new = step(state, action, fb, sched)
-    # m = du * (a - mu) / sigma^2 = [0.5*0.2, 1.0*(-0.1)]
-    assert new.mu.flat == pytest.approx([-0.1, 0.1])
+    rec = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seed=0,
+              allow_invalid_schedules=True)
+    [(a, mu, lam, fb)] = feedback_log
+    assert np.array_equal(mu, [0.0, 0.0])
+    # m = du * (a - mu) / sigma^2, one block per player
+    m = (fb.u_at_a - fb.u_at_mu) * a
+    assert rec.final_mu == pytest.approx(-m, rel=1e-15)
 
 
 # -- run ----------------------------------------------------------------------------
@@ -178,20 +200,17 @@ def test_run_single_step_trajectory(paper_game):
     assert rec.err_primal_sq.shape == (1,)
 
 
-def test_run_matches_manual_step_loop(paper_game):
+def test_run_matches_manual_step_loop(paper_game, feedback_log):
     sched = Schedules()
     T = 400
-    rec = run(paper_game, sched, T, seed=11, record_every=1)
-    env = PayoffEnvironment(paper_game)
-    state = LearnerState(JointAction(np.zeros(2), paper_game.dims), np.zeros(1), 1,
-                         np.random.default_rng(11))
-    for t in range(1, T + 1):
-        action = sample_action(state, sched.sigma(t))
-        fb = env.feedback(action.flat, state.mu.flat, state.lam)
-        state = step(state, action, fb, sched)
-        assert np.all(state.lam >= 0.0)
-    assert np.array_equal(state.mu.flat, rec.final_mu)
-    assert np.array_equal(state.lam, rec.final_lam)
+    for game, mu0, lam0 in [(paper_game, None, None),
+                            (random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2),
+                             [0.3, -0.1, 0.2, 0.5, -0.4], [0.2, 0.0])]:
+        rec = run(game, sched, T, seed=11, record_every=1, mu0=mu0, lam0=lam0)
+        mu, lam = reference_run(game, sched, T, seed=11, mu0=mu0, lam0=lam0)
+        assert np.array_equal(mu, rec.final_mu)
+        assert np.array_equal(lam, rec.final_lam)
+    assert all(np.all(lam >= 0.0) for _, _, lam, _ in feedback_log)
 
 
 def test_run_is_deterministic(paper_game):
@@ -229,35 +248,30 @@ def test_checkpoints_grids():
     assert checkpoints(1, "log").tolist() == [1]
 
 
-def test_update_decomposition_identity(paper_game):
+def test_update_decomposition_identity(paper_game, feedback_log):
     # the dual update rewritten through the sampling perturbation
     # S = K (mu - a) must coincide with the implemented projection step
     rng = np.random.default_rng(3)
     sched = Schedules()
     K = paper_game.constraints.K
     l = paper_game.constraints.l
-    env = PayoffEnvironment(paper_game)
     for trial in range(20):
-        mu = rng.normal(size=2)
-        lam = np.abs(rng.normal(size=1))
         t = int(rng.integers(1, 50))
-        state = LearnerState(JointAction(mu, paper_game.dims), lam, t,
-                             np.random.default_rng(trial))
-        action = sample_action(state, sched.sigma(t))
-        fb = env.feedback(action.flat, mu, lam)
-        new = step(state, action, fb, sched)
+        rec = run(paper_game, sched, t, seed=trial, mu0=rng.normal(size=2),
+                  lam0=np.abs(rng.normal(size=1)))
+        a, mu, lam, fb = feedback_log[-1]  # the last step, taken at t
 
         gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
         du = fb.u_at_a - fb.u_at_mu
         m = np.concatenate([
-            [du[0] * (action.flat[0] - mu[0]) / (sigma * sigma)],
-            [du[1] * (action.flat[1] - mu[1]) / (sigma * sigma)],
+            [du[0] * (a[0] - mu[0]) / (sigma * sigma)],
+            [du[1] * (a[1] - mu[1]) / (sigma * sigma)],
         ])
-        assert np.array_equal(new.mu.flat, mu - gamma * m)
+        assert np.array_equal(rec.final_mu, mu - gamma * m)
 
-        S = K @ (mu - action.flat)
+        S = K @ (mu - a)
         lam_expected = np.maximum(lam - gamma * (-(K @ mu) + S + l + eps * lam), 0.0)
-        assert new.lam == pytest.approx(lam_expected, abs=1e-12)
+        assert rec.final_lam == pytest.approx(lam_expected, abs=1e-12)
 
 
 def test_second_moment_growth_is_at_most_quadratic(paper_game):
@@ -276,16 +290,15 @@ def test_payoff_boundary_hides_structure(paper_game):
     assert fb.u_at_mu.shape == (2,)
     assert fb.g_at_a.shape == (1,)
     # feedback values match direct Lagrangian evaluation
-    from gnezero.augmented import AugmentedPoint, augmented_cost
-
-    z = AugmentedPoint([0.1, 0.2], [0.5])
+    a, lam = np.array([0.1, 0.2]), np.array([0.5])
     for i in range(2):
-        assert fb.u_at_a[i] == pytest.approx(augmented_cost(paper_game, i, z))
+        lagrangian = paper_game.cost(i, a) + lam @ paper_game.constraints.value(a)
+        assert fb.u_at_a[i] == pytest.approx(lagrangian)
 
 
-def test_learner_state_rejects_negative_dual():
+def test_learner_state_rejects_negative_dual(paper_game):
     with pytest.raises(ValueError):
-        fresh_state([0.0], [-0.1])
+        run(paper_game, Schedules(), 1, seed=0, lam0=[-0.1])
 
 
 def test_run_with_custom_reference(paper_game):
@@ -301,3 +314,25 @@ def test_run_nonquadratic_game_without_reference():
     rec = run(game, Schedules(), 20, seed=0)
     assert np.all(np.isnan(rec.err_primal_sq))  # no oracle reference available
     assert np.all(rec.sigma > 0)
+
+
+# -- divergence ---------------------------------------------------------------------
+
+
+def test_divergence_raises_structured_error(paper_game, tmp_path):
+    with pytest.raises(DivergenceError) as exc:
+        run(paper_game, Schedules(G=1e300), 50, seed=4, record_every=1)
+    err = exc.value
+    assert err.seed == 4
+    assert err.last_finite == (err.step - 1 if err.step > 1 else None)  # every step recorded
+    assert f"seed 4: non-finite iterate at step {err.step}" in str(err)
+    clone = pickle.loads(pickle.dumps(err))  # crosses the --workers process pool
+    assert (clone.seed, clone.step, clone.last_finite, str(clone)) == (
+        err.seed, err.step, err.last_finite, str(err))
+
+    cfg = ExperimentConfig(game=paper_game, schedules=Schedules(G=1e300), T=50,
+                           seeds=[0, 1], outdir=tmp_path, label="div", workers=2)
+    with pytest.raises(DivergenceError):
+        run_experiment(cfg)
+    assert list(tmp_path.iterdir()) == []
+
