@@ -49,7 +49,6 @@ from .harness import (
 )
 from .learner import (
     DivergenceError,
-    Feedback,
     PayoffEnvironment,
     TrajectoryRecord,
     checkpoints,

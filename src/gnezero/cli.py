@@ -11,16 +11,12 @@ import numpy as np
 
 from . import diagnostics as diag
 from .games import QuadraticGame, resolve_game
-from .harness import ExperimentConfig, fit_rate, reproduce_fig1, run_experiment
+from .harness import ExperimentConfig, _fmt, fit_rate, reproduce_fig1, run_experiment
 from .learner import DivergenceError
 from .oracles import solve_regularized_vi, solve_vgne
 from .schedules import Schedules
 
 DEFAULT_OUTDIR = "gnezero-out"
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _parse_number(text: str) -> float:

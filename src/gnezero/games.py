@@ -147,9 +147,6 @@ class ConstraintSet:
         vec = _as_flat(a, self.dim)
         return self.K @ vec - self.l
 
-    def is_feasible(self, a, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.value(a) <= tol))
-
     def _find_interior_point(self, max_iter: int = 500) -> np.ndarray:
         """Numeric feasibility search: minimize max_j g_j(a) until strictly negative.
 

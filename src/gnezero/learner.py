@@ -13,7 +13,7 @@ single-step API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .schedules import ScheduleError, ScheduleReport, Schedules, validate_schedu
 
 __all__ = [
     "DivergenceError",
-    "Feedback",
     "PayoffEnvironment",
     "TrajectoryRecord",
     "Schedules",
@@ -57,44 +56,24 @@ class DivergenceError(ArithmeticError):
         return DivergenceError, (self.seed, self.step, self.last_finite)
 
 
-@dataclass(frozen=True)
-class Feedback:
-    """Values revealed to the players at one iteration.
-
-    u_at_a[i] and u_at_mu[i] are player i's Lagrangian cost at the sampled
-    and at the mean joint action; g_at_a is the constraint value at the
-    sampled action. These opaque scalars are the only information that
-    crosses from the game to the learner.
-    """
-
-    u_at_a: np.ndarray
-    u_at_mu: np.ndarray
-    g_at_a: np.ndarray
-
-
 class PayoffEnvironment:
-    """Payoff-only view of a game; produces Feedback for query points."""
+    """Payoff-only view of a game: Lagrangian payoffs and constraint values."""
 
     def __init__(self, game: GameSpec):
         self._game = game
         self._K = game.constraints.K
         self._l = game.constraints.l
-        self.num_players = game.num_players
-        self.dim = game.D
 
-    def feedback(self, a, mu, lam) -> Feedback:
-        """Evaluate both queries of every player and the realized constraints."""
-        X = np.empty((2, self.dim))
-        X[0] = a
-        X[1] = mu
-        J = self._game._costs_batch_unchecked(X)  # (2, N)
-        gX = X @ self._K.T - self._l  # (2, n)
-        lam_term = gX @ lam
-        return Feedback(
-            u_at_a=J[0] + lam_term[0],
-            u_at_mu=J[1] + lam_term[1],
-            g_at_a=gX[0],
-        )
+    def feedback(self, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every player's Lagrangian payoff and the constraint values at each row of X.
+
+        For a (P, D) batch of joint actions returns U (P, N) with
+        U[p, i] = J^i(X[p]) + lam'g(X[p]) and g (P, n) with g[p] = K X[p] - l.
+        These opaque values are the only information that crosses from the
+        game to the players.
+        """
+        g = X @ self._K.T - self._l
+        return self._game.costs_at(X) + (g @ lam)[:, None], g
 
 
 def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
@@ -160,7 +139,6 @@ class TrajectoryRecord:
     final_lam: np.ndarray
     schedules: Schedules
     game_name: str = ""
-    extras: dict = field(default_factory=dict)
 
 
 def _resolve_reference(game: GameSpec, reference):
@@ -171,8 +149,6 @@ def _resolve_reference(game: GameSpec, reference):
             sol = solve_vgne(game)
             return sol.primal.flat, sol.dual
         return None
-    if hasattr(reference, "primal"):
-        return np.asarray(reference.primal.flat, dtype=float), np.asarray(reference.dual, dtype=float)
     a_ref, lam_ref = reference
     return np.asarray(a_ref, dtype=float).reshape(-1), np.asarray(lam_ref, dtype=float).reshape(-1)
 
@@ -191,12 +167,12 @@ def run(
     """Run the payoff-based iteration for T steps with a seeded RNG stream.
 
     The loop touches the game only through a PayoffEnvironment: per step it
-    samples one joint action a ~ N(mu, sigma_t^2 I), obtains the two cost
-    values per player and the realized constraint values, and applies the
-    projected primal-dual step with the two-point estimate as the primal
-    direction and eps_t * lam - g(a) as the dual one. The reference solution
-    (computed by the exact oracle for quadratic games, or supplied
-    explicitly) is used only to record error metrics.
+    samples one joint action a ~ N(mu, sigma_t^2 I), obtains every player's
+    payoff at the stacked points [a; mu] and the constraint values, and
+    applies the projected primal-dual step with the two-point estimate as
+    the primal direction and eps_t * lam - g(a) as the dual one. The
+    reference solution (computed by the exact oracle for quadratic games, or
+    supplied explicitly) is used only to record error metrics.
 
     Raises ScheduleError when the schedule exponents are invalid, unless
     allow_invalid_schedules is set, and DivergenceError when a checkpoint
@@ -223,7 +199,7 @@ def run(
     block_of = np.repeat(np.arange(game.num_players), dims)
     rng = np.random.default_rng(seed)
     mu = np.zeros(D) if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1).copy()
-    lam = (np.zeros(env._K.shape[0]) if lam0 is None
+    lam = (np.zeros(game.constraints.num_constraints) if lam0 is None
            else np.asarray(lam0, dtype=float).reshape(-1).copy())
     if np.any(lam < 0):
         raise ValueError("lam0 must be componentwise nonnegative")
@@ -239,9 +215,9 @@ def run(
             eps = sched.eps(t)
             sigma = sched.sigma(t)
             a = mu + sigma * rng.standard_normal(D)
-            fb = env.feedback(a, mu, lam)
-            m = two_point_estimate(fb.u_at_a[block_of], fb.u_at_mu[block_of], a, mu, sigma)
-            mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - fb.g_at_a)
+            U, g = env.feedback(np.array([a, mu]), lam)
+            m = two_point_estimate(U[0][block_of], U[1][block_of], a, mu, sigma)
+            mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - g[0])
             if t in record_at:
                 if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
                     raise DivergenceError(seed, t, rows_t[-1] if rows_t else None)

@@ -44,10 +44,6 @@ class OracleSolution:
     stationarity_residual: float
     complementarity_residual: float
 
-    @property
-    def dual_norm(self) -> float:
-        return float(np.linalg.norm(self.dual))
-
 
 @dataclass(frozen=True)
 class RegularizedSolution:
@@ -217,14 +213,14 @@ def solve_vi_extragradient(
     eps: float,
     tol: float = 1e-8,
     max_iter: int = 200_000,
-    z0: AugmentedPoint | None = None,
 ) -> RegularizedSolution:
     """Extragradient iteration for the regularized problem on any game.
 
     Works from pseudo-gradient evaluations only, so it also covers black-box
     and non-quadratic games; accuracy is the iteration tolerance, not machine
     precision. Step size 1 / (2 (L + ||K|| + eps)) with L the (possibly
-    probed) Lipschitz constant of the pseudo-gradient.
+    probed) Lipschitz constant of the pseudo-gradient. The iteration starts
+    at zero.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -233,12 +229,8 @@ def solve_vi_extragradient(
     norm_K = float(np.linalg.norm(K, 2))
     tau = 1.0 / (2.0 * (game.lipschitz() + norm_K + eps))
 
-    if z0 is None:
-        a = np.zeros(D)
-        lam = np.zeros(n)
-    else:
-        a, lam = z0.a.copy(), np.maximum(z0.lam, 0.0)
-
+    a = np.zeros(D)
+    lam = np.zeros(n)
     residual = np.inf
     for _ in range(max_iter):
         a_half, lam_half = _projected_step(a, lam, tau, *_operator(game, a, lam, eps))

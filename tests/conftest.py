@@ -121,3 +121,26 @@ def reference_run(game, sched, T, seed, mu0=None, lam0=None):
         lam = np.maximum(lam - gamma * (eps * lam - g[0]), 0.0)
         mu = new_mu
     return mu, lam
+
+
+def reference_estimates(game, probe, i):
+    """Test-local reference: player i's two-point estimates at a probe, one player alone.
+
+    Draws the probe's joint actions x ~ N(mu, sigma^2 I) from its own
+    default_rng(probe.seed), in chunks of 100,000 rows, and evaluates player
+    i's Lagrangian payoff U^i = J^i + lam'(K x - l) at them and, through
+    game.cost, at mu. Returns the list of (size, d_i) chunks of
+    (U^i(x) - U^i(mu)) (x^i - mu^i) / sigma^2.
+    """
+    K, l = game.constraints.K, game.constraints.l
+    mu, lam, sigma = probe.mu, probe.lam, probe.sigma
+    sl = game.slices[i]
+    rng = np.random.default_rng(probe.seed)
+    u_mu = game.cost(i, mu) + float(lam @ game.constraints.value(mu))
+    chunks = []
+    for start in range(0, probe.num_samples, 100_000):
+        size = min(100_000, probe.num_samples - start)
+        X = mu + sigma * rng.standard_normal((size, game.D))
+        u = game.costs_at(X)[:, i] + (X @ K.T - l) @ lam
+        chunks.append((u - u_mu)[:, None] * (X[:, sl] - mu[sl]) / (sigma * sigma))
+    return chunks

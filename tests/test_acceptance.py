@@ -135,8 +135,7 @@ def test_criterion_6_estimator_statistics():
     probe = SmoothingProbe(mu=np.array([0.3, -0.2]), lam=np.array([0.7]),
                            sigma=0.5, num_samples=1_000_000, seed=101)
     worst_dev = 0.0
-    for i in range(game.num_players):
-        stats = smoothing_bias_stats(game, probe, i)
+    for stats in smoothing_bias_stats(game, probe):
         devs = np.abs(stats.bias) / stats.stderr
         worst_dev = max(worst_dev, float(devs.max()))
     ok_a = worst_dev <= 4.0

@@ -3,7 +3,9 @@
 perfbench/tracing.py wraps package functions by name and skips a class
 attribute that is not defined on its owner (it is wrapped where it is
 defined). A renamed or deleted name would then silently read zero in a
-per-layer metric, so this test fails first.
+per-layer metric, so this test fails first. Two traced mini-runs pin the
+counts that the payoff boundary feeds: every payoff goes through
+GameSpec.costs_at, one row per evaluated joint action.
 """
 
 import importlib.util
@@ -33,3 +35,31 @@ def test_tracer_targets_resolve():
             # defining class must be a target too
             definer = next(c for c in owner.__mro__ if attr in vars(c))
             assert (definer, attr) in bound, f"{owner.__name__}.{attr} is never wrapped"
+
+
+def _traced_round(argv) -> dict:
+    """The per-layer metrics of one CLI call, traced as one benchmark round."""
+    tracer = _load_tracing().Tracer(gnezero)
+    tracer.install()
+    try:
+        span = tracer.open("bench.round")
+        try:
+            assert gnezero.cli.main(argv) == 0
+        finally:
+            tracer.close(span)
+    finally:
+        tracer.uninstall()
+    return tracer.layer_metrics([])
+
+
+def test_traced_diagnose_counts_one_pass_for_all_players(capsys):
+    m = _traced_round(["diagnose", "--checks", "estimator-mean", "--num-samples", "2000"])
+    assert m["diagnostics.mc_samples"] == 2000
+    # the sampled actions plus the probe's mean point, every player at once
+    assert m["games.costs_at_rows"] == 2001
+
+
+def test_traced_learn_evaluates_two_rows_per_step(tmp_path, capsys):
+    m = _traced_round(["learn", "--T", "50", "--num-seeds", "1", "--outdir", str(tmp_path)])
+    assert m["learner.steps"] == 50
+    assert m["games.costs_at_rows"] == 2 * m["learner.steps"]

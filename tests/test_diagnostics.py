@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from conftest import reference_estimates
 
 from gnezero.diagnostics import (
     SmoothingProbe,
     drift_spread_report,
     dual_perturbation_stats,
+    estimator_second_moment,
     path_drift_ratios,
     regularization_path_report,
     smoothed_cost,
     smoothing_bias_stats,
     smoothing_bias_order_report,
 )
-from gnezero.games import ConstraintSet, QuadraticGame, softplus_game
+from gnezero.games import (
+    ConstraintSet,
+    QuadraticGame,
+    paper_example,
+    random_quadratic_game,
+    softplus_game,
+)
 
 
 def test_probe_validation():
@@ -28,8 +36,9 @@ def test_smoothed_cost_matches_gaussian_integral(paper_game):
     # exact Gaussian integral of a quadratic: U + sigma^2/2 * trace(A_i)
     probe = SmoothingProbe(mu=[0.3, -0.2], lam=[0.7], sigma=0.5,
                            num_samples=200_000, seed=1)
-    for i in range(2):
-        mc = smoothed_cost(paper_game, probe, i)
+    values = smoothed_cost(paper_game, probe)
+    assert len(values) == 2
+    for i, mc in enumerate(values):
         base = paper_game.cost(i, probe.mu) + float(
             probe.lam @ paper_game.constraints.value(probe.mu))
         analytic = base + probe.sigma**2 / 2 * np.trace(paper_game.A[i])
@@ -41,7 +50,7 @@ def test_smoothed_cost_small_sigma_limit(paper_game):
                            num_samples=2_000, seed=2)
     exact = paper_game.cost(0, probe.mu) + float(
         probe.lam @ paper_game.constraints.value(probe.mu))
-    mc = smoothed_cost(paper_game, probe, 0)
+    mc = smoothed_cost(paper_game, probe)[0]
     assert mc.value == pytest.approx(exact, rel=1e-6)
 
 
@@ -53,16 +62,15 @@ def test_smoothed_cost_linear_costs_unaffected():
                          require_monotone=False)
     probe = SmoothingProbe(mu=[0.2, -0.1], lam=[0.0], sigma=0.8,
                            num_samples=100_000, seed=3)
-    exact = game.cost(0, probe.mu)
-    mc = smoothed_cost(game, probe, 0)
-    assert abs(mc.value - exact) <= 4 * mc.stderr
+    for i, mc in enumerate(smoothed_cost(game, probe)):
+        assert abs(mc.value - game.cost(i, probe.mu)) <= 4 * mc.stderr
 
 
 def test_smoothed_cost_stderr_shrinks_with_samples(paper_game):
     p1 = SmoothingProbe(mu=[0.1, 0.1], lam=[0.2], sigma=0.4, num_samples=20_000, seed=4)
     p2 = SmoothingProbe(mu=[0.1, 0.1], lam=[0.2], sigma=0.4, num_samples=40_000, seed=5)
-    se1 = smoothed_cost(paper_game, p1, 0).stderr
-    se2 = smoothed_cost(paper_game, p2, 0).stderr
+    se1 = smoothed_cost(paper_game, p1)[0].stderr
+    se2 = smoothed_cost(paper_game, p2)[0].stderr
     assert 1.2 <= se1 / se2 <= 1.7  # about sqrt(2), wide band for noise
 
 
@@ -72,9 +80,52 @@ def test_smoothed_cost_stderr_shrinks_with_samples(paper_game):
 def test_bias_zero_for_quadratic(paper_game):
     probe = SmoothingProbe(mu=[0.3, -0.2], lam=[0.7], sigma=0.5,
                            num_samples=200_000, seed=6)
-    for i in range(2):
-        stats = smoothing_bias_stats(paper_game, probe, i)
+    all_stats = smoothing_bias_stats(paper_game, probe)
+    assert len(all_stats) == 2
+    for stats in all_stats:
         assert np.all(np.abs(stats.bias) <= 4 * stats.stderr)
+
+
+@pytest.mark.parametrize("make_game, rel", [
+    (paper_example, 0.0),
+    (lambda: softplus_game(0), 0.0),
+    # mu's payoff comes from costs_at here and from game.cost in the
+    # reference, which may round differently
+    (lambda: random_quadratic_game(4, dims=(2, 1, 2), num_constraints=2), 1e-12),
+])
+def test_all_player_pass_matches_per_player_reference(make_game, rel):
+    game = make_game()
+    rng = np.random.default_rng(12)
+    n = game.constraints.num_constraints
+    probe = SmoothingProbe(mu=rng.normal(scale=0.5, size=game.D),
+                           lam=np.abs(rng.normal(scale=0.5, size=n)),
+                           sigma=0.3, num_samples=250_000, seed=13)
+    all_stats = smoothing_bias_stats(game, probe)
+    moments = estimator_second_moment(game, probe)
+    assert len(all_stats) == game.num_players
+    assert moments.shape == (game.num_players,)
+    M = probe.num_samples
+    exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
+    for i, sl in enumerate(game.slices):
+        # the reductions of a one-player pass, chunk by chunk
+        total, total_sq, second = 0.0, 0.0, 0.0
+        for m in reference_estimates(game, probe, i):
+            total = total + m.sum(axis=0)
+            total_sq = total_sq + np.einsum("kj,kj->j", m, m)
+            second += float(np.einsum("kj,kj->", m, m))
+        mean = total / M
+        stderr = np.sqrt(np.maximum(total_sq / M - mean**2, 0.0) / M)
+        bias = mean - exact[sl]
+        stats = all_stats[i]
+        got = [stats.bias, stats.stderr, stats.exact_gradient, stats.norm,
+               stats.norm_sq_debiased, moments[i]]
+        want = [bias, stderr, exact[sl], float(np.linalg.norm(bias)),
+                float(bias @ bias - stderr @ stderr), second / M]
+        for x, y in zip(got, want):
+            if rel == 0.0:
+                assert np.array_equal(x, y)
+            else:
+                assert np.allclose(x, y, rtol=rel, atol=0.0)
 
 
 def test_bias_quarter_when_sigma_halved():
@@ -82,8 +133,8 @@ def test_bias_quarter_when_sigma_halved():
     common = dict(mu=np.zeros(2), lam=np.zeros(1), num_samples=400_000, seed=7)
     hi = SmoothingProbe(sigma=0.1, **common)
     lo = SmoothingProbe(sigma=0.05, **common)
-    sq_hi = sum(smoothing_bias_stats(game, hi, i).norm_sq_debiased for i in range(2))
-    sq_lo = sum(smoothing_bias_stats(game, lo, i).norm_sq_debiased for i in range(2))
+    sq_hi = sum(stats.norm_sq_debiased for stats in smoothing_bias_stats(game, hi))
+    sq_lo = sum(stats.norm_sq_debiased for stats in smoothing_bias_stats(game, lo))
     assert 3.0 <= sq_hi / sq_lo <= 5.5
 
 
@@ -144,7 +195,7 @@ def test_path_report_rejects_bad_grid(paper_game):
 def test_reports_deterministic(paper_game):
     probe = SmoothingProbe(mu=[0.2, 0.1], lam=[0.4], sigma=0.3,
                            num_samples=20_000, seed=10)
-    s1 = smoothing_bias_stats(paper_game, probe, 0)
-    s2 = smoothing_bias_stats(paper_game, probe, 0)
-    assert np.array_equal(s1.bias, s2.bias)
-    assert s1.norm_sq_debiased == s2.norm_sq_debiased
+    for s1, s2 in zip(smoothing_bias_stats(paper_game, probe),
+                      smoothing_bias_stats(paper_game, probe)):
+        assert np.array_equal(s1.bias, s2.bias)
+        assert s1.norm_sq_debiased == s2.norm_sq_debiased

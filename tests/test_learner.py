@@ -20,14 +20,17 @@ from gnezero.learner import (
 
 @pytest.fixture
 def feedback_log(monkeypatch):
-    """Every (a, mu, lam, feedback) that run passes through the payoff boundary."""
+    """Every (X, lam, U, g) that run passes through the payoff boundary.
+
+    run queries the stacked points X = [a; mu], so X[0] is the sampled action.
+    """
     calls = []
     original = PayoffEnvironment.feedback
 
-    def recording(self, a, mu, lam):
-        fb = original(self, a, mu, lam)
-        calls.append((a.copy(), mu.copy(), lam.copy(), fb))
-        return fb
+    def recording(self, X, lam):
+        U, g = original(self, X, lam)
+        calls.append((X.copy(), lam.copy(), U, g))
+        return U, g
 
     monkeypatch.setattr(PayoffEnvironment, "feedback", recording)
     return calls
@@ -80,7 +83,7 @@ def test_sample_action_moments(feedback_log):
     M = 100_000
     run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seed=123,
         record_every=M, mu0=mu, allow_invalid_schedules=True)
-    draws = np.array([a for a, *_ in feedback_log])
+    draws = np.array([X[0] for X, *_ in feedback_log])
     mean_tol = 4 * sigma / np.sqrt(M)
     assert np.all(np.abs(draws.mean(axis=0) - mu) <= mean_tol)
     assert np.all(np.abs(draws.var(axis=0) / sigma**2 - 1.0) <= 0.05)
@@ -89,8 +92,9 @@ def test_sample_action_moments(feedback_log):
 def test_sample_action_deterministic_stream(paper_game, feedback_log):
     run(paper_game, Schedules(S=0.3), 10, seed=7)
     run(paper_game, Schedules(S=0.3), 10, seed=7)
-    seq1, seq2 = feedback_log[:10], feedback_log[10:]
-    assert all(np.array_equal(x[0], y[0]) for x, y in zip(seq1, seq2))
+    draws = [X[0] for X, *_ in feedback_log]
+    assert len(draws) == 20
+    assert all(np.array_equal(x, y) for x, y in zip(draws[:10], draws[10:]))
 
 
 def test_sample_action_rejects_bad_sigma():
@@ -167,7 +171,7 @@ def test_step_zero_gamma_freezes_point(paper_game):
 def test_step_interior_zero_dual_is_fixed_point(feedback_log):
     # the constraint a1 + a2 <= 10 is slack at every sampled point
     rec = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seed=0, mu0=[0.1, 0.1])
-    assert all(np.all(fb.g_at_a < 0) for *_, fb in feedback_log)
+    assert all(np.all(g[0] < 0) for *_, g in feedback_log)
     assert rec.final_lam == pytest.approx([0.0])
 
 
@@ -184,10 +188,10 @@ def test_step_uses_two_point_estimate(feedback_log):
     sched = Schedules(G=1.0, g=0.0, E=1.0, e=0.0, S=1.0, s=0.0)  # all params 1 at t=1
     rec = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seed=0,
               allow_invalid_schedules=True)
-    [(a, mu, lam, fb)] = feedback_log
+    [((a, mu), lam, U, g)] = feedback_log
     assert np.array_equal(mu, [0.0, 0.0])
     # m = du * (a - mu) / sigma^2, one block per player
-    m = (fb.u_at_a - fb.u_at_mu) * a
+    m = (U[0] - U[1]) * a
     assert rec.final_mu == pytest.approx(-m, rel=1e-15)
 
 
@@ -210,7 +214,7 @@ def test_run_matches_manual_step_loop(paper_game, feedback_log):
         mu, lam = reference_run(game, sched, T, seed=11, mu0=mu0, lam0=lam0)
         assert np.array_equal(mu, rec.final_mu)
         assert np.array_equal(lam, rec.final_lam)
-    assert all(np.all(lam >= 0.0) for _, _, lam, _ in feedback_log)
+    assert all(np.all(lam >= 0.0) for _, lam, _, _ in feedback_log)
 
 
 def test_run_is_deterministic(paper_game):
@@ -259,10 +263,10 @@ def test_update_decomposition_identity(paper_game, feedback_log):
         t = int(rng.integers(1, 50))
         rec = run(paper_game, sched, t, seed=trial, mu0=rng.normal(size=2),
                   lam0=np.abs(rng.normal(size=1)))
-        a, mu, lam, fb = feedback_log[-1]  # the last step, taken at t
+        (a, mu), lam, U, _ = feedback_log[-1]  # the last step, taken at t
 
         gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
-        du = fb.u_at_a - fb.u_at_mu
+        du = U[0] - U[1]
         m = np.concatenate([
             [du[0] * (a[0] - mu[0]) / (sigma * sigma)],
             [du[1] * (a[1] - mu[1]) / (sigma * sigma)],
@@ -284,16 +288,19 @@ def test_second_moment_growth_is_at_most_quadratic(paper_game):
 
 
 def test_payoff_boundary_hides_structure(paper_game):
+    # the boundary returns only payoff values and constraint values, one row
+    # per queried joint action
     env = PayoffEnvironment(paper_game)
-    fb = env.feedback(np.array([0.1, 0.2]), np.array([0.0, 0.0]), np.array([0.5]))
-    assert fb.u_at_a.shape == (2,)
-    assert fb.u_at_mu.shape == (2,)
-    assert fb.g_at_a.shape == (1,)
+    X, lam = np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.4]]), np.array([0.5])
+    U, g = env.feedback(X, lam)
+    assert U.shape == (3, 2)
+    assert g.shape == (3, 1)
     # feedback values match direct Lagrangian evaluation
-    a, lam = np.array([0.1, 0.2]), np.array([0.5])
-    for i in range(2):
-        lagrangian = paper_game.cost(i, a) + lam @ paper_game.constraints.value(a)
-        assert fb.u_at_a[i] == pytest.approx(lagrangian)
+    for p, x in enumerate(X):
+        assert g[p] == pytest.approx(paper_game.constraints.value(x))
+        for i in range(2):
+            lagrangian = paper_game.cost(i, x) + lam @ paper_game.constraints.value(x)
+            assert U[p, i] == pytest.approx(lagrangian)
 
 
 def test_learner_state_rejects_negative_dual(paper_game):
