@@ -7,6 +7,7 @@ produce byte-identical CSV files regardless of how the seeds were executed.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -101,12 +102,6 @@ def write_aggregate_csv(table: MetricsTable, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_one(args) -> TrajectoryRecord:
-    game, sched, T, seed, record_every, allow_invalid, reference = args
-    return run(game, sched, T, seed, record_every=record_every,
-               allow_invalid_schedules=allow_invalid, reference=reference)
-
-
 def _aggregate(label: str, records: list[TrajectoryRecord]) -> MetricsTable:
     # canonical seed order makes the reduction invariant to seed-list shuffles
     records = sorted(records, key=lambda rec: rec.seed)
@@ -134,9 +129,12 @@ def _aggregate(label: str, records: list[TrajectoryRecord]) -> MetricsTable:
 def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
     """Run every seed, aggregate, and (when an output directory is set) write CSVs.
 
-    Seeds may fan out to a process pool (cfg.workers > 1); the aggregate is a
-    reduction in seed-list order, so results do not depend on completion
-    order. The output directory is validated before any run starts.
+    All seeds step together through one batched learner run; with
+    cfg.workers = k > 1 the seed list is cut into k contiguous slices, one
+    batched run each in a process pool. A seed's record does not depend on
+    its batch, and the aggregate is a reduction in sorted seed order, so the
+    CSV bytes do not depend on the worker count. The output directory is
+    validated before any run starts.
     """
     game = resolve_game(cfg.game) if isinstance(cfg.game, str) else cfg.game
 
@@ -148,13 +146,18 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
             raise PermissionError(f"output directory {outdir} is not writable")
 
     reference = _resolve_reference(game, None)  # one exact solve serves every seed
-    jobs = [(game, cfg.schedules, cfg.T, seed, cfg.record_every,
-             cfg.allow_invalid_schedules, reference) for seed in cfg.seeds]
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_one, jobs))
+    learn = functools.partial(run, game, cfg.schedules, cfg.T,
+                              record_every=cfg.record_every,
+                              allow_invalid_schedules=cfg.allow_invalid_schedules,
+                              reference=reference)
+    k = min(cfg.workers, len(cfg.seeds))
+    if k > 1:
+        cuts = [len(cfg.seeds) * j // k for j in range(k + 1)]
+        batches = [cfg.seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            records = [rec for batch in pool.map(learn, batches) for rec in batch]
     else:
-        records = [_run_one(job) for job in jobs]
+        records = learn(cfg.seeds)
 
     table = _aggregate(cfg.label, records)
     if outdir is not None:

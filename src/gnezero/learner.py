@@ -7,7 +7,8 @@ values. A two-point difference of the observed costs yields an unbiased
 estimate of the smoothed pseudo-gradient, which drives a projected
 primal-dual step with a vanishing Tikhonov term on the dual block. No
 gradients and no constraint data cross the feedback boundary. `run` is the
-one implementation of the iteration; there is no separate sampling or
+one implementation of the iteration and steps every seed of an experiment
+together, one payoff batch per step; there is no separate sampling or
 single-step API.
 """
 
@@ -33,6 +34,9 @@ __all__ = [
     "run",
     "checkpoints",
 ]
+
+# steps of Gaussian draws taken ahead per seed; bounds the (steps, R, D) buffer
+_DRAW_CHUNK = 1024
 
 
 class DivergenceError(ArithmeticError):
@@ -65,29 +69,34 @@ class PayoffEnvironment:
         self._l = game.constraints.l
 
     def feedback(self, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every player's Lagrangian payoff and the constraint values at each row of X.
+        """Every player's Lagrangian payoff and the constraint values at each joint action.
 
-        For a (P, D) batch of joint actions returns U (P, N) with
-        U[p, i] = J^i(X[p]) + lam'g(X[p]) and g (P, n) with g[p] = K X[p] - l.
+        X holds joint actions along its last axis: a (P, D) batch, or an
+        (R, P, D) stack of such batches with one multiplier row per batch in
+        lam (R, n). Returns U (..., P, N) with U[..., p, i] = J^i(X[..., p]) +
+        lam'g(X[..., p]) and g (..., P, n) with g[..., p] = K X[..., p] - l.
         These opaque values are the only information that crosses from the
         game to the players.
         """
         g = X @ self._K.T - self._l
-        return self._game.costs_at(X) + (g @ lam)[:, None], g
+        U = self._game.costs_at(X.reshape(-1, X.shape[-1])).reshape(
+            X.shape[:-1] + (self._game.num_players,))
+        return U + g @ lam[..., None], g
 
 
 def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
     """Gradient estimate (u_at_a - u_at_mu) * (a_i - mu_i) / sigma^2.
 
-    a_i is one action (d,) or a batch of actions (P, d) drawn around the
-    mean mu_i (d,); the cost values broadcast against a_i - mu_i (a scalar,
-    one value per coordinate, or a (P, 1) column for a batch).
+    a_i is one action (d,) or a batch of actions (P, d); mu_i is the one
+    mean (d,) they were drawn around, or one mean per action (P, d). The
+    cost values broadcast against a_i - mu_i (a scalar, one value per
+    coordinate, or a (P, 1) column for a batch).
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     a_i = np.asarray(a_i, dtype=float)
     mu_i = np.asarray(mu_i, dtype=float)
-    if a_i.shape[-1:] != mu_i.shape:
+    if mu_i.shape not in (a_i.shape, a_i.shape[-1:]):
         raise ValueError(f"a_i and mu_i must have equal block dimensions, "
                          f"got {a_i.shape} vs {mu_i.shape}")
     return (u_at_a - u_at_mu) * (a_i - mu_i) / (sigma * sigma)
@@ -157,29 +166,37 @@ def run(
     game: GameSpec,
     sched: Schedules,
     T: int,
-    seed: int,
+    seeds,
     record_every="log",
     mu0=None,
     lam0=None,
     allow_invalid_schedules: bool = False,
     reference=None,
-) -> TrajectoryRecord:
-    """Run the payoff-based iteration for T steps with a seeded RNG stream.
+) -> list[TrajectoryRecord]:
+    """Run the payoff-based iteration for T steps, one seeded run per entry of seeds.
 
-    The loop touches the game only through a PayoffEnvironment: per step it
-    samples one joint action a ~ N(mu, sigma_t^2 I), obtains every player's
-    payoff at the stacked points [a; mu] and the constraint values, and
-    applies the projected primal-dual step with the two-point estimate as
-    the primal direction and eps_t * lam - g(a) as the dual one. The
-    reference solution (computed by the exact oracle for quadratic games, or
-    supplied explicitly) is used only to record error metrics.
+    Every seed starts at (mu0, lam0) and draws its samples from its own
+    default_rng(seed) stream, so a seed's record does not depend on which
+    other seeds share the call. The loop touches the game only through a
+    PayoffEnvironment: per step it samples one joint action
+    a_r ~ N(mu_r, sigma_t^2 I) per seed, obtains every player's payoff at the
+    (R, 2, D) stack of [a_r; mu_r] pairs and the constraint values in one
+    call, and applies the projected primal-dual step with the two-point
+    estimate as the primal direction and eps_t * lam_r - g(a_r) as the dual
+    one. The reference solution (computed by the exact oracle for quadratic
+    games, or supplied explicitly) is used only to record error metrics.
+    Returns one record per seed, in seed-list order.
 
     Raises ScheduleError when the schedule exponents are invalid, unless
     allow_invalid_schedules is set, and DivergenceError when a checkpoint
-    finds a non-finite mean or multiplier.
+    finds a non-finite mean or multiplier; the error names the first seed in
+    list order that is non-finite at that checkpoint.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("seed list must be nonempty")
     report = validate_schedules(sched)
     if not report.valid and not allow_invalid_schedules:
         raise ScheduleError(
@@ -194,52 +211,72 @@ def run(
         a_ref, lam_ref = ref
 
     env = PayoffEnvironment(game)
-    D = game.D
-    dims = game.dims
-    block_of = np.repeat(np.arange(game.num_players), dims)
-    rng = np.random.default_rng(seed)
-    mu = np.zeros(D) if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1).copy()
+    R, D = len(seeds), game.D
+    block_of = np.repeat(np.arange(game.num_players), game.dims)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    mu = np.zeros(D) if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
     lam = (np.zeros(game.constraints.num_constraints) if lam0 is None
-           else np.asarray(lam0, dtype=float).reshape(-1).copy())
+           else np.asarray(lam0, dtype=float).reshape(-1))
     if np.any(lam < 0):
         raise ValueError("lam0 must be componentwise nonnegative")
+    mu = np.tile(mu, (R, 1))  # (R, D), one row per seed
+    lam = np.tile(lam, (R, 1))  # (R, n)
 
     record_at = set(checkpoints(T, record_every).tolist())
-    rows_t, rows_ep, rows_ed, rows_g, rows_e, rows_s = [], [], [], [], [], []
+    rows_t, rows_g, rows_e, rows_s = [], [], [], []
+    rows_ep = [[] for _ in seeds]
+    rows_ed = [[] for _ in seeds]
 
     # overflow shows as a non-finite iterate, which a checkpoint reports
     # as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            gamma = sched.gamma(t)
-            eps = sched.eps(t)
-            sigma = sched.sigma(t)
-            a = mu + sigma * rng.standard_normal(D)
-            U, g = env.feedback(np.array([a, mu]), lam)
-            m = two_point_estimate(U[0][block_of], U[1][block_of], a, mu, sigma)
-            mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - g[0])
-            if t in record_at:
-                if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
-                    raise DivergenceError(seed, t, rows_t[-1] if rows_t else None)
-                d_mu = mu - a_ref
-                d_lam = lam - lam_ref
-                rows_t.append(t)
-                rows_ep.append(float(d_mu @ d_mu))
-                rows_ed.append(float(d_lam @ d_lam))
-                rows_g.append(gamma)
-                rows_e.append(eps)
-                rows_s.append(sigma)
+        for start in range(1, T + 1, _DRAW_CHUNK):
+            steps = min(_DRAW_CHUNK, T + 1 - start)
+            # each seed's stream is drawn ahead in order, so the draws equal
+            # one standard_normal(D) call per step
+            xi = np.empty((steps, R, D))
+            for r, rng in enumerate(rngs):
+                xi[:, r] = rng.standard_normal((steps, D))
+            for t, xi_t in zip(range(start, start + steps), xi):
+                # scalar calls: numpy's vectorized power can differ from t**g in the last ulp
+                gamma = sched.gamma(t)
+                eps = sched.eps(t)
+                sigma = sched.sigma(t)
+                a = mu + sigma * xi_t
+                # row r of the (R, 2D) concatenation is [a_r, mu_r]: the (R, 2, D) stack
+                U, g = env.feedback(np.concatenate((a, mu), axis=1).reshape(R, 2, D), lam)
+                U = U.take(block_of, axis=2)  # each player's payoff on each of its coordinates
+                m = two_point_estimate(U[:, 0], U[:, 1], a, mu, sigma)
+                mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - g[:, 0])
+                if t in record_at:
+                    finite = np.isfinite(mu).all(axis=1) & np.isfinite(lam).all(axis=1)
+                    if not finite.all():
+                        raise DivergenceError(seeds[int(np.argmin(finite))], t,
+                                              rows_t[-1] if rows_t else None)
+                    rows_t.append(t)
+                    rows_g.append(gamma)
+                    rows_e.append(eps)
+                    rows_s.append(sigma)
+                    for r in range(R):
+                        # one dot per seed: a row-wise reduction rounds differently
+                        d_mu = mu[r] - a_ref
+                        d_lam = lam[r] - lam_ref
+                        rows_ep[r].append(float(d_mu @ d_mu))
+                        rows_ed[r].append(float(d_lam @ d_lam))
 
-    return TrajectoryRecord(
-        seed=seed,
-        t=np.asarray(rows_t, dtype=np.int64),
-        err_primal_sq=np.asarray(rows_ep),
-        err_dual_sq=np.asarray(rows_ed),
-        gamma=np.asarray(rows_g),
-        eps=np.asarray(rows_e),
-        sigma=np.asarray(rows_s),
-        final_mu=mu,
-        final_lam=lam,
-        schedules=sched,
-        game_name=game.name,
-    )
+    return [
+        TrajectoryRecord(
+            seed=seed,
+            t=np.asarray(rows_t, dtype=np.int64),
+            err_primal_sq=np.asarray(rows_ep[r]),
+            err_dual_sq=np.asarray(rows_ed[r]),
+            gamma=np.asarray(rows_g),
+            eps=np.asarray(rows_e),
+            sigma=np.asarray(rows_s),
+            final_mu=mu[r].copy(),
+            final_lam=lam[r].copy(),
+            schedules=sched,
+            game_name=game.name,
+        )
+        for r, seed in enumerate(seeds)
+    ]

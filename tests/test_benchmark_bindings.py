@@ -3,9 +3,10 @@
 perfbench/tracing.py wraps package functions by name and skips a class
 attribute that is not defined on its owner (it is wrapped where it is
 defined). A renamed or deleted name would then silently read zero in a
-per-layer metric, so this test fails first. Two traced mini-runs pin the
+per-layer metric, so this test fails first. Traced mini-runs pin the
 counts that the payoff boundary feeds: every payoff goes through
-GameSpec.costs_at, one row per evaluated joint action.
+GameSpec.costs_at, one row per evaluated joint action, and a learner step
+makes one payoff call for all seeds.
 """
 
 import importlib.util
@@ -63,3 +64,10 @@ def test_traced_learn_evaluates_two_rows_per_step(tmp_path, capsys):
     m = _traced_round(["learn", "--T", "50", "--num-seeds", "1", "--outdir", str(tmp_path)])
     assert m["learner.steps"] == 50
     assert m["games.costs_at_rows"] == 2 * m["learner.steps"]
+
+
+def test_traced_learn_makes_one_payoff_call_per_step_for_all_seeds(tmp_path, capsys):
+    m = _traced_round(["learn", "--T", "50", "--num-seeds", "3", "--outdir", str(tmp_path)])
+    assert m["learner.run_calls"] == 1
+    assert m["games.payoff_calls"] == 50
+    assert m["games.costs_at_rows"] == 2 * 3 * 50

@@ -100,11 +100,21 @@ def test_mean_error_decreases_beyond_transient():
 
 
 def test_worker_pool_matches_sequential(tmp_path):
-    seq = run_experiment(ExperimentConfig(game="paper-example", schedules=Schedules(),
-                                          T=30, seeds=[0, 1], workers=1))
-    par = run_experiment(ExperimentConfig(game="paper-example", schedules=Schedules(),
-                                          T=30, seeds=[0, 1], workers=2))
-    assert np.array_equal(seq.mean_err_primal_sq, par.mean_err_primal_sq)
+    # 5 seeds over 1, 2 and 3 workers: uneven contiguous batches, same bytes
+    seeds = [0, 1, 2, 3, 4]
+    shuffled = [3, 0, 4, 1, 2]
+    agg = set()
+    for order in (seeds, shuffled):
+        raw = set()
+        for workers in (1, 2, 3):
+            out = tmp_path / f"{order[0]}_{workers}"
+            run_experiment(ExperimentConfig(game="paper-example", schedules=Schedules(),
+                                            T=30, seeds=order, outdir=out, label="w",
+                                            workers=workers))
+            raw.add((out / "w_raw.csv").read_bytes())
+            agg.add((out / "w_agg.csv").read_bytes())
+        assert len(raw) == 1  # the raw CSV lists seeds in seed-list order
+    assert len(agg) == 1
 
 
 def test_bad_outdir_fails_before_running(tmp_path):

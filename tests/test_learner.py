@@ -81,18 +81,18 @@ def test_sample_action_moments(feedback_log):
     mu = np.array([0.0, 1.0])
     sigma = 0.1
     M = 100_000
-    run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seed=123,
+    run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seeds=[123],
         record_every=M, mu0=mu, allow_invalid_schedules=True)
-    draws = np.array([X[0] for X, *_ in feedback_log])
+    draws = np.array([X[0, 0] for X, *_ in feedback_log])
     mean_tol = 4 * sigma / np.sqrt(M)
     assert np.all(np.abs(draws.mean(axis=0) - mu) <= mean_tol)
     assert np.all(np.abs(draws.var(axis=0) / sigma**2 - 1.0) <= 0.05)
 
 
 def test_sample_action_deterministic_stream(paper_game, feedback_log):
-    run(paper_game, Schedules(S=0.3), 10, seed=7)
-    run(paper_game, Schedules(S=0.3), 10, seed=7)
-    draws = [X[0] for X, *_ in feedback_log]
+    run(paper_game, Schedules(S=0.3), 10, seeds=[7])
+    run(paper_game, Schedules(S=0.3), 10, seeds=[7])
+    draws = [X[0, 0] for X, *_ in feedback_log]
     assert len(draws) == 20
     assert all(np.array_equal(x, y) for x, y in zip(draws[:10], draws[10:]))
 
@@ -163,15 +163,15 @@ def test_two_point_estimate_unbiased_for_quadratic(paper_game):
 
 def test_step_zero_gamma_freezes_point(paper_game):
     sched = Schedules(G=0.0, g=4 / 7, E=1.0, e=2 / 7, S=1.0, s=4 / 7)
-    rec = run(paper_game, sched, 5, seed=0, mu0=[0.5, -0.5], lam0=[0.3])
+    rec = run(paper_game, sched, 5, seeds=[0], mu0=[0.5, -0.5], lam0=[0.3])[0]
     assert np.array_equal(rec.final_mu, [0.5, -0.5])
     assert np.array_equal(rec.final_lam, [0.3])
 
 
 def test_step_interior_zero_dual_is_fixed_point(feedback_log):
     # the constraint a1 + a2 <= 10 is slack at every sampled point
-    rec = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seed=0, mu0=[0.1, 0.1])
-    assert all(np.all(g[0] < 0) for *_, g in feedback_log)
+    rec = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seeds=[0], mu0=[0.1, 0.1])[0]
+    assert all(np.all(g[:, 0] < 0) for *_, g in feedback_log)
     assert rec.final_lam == pytest.approx([0.0])
 
 
@@ -179,16 +179,16 @@ def test_step_dual_projection_hand_case():
     # g = 0 a - 2 = -2 everywhere: lam - gamma * (-g + eps lam) = 0.5 - (2 + 0.05)
     # projects to 0
     sched = Schedules(G=1.0, g=4 / 7, E=0.1, e=0.0, S=1.0, s=4 / 7)
-    rec = run(scalar_game([[0.0, 0.0]], [2.0]), sched, 1, seed=0, lam0=[0.5],
-              allow_invalid_schedules=True)
+    rec = run(scalar_game([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0], lam0=[0.5],
+              allow_invalid_schedules=True)[0]
     assert rec.final_lam == pytest.approx([0.0])
 
 
 def test_step_uses_two_point_estimate(feedback_log):
     sched = Schedules(G=1.0, g=0.0, E=1.0, e=0.0, S=1.0, s=0.0)  # all params 1 at t=1
-    rec = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seed=0,
-              allow_invalid_schedules=True)
-    [((a, mu), lam, U, g)] = feedback_log
+    rec = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0],
+              allow_invalid_schedules=True)[0]
+    [([(a, mu)], lam, [U], g)] = feedback_log  # one seed in the batch
     assert np.array_equal(mu, [0.0, 0.0])
     # m = du * (a - mu) / sigma^2, one block per player
     m = (U[0] - U[1]) * a
@@ -199,27 +199,46 @@ def test_step_uses_two_point_estimate(feedback_log):
 
 
 def test_run_single_step_trajectory(paper_game):
-    rec = run(paper_game, Schedules(), 1, seed=0)
+    rec = run(paper_game, Schedules(), 1, seeds=[0])[0]
     assert rec.t.tolist() == [1]
     assert rec.err_primal_sq.shape == (1,)
 
 
 def test_run_matches_manual_step_loop(paper_game, feedback_log):
+    # every seed of a batched run follows its own per-seed reference loop
     sched = Schedules()
     T = 400
+    seeds = [11, 12, 13]
     for game, mu0, lam0 in [(paper_game, None, None),
+                            (paper_game, [0.5, -0.2], [0.3]),
                             (random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2),
                              [0.3, -0.1, 0.2, 0.5, -0.4], [0.2, 0.0])]:
-        rec = run(game, sched, T, seed=11, record_every=1, mu0=mu0, lam0=lam0)
-        mu, lam = reference_run(game, sched, T, seed=11, mu0=mu0, lam0=lam0)
-        assert np.array_equal(mu, rec.final_mu)
-        assert np.array_equal(lam, rec.final_lam)
+        recs = run(game, sched, T, seeds=seeds, record_every=1, mu0=mu0, lam0=lam0)
+        assert [rec.seed for rec in recs] == seeds
+        for rec in recs:
+            mu, lam = reference_run(game, sched, T, seed=rec.seed, mu0=mu0, lam0=lam0)
+            assert np.array_equal(mu, rec.final_mu)
+            assert np.array_equal(lam, rec.final_lam)
     assert all(np.all(lam >= 0.0) for _, lam, _, _ in feedback_log)
 
 
+def test_run_record_does_not_depend_on_batch():
+    # a seed's record is byte-equal alone and inside a batch of neighbours
+    game = random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2)
+    kw = dict(record_every=1, mu0=[0.3, -0.1, 0.2, 0.5, -0.4], lam0=[0.2, 0.0])
+    s = 21
+    [alone] = run(game, Schedules(), 300, seeds=[s], **kw)
+    inside = run(game, Schedules(), 300, seeds=[s - 1, s, s + 1], **kw)[1]
+    assert inside.seed == alone.seed == s
+    for column in ("t", "err_primal_sq", "err_dual_sq", "gamma", "eps", "sigma",
+                   "final_mu", "final_lam"):
+        x, y = getattr(alone, column), getattr(inside, column)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), column
+
+
 def test_run_is_deterministic(paper_game):
-    r1 = run(paper_game, Schedules(), 300, seed=5)
-    r2 = run(paper_game, Schedules(), 300, seed=5)
+    r1 = run(paper_game, Schedules(), 300, seeds=[5])[0]
+    r2 = run(paper_game, Schedules(), 300, seeds=[5])[0]
     assert np.array_equal(r1.err_primal_sq, r2.err_primal_sq)
     assert np.array_equal(r1.final_mu, r2.final_mu)
 
@@ -227,15 +246,15 @@ def test_run_is_deterministic(paper_game):
 def test_run_rejects_invalid_schedules(paper_game):
     bad = Schedules(g=0.5)
     with pytest.raises(ScheduleError) as exc:
-        run(paper_game, bad, 10, seed=0)
+        run(paper_game, bad, 10, seeds=[0])
     assert "g>1/2" in str(exc.value)
-    rec = run(paper_game, bad, 10, seed=0, allow_invalid_schedules=True)
+    rec = run(paper_game, bad, 10, seeds=[0], allow_invalid_schedules=True)[0]
     assert rec.t.shape[0] > 0
 
 
 def test_run_schedule_columns(paper_game):
     sched = Schedules()
-    rec = run(paper_game, sched, 50, seed=1, record_every=10)
+    rec = run(paper_game, sched, 50, seeds=[1], record_every=10)[0]
     for j, t in enumerate(rec.t):
         assert rec.gamma[j] == pytest.approx(sched.gamma(int(t)))
         assert rec.eps[j] == pytest.approx(sched.eps(int(t)))
@@ -261,9 +280,9 @@ def test_update_decomposition_identity(paper_game, feedback_log):
     l = paper_game.constraints.l
     for trial in range(20):
         t = int(rng.integers(1, 50))
-        rec = run(paper_game, sched, t, seed=trial, mu0=rng.normal(size=2),
-                  lam0=np.abs(rng.normal(size=1)))
-        (a, mu), lam, U, _ = feedback_log[-1]  # the last step, taken at t
+        rec = run(paper_game, sched, t, seeds=[trial], mu0=rng.normal(size=2),
+                  lam0=np.abs(rng.normal(size=1)))[0]
+        [(a, mu)], [lam], [U], _ = feedback_log[-1]  # the last step, taken at t
 
         gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
         du = U[0] - U[1]
@@ -301,16 +320,23 @@ def test_payoff_boundary_hides_structure(paper_game):
         for i in range(2):
             lagrangian = paper_game.cost(i, x) + lam @ paper_game.constraints.value(x)
             assert U[p, i] == pytest.approx(lagrangian)
+    # a leading batch axis with one multiplier row per batch: each batch as alone
+    stack, lams = np.stack([X, X + 1.0]), np.array([[0.5], [0.2]])
+    U2, g2 = env.feedback(stack, lams)
+    assert U2.shape == (2, 3, 2) and g2.shape == (2, 3, 1)
+    for r in range(2):
+        Ur, gr = env.feedback(stack[r], lams[r])
+        assert np.array_equal(U2[r], Ur) and np.array_equal(g2[r], gr)
 
 
 def test_learner_state_rejects_negative_dual(paper_game):
     with pytest.raises(ValueError):
-        run(paper_game, Schedules(), 1, seed=0, lam0=[-0.1])
+        run(paper_game, Schedules(), 1, seeds=[0], lam0=[-0.1])
 
 
 def test_run_with_custom_reference(paper_game):
-    rec = run(paper_game, Schedules(), 20, seed=0,
-              reference=(np.array([0.0, 1.0]), np.array([1.0])))
+    rec = run(paper_game, Schedules(), 20, seeds=[0],
+              reference=(np.array([0.0, 1.0]), np.array([1.0])))[0]
     assert np.all(np.isfinite(rec.err_primal_sq))
 
 
@@ -318,7 +344,7 @@ def test_run_nonquadratic_game_without_reference():
     from gnezero.games import softplus_game
 
     game = softplus_game(0)
-    rec = run(game, Schedules(), 20, seed=0)
+    rec = run(game, Schedules(), 20, seeds=[0])[0]
     assert np.all(np.isnan(rec.err_primal_sq))  # no oracle reference available
     assert np.all(rec.sigma > 0)
 
@@ -328,7 +354,7 @@ def test_run_nonquadratic_game_without_reference():
 
 def test_divergence_raises_structured_error(paper_game, tmp_path):
     with pytest.raises(DivergenceError) as exc:
-        run(paper_game, Schedules(G=1e300), 50, seed=4, record_every=1)
+        run(paper_game, Schedules(G=1e300), 50, seeds=[4], record_every=1)
     err = exc.value
     assert err.seed == 4
     assert err.last_finite == (err.step - 1 if err.step > 1 else None)  # every step recorded
@@ -343,3 +369,18 @@ def test_divergence_raises_structured_error(paper_game, tmp_path):
         run_experiment(cfg)
     assert list(tmp_path.iterdir()) == []
 
+
+def test_divergence_in_a_batch_names_first_seed_in_list_order(paper_game, tmp_path):
+    # both seeds leave the finite floats at the same checkpoint
+    sched = Schedules(G=1e300)
+    for seeds in ([4, 5], [5, 4]):
+        with pytest.raises(DivergenceError) as exc:
+            run(paper_game, sched, 50, seeds=seeds, record_every=1)
+        assert exc.value.seed == seeds[0]
+
+    cfg = ExperimentConfig(game=paper_game, schedules=sched, T=50, seeds=[4, 5],
+                           outdir=tmp_path, label="div", workers=1)
+    with pytest.raises(DivergenceError) as exc:
+        run_experiment(cfg)
+    assert exc.value.seed == 4
+    assert list(tmp_path.iterdir()) == []

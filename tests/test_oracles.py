@@ -280,7 +280,7 @@ def test_first_order_beats_payoff_based_run(paper_game, paper_solution):
     T = 10_000
     traj = first_order_trajectory(paper_game, Schedules(), T, record_every=T)
     fo_err = float(np.sum((traj[-1].a - paper_solution.primal.flat) ** 2))
-    zo = run(paper_game, Schedules(), T, seed=0)
+    zo = run(paper_game, Schedules(), T, seeds=[0])[0]
     zo_err = float(zo.err_primal_sq[-1])
     assert fo_err <= zo_err
 
