@@ -6,7 +6,7 @@ iteration with Tikhonov-regularized dual updates, and a diagnostics /
 rate-measurement harness.
 """
 
-from .augmented import AugmentedPoint, extended_pseudo_gradient
+from .augmented import extended_pseudo_gradient
 from .diagnostics import (
     CheckCase,
     CheckReport,
@@ -57,7 +57,6 @@ from .learner import (
 )
 from .oracles import (
     OracleSolution,
-    RegularizedSolution,
     SolverError,
     first_order_trajectory,
     solve_regularized_vi,

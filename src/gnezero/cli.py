@@ -40,7 +40,7 @@ def _record_every(text: str):
 # -- oracle -------------------------------------------------------------------
 
 
-def _oracle_csv_lines(sol, eps=None) -> list[str]:
+def _oracle_csv_lines(sol) -> list[str]:
     lines = ["key,value"]
     a = sol.primal.flat
     for k in range(a.shape[0]):
@@ -51,8 +51,8 @@ def _oracle_csv_lines(sol, eps=None) -> list[str]:
     lines.append(f"stationarity_residual,{_fmt(sol.stationarity_residual)}")
     lines.append(f"complementarity_residual,{_fmt(sol.complementarity_residual)}")
     lines.append(f"dual_norm,{_fmt(np.linalg.norm(sol.dual))}")
-    if eps is not None:
-        lines.append(f"eps,{_fmt(eps)}")
+    if sol.epsilon > 0:
+        lines.append(f"eps,{_fmt(sol.epsilon)}")
     return lines
 
 
@@ -72,7 +72,7 @@ def cmd_oracle(args) -> int:
     print(f"  stationarity residual: {sol.stationarity_residual:.3e}")
     print(f"  complementarity residual: {sol.complementarity_residual:.3e}")
     print(f"  ||lambda*|| = {np.linalg.norm(sol.dual):.12g}")
-    csv_lines = _oracle_csv_lines(sol, eps=args.eps)
+    csv_lines = _oracle_csv_lines(sol)
     print()
     print("\n".join(csv_lines))
     if args.csv:

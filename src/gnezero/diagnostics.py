@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .games import GameSpec, JointAction, QuadraticGame
+from .games import GameSpec, QuadraticGame
 from .learner import PayoffEnvironment, two_point_estimate
 from .oracles import solve_regularized_vi, solve_vgne
 
@@ -51,9 +51,7 @@ class SmoothingProbe:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(
-            self.mu.flat if isinstance(self.mu, JointAction) else self.mu,
-            dtype=float).reshape(-1))
+        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).reshape(-1))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,11 +56,8 @@ class GameConfigError(ValueError):
 
 
 def _as_flat(a, expected: int, what: str = "action") -> np.ndarray:
-    """Coerce an action (JointAction, sequence, ndarray) to a flat float vector."""
-    if isinstance(a, JointAction):
-        vec = a.flat
-    else:
-        vec = np.asarray(a, dtype=float).reshape(-1)
+    """Coerce an action (sequence or ndarray) to a flat float vector."""
+    vec = np.asarray(a, dtype=float).reshape(-1)
     if vec.shape[0] != expected:
         raise DimensionMismatchError(what, expected, vec.shape[0])
     return vec
@@ -71,50 +69,14 @@ def block_slices(dims: Sequence[int]) -> tuple[slice, ...]:
     return tuple(slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(dims)))
 
 
+@dataclass(frozen=True)
 class JointAction:
-    """Joint action of all players: a flat vector with per-player block views.
+    """An oracle's joint action: a read-only flat (D,) vector; block i is flat[game.slices[i]]."""
 
-    The flat view and the block view are always consistent; instances are
-    immutable after construction.
-    """
+    flat: np.ndarray
 
-    __slots__ = ("flat", "dims", "_slices")
-
-    def __init__(self, flat, dims: Sequence[int]):
-        dims = tuple(int(d) for d in dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"all block dimensions must be positive, got {dims}")
-        vec = np.array(flat, dtype=float).reshape(-1)
-        if vec.shape[0] != sum(dims):
-            raise DimensionMismatchError("joint action", sum(dims), vec.shape[0])
-        vec.flags.writeable = False
-        object.__setattr__(self, "flat", vec)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_slices", block_slices(dims))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointAction is immutable")
-
-    def __reduce__(self):
-        return JointAction, (self.flat, self.dims)
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence) -> "JointAction":
-        blocks = [np.asarray(b, dtype=float).reshape(-1) for b in blocks]
-        return cls(np.concatenate(blocks), [b.shape[0] for b in blocks])
-
-    def block(self, i: int) -> np.ndarray:
-        return self.flat[self._slices[i]]
-
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        return [self.flat[s] for s in self._slices]
-
-    def __len__(self) -> int:
-        return self.flat.shape[0]
-
-    def __repr__(self) -> str:
-        return f"JointAction({self.flat.tolist()}, dims={self.dims})"
+    def __post_init__(self):
+        self.flat.flags.writeable = False
 
 
 class ConstraintSet:
@@ -125,14 +87,14 @@ class ConstraintSet:
     constraint margin from a least-squares starting point.
     """
 
-    def __init__(self, K, l, check_slater: bool = True):
+    def __init__(self, K, l):
         self.K = np.array(K, dtype=float, ndmin=2)
         self.l = np.array(l, dtype=float).reshape(-1)
         if self.K.shape[0] != self.l.shape[0]:
             raise DimensionMismatchError("constraint offset l", self.K.shape[0], self.l.shape[0])
         self.K.flags.writeable = False
         self.l.flags.writeable = False
-        self.interior_point = self._find_interior_point() if check_slater else None
+        self.interior_point = self._find_interior_point()
 
     @property
     def num_constraints(self) -> int:
@@ -590,7 +552,7 @@ def softplus_game(
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     game = SoftplusQuadraticGame(
         dims, base.A, np.zeros((N, D)), W, np.full(N, delta), beta,
-        ConstraintSet(base.constraints.K, base.constraints.l, check_slater=False),
+        base.constraints,
         name=f"softplus-{seed}",
     )
     est = probe_monotonicity(game, 4000, 2.0, seed=seed + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import _projected_step
+from .augmented import _projected_step, _start_point
 from .games import GameSpec, QuadraticGame
 from .schedules import ScheduleError, ScheduleReport, Schedules, validate_schedules
 
@@ -214,11 +214,7 @@ def run(
     R, D = len(seeds), game.D
     block_of = np.repeat(np.arange(game.num_players), game.dims)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    mu = np.zeros(D) if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
-    lam = (np.zeros(game.constraints.num_constraints) if lam0 is None
-           else np.asarray(lam0, dtype=float).reshape(-1))
-    if np.any(lam < 0):
-        raise ValueError("lam0 must be componentwise nonnegative")
+    mu, lam = _start_point(game, mu0, lam0)
     mu = np.tile(mu, (R, 1))  # (R, D), one row per seed
     lam = np.tile(lam, (R, 1))  # (R, n)
 

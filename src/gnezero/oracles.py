@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import AugmentedPoint, _operator, _projected_step
+from .augmented import _operator, _projected_step, _start_point
 from .games import GameSpec, JointAction, QuadraticGame
 
 __all__ = [
     "OracleSolution",
-    "RegularizedSolution",
     "SolverError",
     "solve_vgne",
     "solve_regularized_vi",
@@ -36,18 +35,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Variational equilibrium with multipliers and optimality residuals."""
-
-    primal: JointAction
-    dual: np.ndarray
-    active_set: tuple[int, ...]
-    stationarity_residual: float
-    complementarity_residual: float
-
-
-@dataclass(frozen=True)
-class RegularizedSolution:
-    """Solution of the regularized variational problem at a fixed epsilon."""
+    """Solution at epsilon (0.0 at the v-GNE) with multipliers and optimality residuals."""
 
     primal: JointAction
     dual: np.ndarray
@@ -131,8 +119,8 @@ def _min_norm_multiplier(K_T: np.ndarray, c: np.ndarray, check_tol: float) -> np
     return np.maximum(lam, 0.0)
 
 
-def _solve_kkt(game: QuadraticGame, eps: float, tol: float):
-    """Exact solution (a, lam, active, stat, comp) of the KKT system at eps >= 0.
+def _solve_kkt(game: QuadraticGame, eps: float, tol: float) -> OracleSolution:
+    """Exact solution of the KKT system at eps >= 0.
 
     Stationarity P a + q + K' lam = 0 gives a = -P^{-1}(q + K' lam), which
     leaves the dual LCP 0 <= lam, M lam + r >= 0, lam'(M lam + r) = 0 with
@@ -176,7 +164,7 @@ def _solve_kkt(game: QuadraticGame, eps: float, tol: float):
     if stat > tol or comp > tol:
         raise SolverError(f"optimality residuals at eps={eps:g} exceed tol={tol:g}: "
                           f"stationarity {stat:.3e}, complementarity {comp:.3e}")
-    return a, lam, active, stat, comp
+    return OracleSolution(JointAction(a), lam, eps, active, stat, comp)
 
 
 def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
@@ -189,12 +177,10 @@ def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
     Otherwise the multiplier of minimal norm is returned: a row repeated k
     times carries 1/k of the multiplier in each copy.
     """
-    game = _require_quadratic(game, "solve_vgne")
-    a, lam, active, stat, comp = _solve_kkt(game, 0.0, tol)
-    return OracleSolution(JointAction(a, game.dims), lam, active, stat, comp)
+    return _solve_kkt(_require_quadratic(game, "solve_vgne"), 0.0, tol)
 
 
-def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) -> RegularizedSolution:
+def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) -> OracleSolution:
     """Unique solution of the Tikhonov-regularized variational problem.
 
     Solved like solve_vgne with the term eps * lam on the dual block, which
@@ -203,9 +189,7 @@ def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) ->
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    game = _require_quadratic(game, "solve_regularized_vi")
-    a, lam, active, stat, comp = _solve_kkt(game, float(eps), tol)
-    return RegularizedSolution(JointAction(a, game.dims), lam, eps, active, stat, comp)
+    return _solve_kkt(_require_quadratic(game, "solve_regularized_vi"), float(eps), tol)
 
 
 def solve_vi_extragradient(
@@ -213,7 +197,7 @@ def solve_vi_extragradient(
     eps: float,
     tol: float = 1e-8,
     max_iter: int = 200_000,
-) -> RegularizedSolution:
+) -> OracleSolution:
     """Extragradient iteration for the regularized problem on any game.
 
     Works from pseudo-gradient evaluations only, so it also covers black-box
@@ -246,10 +230,10 @@ def solve_vi_extragradient(
 
     # the dual block is -(K a - l - eps lam), the shifted constraint value
     primal, dual = _operator(game, a, lam, eps)
-    return RegularizedSolution(
-        primal=JointAction(a, game.dims),
+    return OracleSolution(
+        primal=JointAction(a),
         dual=lam,
-        epsilon=eps,
+        epsilon=float(eps),
         active_set=tuple(int(j) for j in range(n) if lam[j] > tol),
         stationarity_residual=float(np.linalg.norm(primal)),
         complementarity_residual=float(np.max(np.abs(lam * dual))) if n else 0.0,
@@ -260,25 +244,25 @@ def first_order_trajectory(
     game: GameSpec,
     sched,
     T: int,
-    z0: AugmentedPoint | None = None,
+    mu0=None,
+    lam0=None,
     record_every: int = 1,
-) -> list[AugmentedPoint]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact-gradient analogue of the payoff-based iteration, for baselines.
 
-    Runs the same primal-dual update skeleton with the true extended
-    pseudo-gradient in place of the sampled estimate and without any action
-    sampling. Returns the recorded points, always including the initial and
-    final ones; with T = 0 the trajectory is just the initial point.
+    Runs `run`'s primal-dual update from the same checked start point, with
+    the true extended pseudo-gradient in place of the sampled estimate and
+    without any action sampling. Returns the recorded points as arrays mus
+    (k, D) and lams (k, n), always including the initial and final ones.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    n = game.constraints.num_constraints
-    mu = np.zeros(game.D) if z0 is None else z0.a.copy()
-    lam = np.zeros(n) if z0 is None else np.maximum(z0.lam, 0.0)
-    out = [AugmentedPoint(mu.copy(), lam.copy())]
+    mu, lam = _start_point(game, mu0, lam0)
+    mus, lams = [mu], [lam]
     for t in range(1, T + 1):
         # simultaneous update: both blocks read the same current point
         mu, lam = _projected_step(mu, lam, sched.gamma(t), *_operator(game, mu, lam, sched.eps(t)))
         if t % record_every == 0 or t == T:
-            out.append(AugmentedPoint(mu.copy(), lam.copy()))
-    return out
+            mus.append(mu)
+            lams.append(lam)
+    return np.array(mus), np.array(lams)

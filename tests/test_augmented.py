@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnezero.augmented import AugmentedPoint, extended_pseudo_gradient
+from gnezero.augmented import extended_pseudo_gradient
 from gnezero.games import DimensionMismatchError, random_quadratic_game
 
 from conftest import central_difference_gradient
@@ -62,13 +62,13 @@ def test_lagrangian_terms_cancel(paper_game):
 
 def test_extended_pseudo_gradient_paper_equilibrium(paper_game):
     # stationarity at the equilibrium: primal block vanishes, constraint active
-    w = extended_pseudo_gradient(paper_game, AugmentedPoint([0.0, 1.0], [1.0]))
+    w = extended_pseudo_gradient(paper_game, [0.0, 1.0], [1.0])
     assert w == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
 
 
 def test_extended_pseudo_gradient_zero_dual(paper_game):
     a = np.array([0.4, -0.7])
-    w = extended_pseudo_gradient(paper_game, AugmentedPoint(a, [0.0]))
+    w = extended_pseudo_gradient(paper_game, a, [0.0])
     assert w[:2] == pytest.approx(paper_game.pseudo_gradient(a))
 
 
@@ -77,7 +77,7 @@ def test_extended_pseudo_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     a = rng.normal(size=game.D)
     lam = np.abs(rng.normal(size=game.constraints.num_constraints))
-    w = extended_pseudo_gradient(game, AugmentedPoint(a, lam))
+    w = extended_pseudo_gradient(game, a, lam)
     for i, sl in enumerate(game.slices):
         fd = central_difference_gradient(lambda x: lagrangian(game, i, x, lam), a)
         assert w[sl] == pytest.approx(fd[sl], rel=1e-5, abs=1e-6)
@@ -87,24 +87,24 @@ def test_extended_pseudo_gradient_matches_finite_differences():
 
 def test_primal_block_cases(paper_game):
     # the first D coordinates are the primal block, the last n the dual one
-    w = extended_pseudo_gradient(paper_game, AugmentedPoint([0.0, 1.0], [1.0]))
+    w = extended_pseudo_gradient(paper_game, [0.0, 1.0], [1.0])
     assert w.shape == (3,)
     assert w[:2] == pytest.approx([0.0, 0.0], abs=1e-14)
     with pytest.raises(DimensionMismatchError):
-        extended_pseudo_gradient(paper_game, AugmentedPoint([1.0], [1.0]))
+        extended_pseudo_gradient(paper_game, [1.0], [1.0])
     with pytest.raises(DimensionMismatchError):
-        extended_pseudo_gradient(paper_game, AugmentedPoint([0.0, 1.0], [1.0, 2.0]))
+        extended_pseudo_gradient(paper_game, [0.0, 1.0], [1.0, 2.0])
 
 
 def test_regularized_pseudo_gradient(paper_game):
-    z = AugmentedPoint([0.0, 1.0], [1.0])
-    base = extended_pseudo_gradient(paper_game, z)
-    assert extended_pseudo_gradient(paper_game, z, 0.0) == pytest.approx(base)
-    reg = extended_pseudo_gradient(paper_game, z, 0.5)
+    a, lam = [0.0, 1.0], [1.0]
+    base = extended_pseudo_gradient(paper_game, a, lam)
+    assert extended_pseudo_gradient(paper_game, a, lam, 0.0) == pytest.approx(base)
+    reg = extended_pseudo_gradient(paper_game, a, lam, 0.5)
     assert reg[:2] == pytest.approx(base[:2])
     assert reg[2] == pytest.approx(base[2] + 0.5 * 1.0)
     with pytest.raises(ValueError):
-        extended_pseudo_gradient(paper_game, z, -0.1)
+        extended_pseudo_gradient(paper_game, a, lam, -0.1)
 
 
 def test_affine_in_dual(paper_game):
@@ -113,9 +113,9 @@ def test_affine_in_dual(paper_game):
     l1, l2 = np.abs(rng.normal(size=1)), np.abs(rng.normal(size=1))
     for alpha in (0.0, 0.3, 1.0):
         mix = alpha * l1 + (1 - alpha) * l2
-        w_mix = extended_pseudo_gradient(paper_game, AugmentedPoint(a, mix))
-        w1 = extended_pseudo_gradient(paper_game, AugmentedPoint(a, l1))
-        w2 = extended_pseudo_gradient(paper_game, AugmentedPoint(a, l2))
+        w_mix = extended_pseudo_gradient(paper_game, a, mix)
+        w1 = extended_pseudo_gradient(paper_game, a, l1)
+        w2 = extended_pseudo_gradient(paper_game, a, l2)
         assert w_mix == pytest.approx(alpha * w1 + (1 - alpha) * w2)
 
 

@@ -5,14 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
-from gnezero.augmented import AugmentedPoint
 from gnezero.games import (
     ConstraintSet,
     DimensionMismatchError,
     GameConfigError,
     GameSpec,
     InfeasibleConstraintsError,
-    JointAction,
     QuadraticGame,
     builtin_game,
     game_from_config,
@@ -197,24 +195,12 @@ def test_quadratic_monotonicity_inequality_on_pairs(random_games):
 # -- joint actions -------------------------------------------------------------
 
 
-def test_joint_action_roundtrip():
-    ja = JointAction.from_blocks([[1.0, 2.0], [3.0], [4.0, 5.0]])
-    assert ja.dims == (2, 1, 2)
-    assert ja.flat == pytest.approx([1, 2, 3, 4, 5])
-    rebuilt = JointAction.from_blocks(ja.blocks)
-    assert np.array_equal(rebuilt.flat, ja.flat)
-    assert ja.block(1) == pytest.approx([3.0])
-
-
 def test_joint_action_immutable():
-    ja = JointAction([1.0, 2.0], (1, 1))
+    ja = solve_vgne(paper_example()).primal
     with pytest.raises((ValueError, AttributeError)):
         ja.flat[0] = 9.0
-
-
-def test_joint_action_dimension_checked():
-    with pytest.raises(DimensionMismatchError):
-        JointAction([1.0, 2.0, 3.0], (1, 1))
+    with pytest.raises(AttributeError):
+        ja.flat = np.zeros(2)
 
 
 # -- families and config --------------------------------------------------------
@@ -292,13 +278,12 @@ def test_known_constants_override_probes():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: JointAction([1.0, 2.0, 3.0], (2, 1)),
-    lambda: AugmentedPoint([0.5, -0.5], [0.25]),
+    lambda: solve_vgne(paper_example()).primal,
     lambda: solve_vgne(paper_example()),
     lambda: solve_regularized_vi(paper_example(), 0.1),
     lambda: random_quadratic_game(3),
     lambda: softplus_game(0),
-], ids=["JointAction", "AugmentedPoint", "OracleSolution", "RegularizedSolution",
+], ids=["JointAction", "OracleSolution", "OracleSolution-eps",
         "QuadraticGame", "SoftplusQuadraticGame"])
 def test_pickle_round_trip(build):
     obj = build()

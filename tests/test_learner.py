@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from conftest import reference_run
 
-from gnezero.games import ConstraintSet, QuadraticGame, random_quadratic_game
+from gnezero.games import (
+    ConstraintSet,
+    DimensionMismatchError,
+    QuadraticGame,
+    random_quadratic_game,
+)
 from gnezero.harness import ExperimentConfig, run_experiment
 from gnezero.learner import (
     DivergenceError,
@@ -332,6 +337,14 @@ def test_payoff_boundary_hides_structure(paper_game):
 def test_learner_state_rejects_negative_dual(paper_game):
     with pytest.raises(ValueError):
         run(paper_game, Schedules(), 1, seeds=[0], lam0=[-0.1])
+
+
+@pytest.mark.parametrize("kw", [dict(mu0=[1.0, 2.0, 3.0]), dict(lam0=[0.1, 0.2])],
+                         ids=["mu0-length", "lam0-length"])
+def test_run_checks_start_point_length(paper_game, kw):
+    # a negative lam0 is test_learner_state_rejects_negative_dual
+    with pytest.raises(DimensionMismatchError):
+        run(paper_game, Schedules(), 5, seeds=[0], **kw)
 
 
 def test_run_with_custom_reference(paper_game):

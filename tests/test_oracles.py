@@ -4,9 +4,9 @@ from conftest import enumerate_kkt
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gnezero.augmented import AugmentedPoint
 from gnezero.games import (
     ConstraintSet,
+    DimensionMismatchError,
     InfeasibleConstraintsError,
     QuadraticGame,
     paper_example,
@@ -15,6 +15,7 @@ from gnezero.games import (
 )
 from gnezero.learner import Schedules, run
 from gnezero.oracles import (
+    OracleSolution,
     first_order_trajectory,
     solve_regularized_vi,
     solve_vgne,
@@ -233,6 +234,16 @@ def test_regularized_rejects_nonpositive_eps(paper_game):
         solve_vi_extragradient(paper_game, -0.5)
 
 
+def test_one_solution_type_carries_epsilon(paper_game, paper_solution):
+    assert type(paper_solution) is OracleSolution
+    assert paper_solution.epsilon == 0.0
+    for solve in (solve_regularized_vi, solve_vi_extragradient):
+        sol = solve(paper_game, 1e-3)
+        assert type(sol) is OracleSolution
+        assert sol.epsilon == 1e-3
+        assert not sol.primal.flat.flags.writeable
+
+
 def test_extragradient_cross_validates_active_set(random_games):
     for game in random_games:
         exact = solve_regularized_vi(game, 0.1)
@@ -263,23 +274,39 @@ def test_drift_ratios_bounded_along_schedule(paper_game):
 
 
 def test_first_order_trajectory_zero_steps(paper_game):
-    z0 = AugmentedPoint([0.5, 0.5], [0.2])
-    traj = first_order_trajectory(paper_game, Schedules(), 0, z0=z0)
-    assert len(traj) == 1
-    assert traj[0].a == pytest.approx([0.5, 0.5])
-    assert traj[0].lam == pytest.approx([0.2])
+    mus, lams = first_order_trajectory(paper_game, Schedules(), 0, mu0=[0.5, 0.5], lam0=[0.2])
+    assert mus.shape == (1, 2) and lams.shape == (1, 1)
+    assert mus[0] == pytest.approx([0.5, 0.5])
+    assert lams[0] == pytest.approx([0.2])
+
+
+def test_first_order_trajectory_record_shapes():
+    game = random_quadratic_game(3)
+    mus, lams = first_order_trajectory(game, Schedules(), 100, record_every=30)
+    # the initial point, t = 30, 60, 90 and the final t = 100
+    assert mus.shape == (5, game.D)
+    assert lams.shape == (5, game.constraints.num_constraints)
 
 
 def test_first_order_dual_iterates_nonnegative(paper_game):
-    traj = first_order_trajectory(paper_game, Schedules(), 500)
-    for z in traj:
-        assert np.all(z.lam >= 0)
+    _, lams = first_order_trajectory(paper_game, Schedules(), 500)
+    assert np.all(lams >= 0)
+
+
+@pytest.mark.parametrize("kw, err", [
+    (dict(mu0=[1.0, 2.0, 3.0]), DimensionMismatchError),
+    (dict(lam0=[0.1, 0.2]), DimensionMismatchError),
+    (dict(lam0=[-0.1]), ValueError),
+], ids=["mu0-length", "lam0-length", "lam0-negative"])
+def test_first_order_trajectory_checks_start_point(paper_game, kw, err):
+    with pytest.raises(err):
+        first_order_trajectory(paper_game, Schedules(), 5, **kw)
 
 
 def test_first_order_beats_payoff_based_run(paper_game, paper_solution):
     T = 10_000
-    traj = first_order_trajectory(paper_game, Schedules(), T, record_every=T)
-    fo_err = float(np.sum((traj[-1].a - paper_solution.primal.flat) ** 2))
+    mus, _ = first_order_trajectory(paper_game, Schedules(), T, record_every=T)
+    fo_err = float(np.sum((mus[-1] - paper_solution.primal.flat) ** 2))
     zo = run(paper_game, Schedules(), T, seeds=[0])[0]
     zo_err = float(zo.err_primal_sq[-1])
     assert fo_err <= zo_err
@@ -290,7 +317,7 @@ def test_first_order_tracks_regularized_path(paper_game, paper_solution):
     # current eps; its gap to the equilibrium is the regularization gap
     T = 20_000
     sched = Schedules()
-    traj = first_order_trajectory(paper_game, sched, T, record_every=T)
+    mus, _ = first_order_trajectory(paper_game, sched, T, record_every=T)
     reg = solve_regularized_vi(paper_game, sched.eps(T))
-    assert np.linalg.norm(traj[-1].a - reg.primal.flat) <= 0.01
-    assert np.linalg.norm(traj[-1].a - paper_solution.primal.flat) <= 2.0 * sched.eps(T)
+    assert np.linalg.norm(mus[-1] - reg.primal.flat) <= 0.01
+    assert np.linalg.norm(mus[-1] - paper_solution.primal.flat) <= 2.0 * sched.eps(T)
