@@ -50,7 +50,6 @@ from .harness import (
 from .learner import (
     DivergenceError,
     PayoffEnvironment,
-    TrajectoryRecord,
     checkpoints,
     run,
     two_point_estimate,

@@ -78,6 +78,9 @@ class JointAction:
     def __post_init__(self):
         self.flat.flags.writeable = False
 
+    def __reduce__(self):  # unpickling skips __post_init__, so rebuild through it
+        return JointAction, (self.flat,)
+
 
 class ConstraintSet:
     """Shared affine constraints g(a) = K a - l <= 0.
@@ -413,12 +416,11 @@ def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return direction * r[:, None]
 
 
-def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int) -> float:
-    """Estimate the strong-monotonicity constant of the pseudo-gradient.
+def _probe_pairs(game: GameSpec, num_pairs: int, radius: float, seed: int):
+    """Differences (a1 - a2, M(a1) - M(a2)) of sampled pairs in the ball.
 
-    Returns the minimum over sampled pairs of
-    <M(a1) - M(a2), a1 - a2> / ||a1 - a2||^2; a value <= 0 means the
-    sampled pairs violate strong monotonicity.
+    Draws num_pairs pairs uniformly from the ball of the given radius and
+    skips degenerate pairs, those with ||a1 - a2|| <= 1e-12.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
@@ -426,29 +428,28 @@ def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int)
     x1 = _sample_ball(rng, num_pairs, game.D, radius)
     x2 = _sample_ball(rng, num_pairs, game.D, radius)
     diff = x1 - x2
-    norms_sq = np.einsum("ij,ij->i", diff, diff)
-    keep = norms_sq > 1e-24
+    keep = np.einsum("ij,ij->i", diff, diff) > 1e-24
     if not np.any(keep):
         raise ValueError("all sampled pairs were degenerate; increase radius")
-    m_diff = game.pseudo_gradient_at(x1[keep]) - game.pseudo_gradient_at(x2[keep])
-    ratios = np.einsum("ij,ij->i", m_diff, diff[keep]) / norms_sq[keep]
+    return diff[keep], game.pseudo_gradient_at(x1[keep]) - game.pseudo_gradient_at(x2[keep])
+
+
+def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int) -> float:
+    """Estimate the strong-monotonicity constant of the pseudo-gradient.
+
+    Returns the minimum over sampled pairs of
+    <M(a1) - M(a2), a1 - a2> / ||a1 - a2||^2; a value <= 0 means the
+    sampled pairs violate strong monotonicity.
+    """
+    diff, m_diff = _probe_pairs(game, num_pairs, radius, seed)
+    ratios = np.einsum("ij,ij->i", m_diff, diff) / np.einsum("ij,ij->i", diff, diff)
     return float(ratios.min())
 
 
 def probe_lipschitz(game: GameSpec, num_pairs: int, radius: float, seed: int) -> float:
     """Estimate the Lipschitz constant: max of ||M(a1)-M(a2)|| / ||a1-a2||."""
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    x1 = _sample_ball(rng, num_pairs, game.D, radius)
-    x2 = _sample_ball(rng, num_pairs, game.D, radius)
-    diff = x1 - x2
-    norms = np.linalg.norm(diff, axis=1)
-    keep = norms > 1e-12  # degenerate pairs are skipped
-    if not np.any(keep):
-        raise ValueError("all sampled pairs were degenerate; increase radius")
-    m_diff = game.pseudo_gradient_at(x1[keep]) - game.pseudo_gradient_at(x2[keep])
-    return float((np.linalg.norm(m_diff, axis=1) / norms[keep]).max())
+    diff, m_diff = _probe_pairs(game, num_pairs, radius, seed)
+    return float((np.linalg.norm(m_diff, axis=1) / np.linalg.norm(diff, axis=1)).max())
 
 
 # -- builtin game families ---------------------------------------------------

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .games import GameSpec, resolve_game
-from .learner import TrajectoryRecord, _resolve_reference, run
+from . import oracles
+from .games import GameSpec, QuadraticGame, resolve_game
+from .learner import checkpoints, run
 from .schedules import Schedules
 
 __all__ = [
@@ -60,7 +61,11 @@ class ExperimentConfig:
 
 @dataclass
 class MetricsTable:
-    """Per-checkpoint aggregate statistics across seeds, plus the raw records."""
+    """Per-checkpoint aggregate statistics across seeds, plus the per-seed errors.
+
+    Row r of err_primal_sq and err_dual_sq (seeds, checkpoints) belongs to
+    seeds[r], in seed-list order as in the raw CSV.
+    """
 
     label: str
     t: np.ndarray
@@ -69,7 +74,9 @@ class MetricsTable:
     mean_err_dual_sq: np.ndarray
     sem_err_dual_sq: np.ndarray
     num_seeds: int
-    records: list[TrajectoryRecord] = field(default_factory=list, repr=False)
+    seeds: list[int] = field(default_factory=list)
+    err_primal_sq: np.ndarray | None = field(default=None, repr=False)
+    err_dual_sq: np.ndarray | None = field(default=None, repr=False)
     raw_csv: Path | None = None
     agg_csv: Path | None = None
 
@@ -78,15 +85,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_raw_csv(records: list[TrajectoryRecord], path: Path):
+def write_raw_csv(table: MetricsTable, path: Path, sched: Schedules):
+    """One row per seed and checkpoint, with the schedule values of that step."""
+    steps = [(str(int(t)), _fmt(sched.gamma(int(t))), _fmt(sched.eps(int(t))),
+              _fmt(sched.sigma(int(t)))) for t in table.t]
     lines = [RAW_HEADER]
-    for rec in records:
-        for j in range(rec.t.shape[0]):
-            lines.append(",".join([
-                str(int(rec.t[j])), str(rec.seed),
-                _fmt(rec.err_primal_sq[j]), _fmt(rec.err_dual_sq[j]),
-                _fmt(rec.gamma[j]), _fmt(rec.eps[j]), _fmt(rec.sigma[j]),
-            ]))
+    for seed, ep, ed in zip(table.seeds, table.err_primal_sq, table.err_dual_sq):
+        for (t, gamma, eps, sigma), p, d in zip(steps, ep, ed):
+            lines.append(",".join([t, str(seed), _fmt(p), _fmt(d), gamma, eps, sigma]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -102,27 +108,46 @@ def write_aggregate_csv(table: MetricsTable, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _aggregate(label: str, records: list[TrajectoryRecord]) -> MetricsTable:
+def _reference(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reference point (a*, lam*) of the error metrics.
+
+    The exact v-GNE for a quadratic game; NaN vectors, and so NaN errors,
+    for any other game.
+    """
+    if isinstance(game, QuadraticGame):
+        sol = oracles.solve_vgne(game)
+        return sol.primal.flat, sol.dual
+    return np.full(game.D, np.nan), np.full(game.constraints.num_constraints, np.nan)
+
+
+def _sq_dists(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """||p - ref||^2 for each point of a (seeds, checkpoints, dim) stack.
+
+    One dot per point: a row-wise reduction rounds differently.
+    """
+    return np.array([[float(d @ d) for d in row - ref] for row in points])
+
+
+def _aggregate(label: str, seeds: list[int], t: np.ndarray, mus: np.ndarray,
+               lams: np.ndarray, reference) -> MetricsTable:
+    """Per-seed squared errors of the iterates and their mean and sem over seeds."""
+    ep, ed = _sq_dists(mus, reference[0]), _sq_dists(lams, reference[1])
     # canonical seed order makes the reduction invariant to seed-list shuffles
-    records = sorted(records, key=lambda rec: rec.seed)
-    grid = records[0].t
-    for rec in records[1:]:
-        if not np.array_equal(rec.t, grid):
-            raise RuntimeError("runs produced different checkpoint grids")
-    ep = np.stack([rec.err_primal_sq for rec in records])  # (seeds, checkpoints)
-    ed = np.stack([rec.err_dual_sq for rec in records])
-    k = len(records)
-    sem_p = ep.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(grid.shape[0])
-    sem_d = ed.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(grid.shape[0])
+    order = np.argsort(seeds, kind="stable")
+    ep_sorted, ed_sorted, k = ep[order], ed[order], len(seeds)
+    sem_p = ep_sorted.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(t.shape[0])
+    sem_d = ed_sorted.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(t.shape[0])
     return MetricsTable(
         label=label,
-        t=grid,
-        mean_err_primal_sq=ep.mean(axis=0),
+        t=t,
+        mean_err_primal_sq=ep_sorted.mean(axis=0),
         sem_err_primal_sq=sem_p,
-        mean_err_dual_sq=ed.mean(axis=0),
+        mean_err_dual_sq=ed_sorted.mean(axis=0),
         sem_err_dual_sq=sem_d,
         num_seeds=k,
-        records=records,
+        seeds=seeds,
+        err_primal_sq=ep,
+        err_dual_sq=ed,
     )
 
 
@@ -131,10 +156,11 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
 
     All seeds step together through one batched learner run; with
     cfg.workers = k > 1 the seed list is cut into k contiguous slices, one
-    batched run each in a process pool. A seed's record does not depend on
+    batched run each in a process pool. A seed's iterates do not depend on
     its batch, and the aggregate is a reduction in sorted seed order, so the
-    CSV bytes do not depend on the worker count. The output directory is
-    validated before any run starts.
+    CSV bytes do not depend on the worker count. The errors are squared
+    distances of the iterates to one reference per experiment. The output
+    directory is validated before any run starts.
     """
     game = resolve_game(cfg.game) if isinstance(cfg.game, str) else cfg.game
 
@@ -145,25 +171,25 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
         if not os.access(outdir, os.W_OK):
             raise PermissionError(f"output directory {outdir} is not writable")
 
-    reference = _resolve_reference(game, None)  # one exact solve serves every seed
+    reference = _reference(game)  # one exact solve serves every seed
     learn = functools.partial(run, game, cfg.schedules, cfg.T,
                               record_every=cfg.record_every,
-                              allow_invalid_schedules=cfg.allow_invalid_schedules,
-                              reference=reference)
+                              allow_invalid_schedules=cfg.allow_invalid_schedules)
     k = min(cfg.workers, len(cfg.seeds))
     if k > 1:
         cuts = [len(cfg.seeds) * j // k for j in range(k + 1)]
         batches = [cfg.seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=k) as pool:
-            records = [rec for batch in pool.map(learn, batches) for rec in batch]
+            mus, lams = (np.concatenate(parts) for parts in zip(*pool.map(learn, batches)))
     else:
-        records = learn(cfg.seeds)
+        mus, lams = learn(cfg.seeds)
 
-    table = _aggregate(cfg.label, records)
+    table = _aggregate(cfg.label, cfg.seeds, checkpoints(cfg.T, cfg.record_every),
+                       mus, lams, reference)
     if outdir is not None:
         table.raw_csv = outdir / f"{cfg.label}_raw.csv"
         table.agg_csv = outdir / f"{cfg.label}_agg.csv"
-        write_raw_csv(records, table.raw_csv)
+        write_raw_csv(table, table.raw_csv, cfg.schedules)
         write_aggregate_csv(table, table.agg_csv)
     return table
 

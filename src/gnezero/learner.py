@@ -9,27 +9,21 @@ primal-dual step with a vanishing Tikhonov term on the dual block. No
 gradients and no constraint data cross the feedback boundary. `run` is the
 one implementation of the iteration and steps every seed of an experiment
 together, one payoff batch per step; there is no separate sampling or
-single-step API.
+single-step API. It returns iterates only: no reference solution reaches the
+learner, and the harness measures the errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .augmented import _projected_step, _start_point
-from .games import GameSpec, QuadraticGame
-from .schedules import ScheduleError, ScheduleReport, Schedules, validate_schedules
+from .games import GameSpec
+from .schedules import ScheduleError, Schedules, validate_schedules
 
 __all__ = [
     "DivergenceError",
     "PayoffEnvironment",
-    "TrajectoryRecord",
-    "Schedules",
-    "ScheduleReport",
-    "ScheduleError",
-    "validate_schedules",
     "two_point_estimate",
     "run",
     "checkpoints",
@@ -128,40 +122,6 @@ def checkpoints(T: int, record_every) -> np.ndarray:
     return ts[(ts >= 1) & (ts <= T)]
 
 
-@dataclass
-class TrajectoryRecord:
-    """Recorded metrics of one seeded run.
-
-    Row j holds the state after completing iteration t[j]: the squared
-    distances of the means and of the dual to the reference solution, and
-    the schedule values used at that iteration.
-    """
-
-    seed: int
-    t: np.ndarray
-    err_primal_sq: np.ndarray
-    err_dual_sq: np.ndarray
-    gamma: np.ndarray
-    eps: np.ndarray
-    sigma: np.ndarray
-    final_mu: np.ndarray
-    final_lam: np.ndarray
-    schedules: Schedules
-    game_name: str = ""
-
-
-def _resolve_reference(game: GameSpec, reference):
-    if reference is None:
-        if isinstance(game, QuadraticGame):
-            from .oracles import solve_vgne
-
-            sol = solve_vgne(game)
-            return sol.primal.flat, sol.dual
-        return None
-    a_ref, lam_ref = reference
-    return np.asarray(a_ref, dtype=float).reshape(-1), np.asarray(lam_ref, dtype=float).reshape(-1)
-
-
 def run(
     game: GameSpec,
     sched: Schedules,
@@ -171,21 +131,20 @@ def run(
     mu0=None,
     lam0=None,
     allow_invalid_schedules: bool = False,
-    reference=None,
-) -> list[TrajectoryRecord]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the payoff-based iteration for T steps, one seeded run per entry of seeds.
 
     Every seed starts at (mu0, lam0) and draws its samples from its own
-    default_rng(seed) stream, so a seed's record does not depend on which
+    default_rng(seed) stream, so a seed's iterates do not depend on which
     other seeds share the call. The loop touches the game only through a
     PayoffEnvironment: per step it samples one joint action
     a_r ~ N(mu_r, sigma_t^2 I) per seed, obtains every player's payoff at the
     (R, 2, D) stack of [a_r; mu_r] pairs and the constraint values in one
     call, and applies the projected primal-dual step with the two-point
     estimate as the primal direction and eps_t * lam_r - g(a_r) as the dual
-    one. The reference solution (computed by the exact oracle for quadratic
-    games, or supplied explicitly) is used only to record error metrics.
-    Returns one record per seed, in seed-list order.
+    one. Returns the iterates mus (R, k, D) and lams (R, k, n), row r for
+    seeds[r] and column j for the state after step checkpoints(T,
+    record_every)[j].
 
     Raises ScheduleError when the schedule exponents are invalid, unless
     allow_invalid_schedules is set, and DivergenceError when a checkpoint
@@ -203,13 +162,6 @@ def run(
             "schedules violate validity conditions: " + ", ".join(report.failing())
         )
 
-    ref = _resolve_reference(game, reference)
-    if ref is None:
-        a_ref = np.full(game.D, np.nan)
-        lam_ref = np.full(game.constraints.num_constraints, np.nan)
-    else:
-        a_ref, lam_ref = ref
-
     env = PayoffEnvironment(game)
     R, D = len(seeds), game.D
     block_of = np.repeat(np.arange(game.num_players), game.dims)
@@ -218,10 +170,10 @@ def run(
     mu = np.tile(mu, (R, 1))  # (R, D), one row per seed
     lam = np.tile(lam, (R, 1))  # (R, n)
 
-    record_at = set(checkpoints(T, record_every).tolist())
-    rows_t, rows_g, rows_e, rows_s = [], [], [], []
-    rows_ep = [[] for _ in seeds]
-    rows_ed = [[] for _ in seeds]
+    ts = checkpoints(T, record_every).tolist()
+    mus = np.empty((R, len(ts), D))
+    lams = np.empty((R, len(ts), lam.shape[1]))
+    j = 0  # the next checkpoint; the last one is T, so ts[j] exists while t <= T
 
     # overflow shows as a non-finite iterate, which a checkpoint reports
     # as a DivergenceError
@@ -244,35 +196,11 @@ def run(
                 U = U.take(block_of, axis=2)  # each player's payoff on each of its coordinates
                 m = two_point_estimate(U[:, 0], U[:, 1], a, mu, sigma)
                 mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - g[:, 0])
-                if t in record_at:
+                if t == ts[j]:
                     finite = np.isfinite(mu).all(axis=1) & np.isfinite(lam).all(axis=1)
                     if not finite.all():
                         raise DivergenceError(seeds[int(np.argmin(finite))], t,
-                                              rows_t[-1] if rows_t else None)
-                    rows_t.append(t)
-                    rows_g.append(gamma)
-                    rows_e.append(eps)
-                    rows_s.append(sigma)
-                    for r in range(R):
-                        # one dot per seed: a row-wise reduction rounds differently
-                        d_mu = mu[r] - a_ref
-                        d_lam = lam[r] - lam_ref
-                        rows_ep[r].append(float(d_mu @ d_mu))
-                        rows_ed[r].append(float(d_lam @ d_lam))
-
-    return [
-        TrajectoryRecord(
-            seed=seed,
-            t=np.asarray(rows_t, dtype=np.int64),
-            err_primal_sq=np.asarray(rows_ep[r]),
-            err_dual_sq=np.asarray(rows_ed[r]),
-            gamma=np.asarray(rows_g),
-            eps=np.asarray(rows_e),
-            sigma=np.asarray(rows_s),
-            final_mu=mu[r].copy(),
-            final_lam=lam[r].copy(),
-            schedules=sched,
-            game_name=game.name,
-        )
-        for r, seed in enumerate(seeds)
-    ]
+                                              ts[j - 1] if j else None)
+                    mus[:, j], lams[:, j] = mu, lam
+                    j += 1
+    return mus, lams

@@ -18,6 +18,7 @@ import numpy as np
 
 from .augmented import _operator, _projected_step, _start_point
 from .games import GameSpec, JointAction, QuadraticGame
+from .learner import checkpoints
 
 __all__ = [
     "OracleSolution",
@@ -252,17 +253,20 @@ def first_order_trajectory(
 
     Runs `run`'s primal-dual update from the same checked start point, with
     the true extended pseudo-gradient in place of the sampled estimate and
-    without any action sampling. Returns the recorded points as arrays mus
-    (k, D) and lams (k, n), always including the initial and final ones.
+    without any action sampling. Returns the start point followed by the
+    points after the steps checkpoints(T, record_every), as arrays mus (k, D)
+    and lams (k, n); at T = 0 only the start point.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
+    # max(T, 1): at T = 0 the call only validates record_every
+    record_at = set(checkpoints(max(T, 1), record_every).tolist())
     mu, lam = _start_point(game, mu0, lam0)
     mus, lams = [mu], [lam]
     for t in range(1, T + 1):
         # simultaneous update: both blocks read the same current point
         mu, lam = _projected_step(mu, lam, sched.gamma(t), *_operator(game, mu, lam, sched.eps(t)))
-        if t % record_every == 0 or t == T:
+        if t in record_at:
             mus.append(mu)
             lams.append(lam)
     return np.array(mus), np.array(lams)

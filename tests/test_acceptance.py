@@ -20,8 +20,8 @@ from gnezero.diagnostics import (
 )
 from gnezero.games import paper_example, random_quadratic_game, softplus_game
 from gnezero.harness import ExperimentConfig, fit_rate, run_experiment
-from gnezero.learner import Schedules, validate_schedules
 from gnezero.oracles import solve_regularized_vi, solve_vgne
+from gnezero.schedules import Schedules, validate_schedules
 
 SEEDS = list(range(20))
 

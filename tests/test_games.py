@@ -299,3 +299,5 @@ def test_pickle_round_trip(build):
         assert np.array_equal(clone.pseudo_gradient(x), obj.pseudo_gradient(x))
     else:
         assert repr(clone) == repr(obj)
+        # the primal stays read-only through the round trip
+        assert not getattr(clone, "primal", clone).flat.flags.writeable

@@ -78,6 +78,24 @@ def test_reference_solved_once_per_experiment(monkeypatch):
     assert len(calls) == 1
 
 
+def test_nonquadratic_game_has_nan_errors_and_finite_iterates(tmp_path):
+    # no oracle reference exists for softplus-ridge, so every error is NaN,
+    # while the learner's own iterates stay finite
+    from gnezero.games import resolve_game
+    from gnezero.learner import run
+
+    game = resolve_game("softplus-ridge")
+    table = run_experiment(ExperimentConfig(game=game, schedules=Schedules(), T=20,
+                                            seeds=[0], outdir=tmp_path, label="sp"))
+    for column in (table.err_primal_sq, table.err_dual_sq,
+                   table.mean_err_primal_sq, table.mean_err_dual_sq):
+        assert np.all(np.isnan(column))
+    raw = np.genfromtxt(tmp_path / "sp_raw.csv", delimiter=",", names=True)
+    assert np.all(np.isnan(raw["err_primal_sq"])) and np.all(raw["sigma"] > 0)
+    mus, lams = run(game, Schedules(), 20, seeds=[0])
+    assert np.all(np.isfinite(mus)) and np.all(np.isfinite(lams))
+
+
 def test_aggregation_permutation_invariant():
     base = ExperimentConfig(game="paper-example", schedules=Schedules(), T=40,
                             seeds=[1, 2, 3, 4])

@@ -1,4 +1,7 @@
+import ast
+import csv
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +17,11 @@ from gnezero.harness import ExperimentConfig, run_experiment
 from gnezero.learner import (
     DivergenceError,
     PayoffEnvironment,
-    ScheduleError,
-    Schedules,
     checkpoints,
     run,
     two_point_estimate,
-    validate_schedules,
 )
+from gnezero.schedules import ScheduleError, Schedules, validate_schedules
 
 
 @pytest.fixture
@@ -168,45 +169,45 @@ def test_two_point_estimate_unbiased_for_quadratic(paper_game):
 
 def test_step_zero_gamma_freezes_point(paper_game):
     sched = Schedules(G=0.0, g=4 / 7, E=1.0, e=2 / 7, S=1.0, s=4 / 7)
-    rec = run(paper_game, sched, 5, seeds=[0], mu0=[0.5, -0.5], lam0=[0.3])[0]
-    assert np.array_equal(rec.final_mu, [0.5, -0.5])
-    assert np.array_equal(rec.final_lam, [0.3])
+    mus, lams = run(paper_game, sched, 5, seeds=[0], mu0=[0.5, -0.5], lam0=[0.3])
+    assert np.array_equal(mus[0, -1], [0.5, -0.5])
+    assert np.array_equal(lams[0, -1], [0.3])
 
 
 def test_step_interior_zero_dual_is_fixed_point(feedback_log):
     # the constraint a1 + a2 <= 10 is slack at every sampled point
-    rec = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seeds=[0], mu0=[0.1, 0.1])[0]
+    _, lams = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seeds=[0], mu0=[0.1, 0.1])
     assert all(np.all(g[:, 0] < 0) for *_, g in feedback_log)
-    assert rec.final_lam == pytest.approx([0.0])
+    assert lams[0, -1] == pytest.approx([0.0])
 
 
 def test_step_dual_projection_hand_case():
     # g = 0 a - 2 = -2 everywhere: lam - gamma * (-g + eps lam) = 0.5 - (2 + 0.05)
     # projects to 0
     sched = Schedules(G=1.0, g=4 / 7, E=0.1, e=0.0, S=1.0, s=4 / 7)
-    rec = run(scalar_game([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0], lam0=[0.5],
-              allow_invalid_schedules=True)[0]
-    assert rec.final_lam == pytest.approx([0.0])
+    _, lams = run(scalar_game([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0], lam0=[0.5],
+                  allow_invalid_schedules=True)
+    assert lams[0, -1] == pytest.approx([0.0])
 
 
 def test_step_uses_two_point_estimate(feedback_log):
     sched = Schedules(G=1.0, g=0.0, E=1.0, e=0.0, S=1.0, s=0.0)  # all params 1 at t=1
-    rec = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0],
-              allow_invalid_schedules=True)[0]
+    mus, _ = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0],
+                 allow_invalid_schedules=True)
     [([(a, mu)], lam, [U], g)] = feedback_log  # one seed in the batch
     assert np.array_equal(mu, [0.0, 0.0])
     # m = du * (a - mu) / sigma^2, one block per player
     m = (U[0] - U[1]) * a
-    assert rec.final_mu == pytest.approx(-m, rel=1e-15)
+    assert mus[0, -1] == pytest.approx(-m, rel=1e-15)
 
 
 # -- run ----------------------------------------------------------------------------
 
 
 def test_run_single_step_trajectory(paper_game):
-    rec = run(paper_game, Schedules(), 1, seeds=[0])[0]
-    assert rec.t.tolist() == [1]
-    assert rec.err_primal_sq.shape == (1,)
+    mus, lams = run(paper_game, Schedules(), 1, seeds=[0])
+    assert mus.shape == (1, 1, 2)  # one seed, one checkpoint (t = 1)
+    assert lams.shape == (1, 1, 1)
 
 
 def test_run_matches_manual_step_loop(paper_game, feedback_log):
@@ -218,34 +219,31 @@ def test_run_matches_manual_step_loop(paper_game, feedback_log):
                             (paper_game, [0.5, -0.2], [0.3]),
                             (random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2),
                              [0.3, -0.1, 0.2, 0.5, -0.4], [0.2, 0.0])]:
-        recs = run(game, sched, T, seeds=seeds, record_every=1, mu0=mu0, lam0=lam0)
-        assert [rec.seed for rec in recs] == seeds
-        for rec in recs:
-            mu, lam = reference_run(game, sched, T, seed=rec.seed, mu0=mu0, lam0=lam0)
-            assert np.array_equal(mu, rec.final_mu)
-            assert np.array_equal(lam, rec.final_lam)
+        mus, lams = run(game, sched, T, seeds=seeds, record_every=1, mu0=mu0, lam0=lam0)
+        assert mus.shape[:2] == lams.shape[:2] == (len(seeds), T)
+        for r, seed in enumerate(seeds):  # rows in seed-list order
+            mu, lam = reference_run(game, sched, T, seed=seed, mu0=mu0, lam0=lam0)
+            assert np.array_equal(mu, mus[r, -1])
+            assert np.array_equal(lam, lams[r, -1])
     assert all(np.all(lam >= 0.0) for _, lam, _, _ in feedback_log)
 
 
 def test_run_record_does_not_depend_on_batch():
-    # a seed's record is byte-equal alone and inside a batch of neighbours
+    # a seed's iterates are byte-equal alone and inside a batch of neighbours
     game = random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2)
     kw = dict(record_every=1, mu0=[0.3, -0.1, 0.2, 0.5, -0.4], lam0=[0.2, 0.0])
     s = 21
-    [alone] = run(game, Schedules(), 300, seeds=[s], **kw)
-    inside = run(game, Schedules(), 300, seeds=[s - 1, s, s + 1], **kw)[1]
-    assert inside.seed == alone.seed == s
-    for column in ("t", "err_primal_sq", "err_dual_sq", "gamma", "eps", "sigma",
-                   "final_mu", "final_lam"):
-        x, y = getattr(alone, column), getattr(inside, column)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), column
+    alone = run(game, Schedules(), 300, seeds=[s], **kw)
+    inside = run(game, Schedules(), 300, seeds=[s - 1, s, s + 1], **kw)
+    for x, y in zip(alone, inside):
+        assert x.dtype == y.dtype and x[0].tobytes() == y[1].tobytes()
 
 
 def test_run_is_deterministic(paper_game):
-    r1 = run(paper_game, Schedules(), 300, seeds=[5])[0]
-    r2 = run(paper_game, Schedules(), 300, seeds=[5])[0]
-    assert np.array_equal(r1.err_primal_sq, r2.err_primal_sq)
-    assert np.array_equal(r1.final_mu, r2.final_mu)
+    mus1, lams1 = run(paper_game, Schedules(), 300, seeds=[5])
+    mus2, lams2 = run(paper_game, Schedules(), 300, seeds=[5])
+    assert np.array_equal(mus1, mus2)
+    assert np.array_equal(lams1, lams2)
 
 
 def test_run_rejects_invalid_schedules(paper_game):
@@ -253,17 +251,23 @@ def test_run_rejects_invalid_schedules(paper_game):
     with pytest.raises(ScheduleError) as exc:
         run(paper_game, bad, 10, seeds=[0])
     assert "g>1/2" in str(exc.value)
-    rec = run(paper_game, bad, 10, seeds=[0], allow_invalid_schedules=True)[0]
-    assert rec.t.shape[0] > 0
+    mus, _ = run(paper_game, bad, 10, seeds=[0], allow_invalid_schedules=True)
+    assert mus.shape[1] > 0
 
 
-def test_run_schedule_columns(paper_game):
+def test_run_schedule_columns(paper_game, tmp_path):
+    # the raw CSV carries the schedule values of each checkpoint step
     sched = Schedules()
-    rec = run(paper_game, sched, 50, seeds=[1], record_every=10)[0]
-    for j, t in enumerate(rec.t):
-        assert rec.gamma[j] == pytest.approx(sched.gamma(int(t)))
-        assert rec.eps[j] == pytest.approx(sched.eps(int(t)))
-        assert rec.sigma[j] == pytest.approx(sched.sigma(int(t)))
+    run_experiment(ExperimentConfig(game=paper_game, schedules=sched, T=50, seeds=[1],
+                                    record_every=10, outdir=tmp_path, label="cols"))
+    with open(tmp_path / "cols_raw.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["t"]) for row in rows] == [10, 20, 30, 40, 50]
+    for row in rows:
+        t = int(row["t"])
+        assert float(row["gamma"]) == pytest.approx(sched.gamma(t))
+        assert float(row["eps"]) == pytest.approx(sched.eps(t))
+        assert float(row["sigma"]) == pytest.approx(sched.sigma(t))
 
 
 def test_checkpoints_grids():
@@ -285,8 +289,8 @@ def test_update_decomposition_identity(paper_game, feedback_log):
     l = paper_game.constraints.l
     for trial in range(20):
         t = int(rng.integers(1, 50))
-        rec = run(paper_game, sched, t, seeds=[trial], mu0=rng.normal(size=2),
-                  lam0=np.abs(rng.normal(size=1)))[0]
+        mus, lams = run(paper_game, sched, t, seeds=[trial], mu0=rng.normal(size=2),
+                        lam0=np.abs(rng.normal(size=1)))
         [(a, mu)], [lam], [U], _ = feedback_log[-1]  # the last step, taken at t
 
         gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
@@ -295,11 +299,11 @@ def test_update_decomposition_identity(paper_game, feedback_log):
             [du[0] * (a[0] - mu[0]) / (sigma * sigma)],
             [du[1] * (a[1] - mu[1]) / (sigma * sigma)],
         ])
-        assert np.array_equal(rec.final_mu, mu - gamma * m)
+        assert np.array_equal(mus[0, -1], mu - gamma * m)
 
         S = K @ (mu - a)
         lam_expected = np.maximum(lam - gamma * (-(K @ mu) + S + l + eps * lam), 0.0)
-        assert rec.final_lam == pytest.approx(lam_expected, abs=1e-12)
+        assert lams[0, -1] == pytest.approx(lam_expected, abs=1e-12)
 
 
 def test_second_moment_growth_is_at_most_quadratic(paper_game):
@@ -347,19 +351,15 @@ def test_run_checks_start_point_length(paper_game, kw):
         run(paper_game, Schedules(), 5, seeds=[0], **kw)
 
 
-def test_run_with_custom_reference(paper_game):
-    rec = run(paper_game, Schedules(), 20, seeds=[0],
-              reference=(np.array([0.0, 1.0]), np.array([1.0])))[0]
-    assert np.all(np.isfinite(rec.err_primal_sq))
+def test_learner_never_imports_the_oracle():
+    # the learner sees payoff values only; the reference belongs to the harness
+    import gnezero.learner
 
-
-def test_run_nonquadratic_game_without_reference():
-    from gnezero.games import softplus_game
-
-    game = softplus_game(0)
-    rec = run(game, Schedules(), 20, seeds=[0])[0]
-    assert np.all(np.isnan(rec.err_primal_sq))  # no oracle reference available
-    assert np.all(rec.sigma > 0)
+    tree = ast.parse(Path(gnezero.learner.__file__).read_text())
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert imported and not [name for name in imported if "oracles" in name]
 
 
 # -- divergence ---------------------------------------------------------------------

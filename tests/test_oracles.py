@@ -13,7 +13,7 @@ from gnezero.games import (
     random_quadratic_game,
     softplus_game,
 )
-from gnezero.learner import Schedules, run
+from gnezero.learner import checkpoints, run
 from gnezero.oracles import (
     OracleSolution,
     first_order_trajectory,
@@ -21,6 +21,7 @@ from gnezero.oracles import (
     solve_vgne,
     solve_vi_extragradient,
 )
+from gnezero.schedules import Schedules
 
 
 def test_paper_game_equilibrium(paper_game, paper_solution):
@@ -288,6 +289,21 @@ def test_first_order_trajectory_record_shapes():
     assert lams.shape == (5, game.constraints.num_constraints)
 
 
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_first_order_trajectory_rejects_bad_record_every(paper_game, record_every):
+    with pytest.raises(ValueError):
+        first_order_trajectory(paper_game, Schedules(), 5, record_every=record_every)
+
+
+def test_first_order_trajectory_records_the_run_checkpoints(paper_game):
+    # the start point, then the points after the steps that run records
+    T = 40
+    every, _ = first_order_trajectory(paper_game, Schedules(), T)
+    for record_every in (7, "log"):
+        mus, _ = first_order_trajectory(paper_game, Schedules(), T, record_every=record_every)
+        assert np.array_equal(mus, every[np.r_[0, checkpoints(T, record_every)]])
+
+
 def test_first_order_dual_iterates_nonnegative(paper_game):
     _, lams = first_order_trajectory(paper_game, Schedules(), 500)
     assert np.all(lams >= 0)
@@ -307,8 +323,9 @@ def test_first_order_beats_payoff_based_run(paper_game, paper_solution):
     T = 10_000
     mus, _ = first_order_trajectory(paper_game, Schedules(), T, record_every=T)
     fo_err = float(np.sum((mus[-1] - paper_solution.primal.flat) ** 2))
-    zo = run(paper_game, Schedules(), T, seeds=[0])[0]
-    zo_err = float(zo.err_primal_sq[-1])
+    zo_mus, _ = run(paper_game, Schedules(), T, seeds=[0])
+    d = zo_mus[0, -1] - paper_solution.primal.flat
+    zo_err = float(d @ d)
     assert fo_err <= zo_err
 
 
