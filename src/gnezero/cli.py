@@ -58,6 +58,8 @@ def _oracle_csv_lines(sol) -> list[str]:
 
 def cmd_oracle(args) -> int:
     game = resolve_game(args.game)
+    if not isinstance(game, QuadraticGame):
+        raise ValueError(f"{args.game} is not a quadratic game; the exact oracle needs one")
     if args.eps is not None:
         sol = solve_regularized_vi(game, args.eps, tol=args.tol)
         kind = f"regularized solution at eps={args.eps:g}"
@@ -296,8 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input (a flag value, a missing or malformed file) exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"gnezero {args.command}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Game definitions: costs, pseudo-gradients, and shared affine constraints.
 
 A game couples N players through a joint action a = [a^1, ..., a^N] in R^D
-and through a shared feasible set C = {a : K a <= l}. Costs are either black
-boxes (arbitrary callables on R^D) or members of structured families
-(quadratic, quadratic plus a sharp softplus ridge) that expose exact
-pseudo-gradients and exact strong-monotonicity / Lipschitz constants.
+and through a shared feasible set C = {a : K a <= l}. Every game belongs to
+one of two families, quadratic costs or quadratic costs plus a sharp softplus
+ridge. Each family writes its batched costs and its exact pseudo-gradient once,
+on arrays of joint actions. The quadratic family also has exact
+strong-monotonicity and Lipschitz constants; the ridge family probes them.
+The learner still sees the costs only as payoff values, through costs_at.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -61,6 +62,14 @@ def _as_flat(a, expected: int, what: str = "action") -> np.ndarray:
     if vec.shape[0] != expected:
         raise DimensionMismatchError(what, expected, vec.shape[0])
     return vec
+
+
+def _as_points(points, expected: int) -> np.ndarray:
+    """Coerce a point (D,) or a batch (..., D) to a float array with last axis D."""
+    arr = np.asarray(points, dtype=float)
+    if arr.shape[-1:] != (expected,):
+        raise DimensionMismatchError("points", expected, arr.shape[-1] if arr.ndim else 0)
+    return arr
 
 
 def block_slices(dims: Sequence[int]) -> tuple[slice, ...]:
@@ -147,17 +156,17 @@ class ConstraintSet:
 
 
 class GameSpec:
-    """An N-player game with black-box cost callables and shared constraints.
+    """The part every game family shares: player blocks, shared constraints, constants.
 
-    Player indices are 0-based. Each cost callable maps a flat joint action
-    in R^D to a scalar and must be defined on all of R^D. All state is fixed
-    at construction; instances are safe to share across threads.
+    Player indices are 0-based. A family defines the batched cost
+    `_costs(points)` on (P, D) rows, returning (P, N), and the exact
+    `pseudo_gradient(points)` on a point (D,) or a batch (P, D). All state is
+    fixed at construction; instances are safe to share across threads.
     """
 
     def __init__(
         self,
         dims: Sequence[int],
-        costs: Sequence[Callable[[np.ndarray], float]],
         constraints: ConstraintSet,
         nu: float | None = None,
         lipschitz: float | None = None,
@@ -168,11 +177,6 @@ class GameSpec:
             raise ValueError(f"player dimensions must be positive, got {self.dims}")
         self.num_players = len(self.dims)
         self.D = int(sum(self.dims))
-        if len(costs) != self.num_players:
-            raise GameConfigError(
-                f"need {self.num_players} cost evaluators, got {len(costs)}"
-            )
-        self._costs = list(costs)
         if constraints.dim != self.D:
             raise DimensionMismatchError("constraint matrix K columns", self.D, constraints.dim)
         self.constraints = constraints
@@ -183,57 +187,19 @@ class GameSpec:
         self._probed_nu = None
         self._probed_lipschitz = None
 
-    # -- cost evaluation ---------------------------------------------------
-
-    def _check_player(self, i: int):
-        if not (0 <= i < self.num_players):
-            raise IndexError(f"player index {i} out of range [0, {self.num_players})")
-
-    def cost(self, i: int, a) -> float:
-        self._check_player(i)
-        return float(self._costs[i](_as_flat(a, self.D)))
-
     def costs_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every player's cost at each row of `points`; returns (P, N)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.D:
             raise DimensionMismatchError("points", self.D, points.shape[1])
-        return self._costs_batch_unchecked(points)
+        return self._costs(points)
 
-    def _costs_batch_unchecked(self, points: np.ndarray) -> np.ndarray:
-        # hot-loop entry point: callers guarantee a (P, D) float array
-        out = np.empty((points.shape[0], self.num_players))
-        for i, f in enumerate(self._costs):
-            for p in range(points.shape[0]):
-                out[p, i] = f(points[p])
-        return out
-
-    # -- pseudo-gradient ---------------------------------------------------
-
-    def pseudo_gradient(self, a) -> np.ndarray:
+    def pseudo_gradient(self, points) -> np.ndarray:
         """Stacked per-player partial gradients, block i = dJ^i/da^i.
 
-        Black-box costs are differentiated by central finite differences with
-        step 1e-6 * (1 + ||a||); structured subclasses override with exact
-        formulas.
+        Takes a point (D,) or a batch (P, D) and returns the same shape.
         """
-        vec = _as_flat(a, self.D)
-        h = 1e-6 * (1.0 + float(np.linalg.norm(vec)))
-        out = np.empty(self.D)
-        for i, sl in enumerate(self.slices):
-            f = self._costs[i]
-            for k in range(sl.start, sl.stop):
-                ap = vec.copy()
-                am = vec.copy()
-                ap[k] += h
-                am[k] -= h
-                out[k] = (f(ap) - f(am)) / (2.0 * h)
-        return out
-
-    def pseudo_gradient_at(self, points: np.ndarray) -> np.ndarray:
-        """Pseudo-gradient at each row of `points`; returns (P, D)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.stack([self.pseudo_gradient(p) for p in points])
+        raise NotImplementedError(f"{type(self).__name__} defines no pseudo-gradient")
 
     # -- regularity constants ----------------------------------------------
 
@@ -260,40 +226,39 @@ class GameSpec:
         )
 
 
-def _affine_pseudo_gradient(A: np.ndarray, b: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
-    """(P, q) of the pseudo-gradient P a + q of the costs 0.5 a' A_i a + b_i' a.
+def _set_quadratic_part(game, A, b, dims) -> tuple[int, ...]:
+    """Check and store the costs 0.5 a' A_i a + b_i' a on `game`; returns the dims.
 
-    The block-i rows of P are the block-i rows of the symmetrized A_i, and
-    q's block i is b_i's block i.
+    A must be (N, D, D) and b (N, D); dims None splits D evenly. Sets game.A,
+    game.b, the affine pseudo-gradient P a + q (the block-i rows of P are the
+    block-i rows of the symmetrized A_i, q's block i is b_i's block i) and
+    game._A_flat, the (N*D, D) stack used for multi-point cost evaluation.
     """
-    D = A.shape[1]
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise GameConfigError(f"A must have shape (N, D, D), got {A.shape}")
+    N, D = A.shape[0], A.shape[1]
+    if b.shape != (N, D):
+        raise GameConfigError(f"b must have shape ({N}, {D}), got {b.shape}")
+    if dims is None:
+        if D % N != 0:
+            raise GameConfigError(
+                f"cannot infer per-player dims from N={N}, D={D}; pass dims="
+            )
+        dims = tuple([D // N] * N)
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != N or sum(dims) != D:
+        raise GameConfigError(f"dims {dims} inconsistent with A of shape {A.shape}")
     P = np.empty((D, D))
     q = np.empty(D)
     for i, sl in enumerate(block_slices(dims)):
         sym = 0.5 * (A[i] + A[i].T)
         P[sl, :] = sym[sl, :]
         q[sl] = b[i, sl]
-    return P, q
-
-
-# Per-player costs are partials of module-level functions over the game's
-# own arrays: they pickle without hooks and share those arrays in the
-# pickle, and unlike costs bound to the game they form no reference cycle,
-# so a dropped game is freed at once.
-
-
-def _quadratic_cost(A: np.ndarray, b: np.ndarray, i: int, vec: np.ndarray) -> float:
-    """Player i's quadratic cost 0.5 a' A_i a + b_i' a at one point."""
-    return 0.5 * float(vec @ (A[i] @ vec)) + float(b[i] @ vec)
-
-
-def _softplus(u, beta: float):
-    return np.logaddexp(0.0, beta * u) / beta
-
-
-def _softplus_ridge_cost(A, b, W, delta, beta: float, i: int, vec: np.ndarray) -> float:
-    """Player i's quadratic cost plus delta_i * softplus_beta(w_i' a)^2 at one point."""
-    return _quadratic_cost(A, b, i, vec) + float(delta[i] * _softplus(W[i] @ vec, beta) ** 2)
+    game.A, game.b, game.P, game.q = A, b, P, q
+    game._A_flat = A.reshape(N * D, D)
+    return dims
 
 
 def _quadratic_costs(game, points: np.ndarray) -> np.ndarray:
@@ -314,47 +279,24 @@ class QuadraticGame(GameSpec):
 
     def __init__(self, A, b, constraints: ConstraintSet, dims=None,
                  name: str = "quadratic", require_monotone: bool = True):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
-            raise GameConfigError(f"A must have shape (N, D, D), got {A.shape}")
-        N, D = A.shape[0], A.shape[1]
-        if b.shape != (N, D):
-            raise GameConfigError(f"b must have shape ({N}, {D}), got {b.shape}")
-        if dims is None:
-            if D % N != 0:
-                raise GameConfigError(
-                    f"cannot infer per-player dims from N={N}, D={D}; pass dims="
-                )
-            dims = tuple([D // N] * N)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != N or sum(dims) != D:
-            raise GameConfigError(f"dims {dims} inconsistent with A of shape {A.shape}")
-        self.A = A
-        self.b = b
-        P, q = _affine_pseudo_gradient(A, b, dims)
-        self.P = P
-        self.q = q
-        sym_eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
+        dims = _set_quadratic_part(self, A, b, dims)
+        sym_eigs = np.linalg.eigvalsh(0.5 * (self.P + self.P.T))
         nu = float(sym_eigs.min())
         if require_monotone and nu <= 0:
             raise GameConfigError(
                 f"pseudo-gradient is not strongly monotone (min symmetric eigenvalue {nu:.3e})"
             )
-        L = float(np.linalg.svd(P, compute_uv=False).max())
-        costs = [functools.partial(_quadratic_cost, A, b, i) for i in range(N)]
-        super().__init__(dims, costs, constraints, nu=nu, lipschitz=L, name=name)
-        # flattened stack of A used for fast multi-point cost evaluation
-        self._A_flat = A.reshape(N * D, D)
+        L = float(np.linalg.svd(self.P, compute_uv=False).max())
+        super().__init__(dims, constraints, nu=nu, lipschitz=L, name=name)
 
-    _costs_batch_unchecked = _quadratic_costs
+    _costs = _quadratic_costs
 
-    def pseudo_gradient(self, a) -> np.ndarray:
-        return self.P @ _as_flat(a, self.D) + self.q
+    def pseudo_gradient(self, points) -> np.ndarray:
+        return _as_points(points, self.D) @ self.P.T + self.q
 
-    def pseudo_gradient_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points @ self.P.T + self.q
+
+def _softplus(u, beta: float):
+    return np.logaddexp(0.0, beta * u) / beta
 
 
 class SoftplusQuadraticGame(GameSpec):
@@ -367,45 +309,28 @@ class SoftplusQuadraticGame(GameSpec):
     """
 
     def __init__(self, dims, A, b, W, delta, beta, constraints, name="softplus"):
-        dims = tuple(int(d) for d in dims)
-        N, D = len(dims), int(sum(dims))
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        dims = _set_quadratic_part(self, A, b, dims)
+        N, D = self.A.shape[:2]
         self.W = np.asarray(W, dtype=float).reshape(N, D)
         self.delta = np.asarray(delta, dtype=float).reshape(N)
         self.beta = float(beta)
-        if self.A.shape != (N, D, D) or self.b.shape != (N, D):
-            raise GameConfigError("A/b shapes inconsistent with dims")
-        self.P, self.q = _affine_pseudo_gradient(self.A, self.b, dims)
-        costs = [functools.partial(_softplus_ridge_cost, self.A, self.b, self.W, self.delta,
-                                   self.beta, i) for i in range(N)]
-        super().__init__(dims, costs, constraints, name=name)
-        self._A_flat = self.A.reshape(N * D, D)
+        super().__init__(dims, constraints, name=name)
 
     def _softplus_prime(self, u):
         # derivative of softplus_beta(u)^2: 2 * softplus_beta(u) * sigmoid(beta u)
         sig = 0.5 * (1.0 + np.tanh(0.5 * self.beta * u))
         return 2.0 * _softplus(u, self.beta) * sig
 
-    def _costs_batch_unchecked(self, points: np.ndarray) -> np.ndarray:
+    def _costs(self, points: np.ndarray) -> np.ndarray:
         ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
         return _quadratic_costs(self, points) + ridge
 
-    def pseudo_gradient(self, a) -> np.ndarray:
-        vec = _as_flat(a, self.D)
-        out = self.P @ vec + self.q
-        u = self.W @ vec
-        hp = self._softplus_prime(u)
+    def pseudo_gradient(self, points) -> np.ndarray:
+        x = _as_points(points, self.D)
+        out = x @ self.P.T + self.q
+        hp = self._softplus_prime(x @ self.W.T)  # (..., N)
         for i, sl in enumerate(self.slices):
-            out[sl] += self.delta[i] * hp[i] * self.W[i, sl]
-        return out
-
-    def pseudo_gradient_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = points @ self.P.T + self.q
-        hp = self._softplus_prime(points @ self.W.T)  # (P, N)
-        for i, sl in enumerate(self.slices):
-            out[:, sl] += (self.delta[i] * hp[:, i])[:, None] * self.W[i, sl]
+            out[..., sl] += self.delta[i] * hp[..., i:i + 1] * self.W[i, sl]
         return out
 
 
@@ -431,7 +356,7 @@ def _probe_pairs(game: GameSpec, num_pairs: int, radius: float, seed: int):
     keep = np.einsum("ij,ij->i", diff, diff) > 1e-24
     if not np.any(keep):
         raise ValueError("all sampled pairs were degenerate; increase radius")
-    return diff[keep], game.pseudo_gradient_at(x1[keep]) - game.pseudo_gradient_at(x2[keep])
+    return diff[keep], game.pseudo_gradient(x1[keep]) - game.pseudo_gradient(x2[keep])
 
 
 def probe_monotonicity(game: GameSpec, num_pairs: int, radius: float, seed: int) -> float:
@@ -472,11 +397,8 @@ def paper_example() -> QuadraticGame:
 
 def random_quadratic_game(
     seed: int,
-    num_players: int | None = None,
     dims: Sequence[int] | None = None,
     num_constraints: int | None = None,
-    nu_range: tuple[float, float] = (0.5, 2.0),
-    spread: float = 2.0,
 ) -> QuadraticGame:
     """Seeded strongly monotone quadratic game with active shared constraints.
 
@@ -487,9 +409,7 @@ def random_quadratic_game(
     """
     rng = np.random.default_rng(seed)
     if dims is None:
-        if num_players is None:
-            num_players = int(rng.integers(2, 4))
-        dims = [int(rng.integers(1, 3)) for _ in range(num_players)]
+        dims = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(2, 4)))]
     dims = tuple(int(d) for d in dims)
     N, D = len(dims), int(sum(dims))
     if num_constraints is None:
@@ -501,8 +421,9 @@ def random_quadratic_game(
         )
 
     # target pseudo-gradient P = S + Z: symmetric PD part plus cross-block skew
-    eigs = rng.uniform(nu_range[0], nu_range[1] + spread, size=D)
-    eigs[rng.integers(0, D)] = nu_range[0] + (nu_range[1] - nu_range[0]) * rng.random()
+    # eigenvalues of S in [0.5, 4.0], one of them redrawn in [0.5, 2.0]
+    eigs = rng.uniform(0.5, 4.0, size=D)
+    eigs[rng.integers(0, D)] = 0.5 + 1.5 * rng.random()
     Q, _ = np.linalg.qr(rng.standard_normal((D, D)))
     S = (Q * eigs) @ Q.T
     Z = rng.standard_normal((D, D))

@@ -208,8 +208,8 @@ class RateFit:
 def fit_rate(t, err, t_min: float, t_max: float) -> RateFit:
     """Ordinary least squares of log(err) against log(t) on a window.
 
-    Needs at least five checkpoints inside [t_min, t_max], all with strictly
-    positive error values (the log is undefined otherwise).
+    Needs at least five checkpoints inside [t_min, t_max], all with finite,
+    strictly positive error values (the log is undefined otherwise).
     """
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got {t_min} >= {t_max}")
@@ -221,8 +221,8 @@ def fit_rate(t, err, t_min: float, t_max: float) -> RateFit:
             f"need at least 5 checkpoints in [{t_min:g}, {t_max:g}], found {int(mask.sum())}"
         )
     window_err = err[mask]
-    if np.any(window_err <= 0):
-        raise ValueError("error values must be positive for a log-log fit")
+    if not np.all(np.isfinite(window_err) & (window_err > 0)):
+        raise ValueError("error values must be finite and positive for a log-log fit")
     x = np.log(t[mask])
     y = np.log(window_err)
     slope, intercept = np.polyfit(x, y, 1)

@@ -7,7 +7,7 @@ monotone linear complementarity problem in the multipliers, complementary
 pivoting (Lemke's method) identifies the active set, and an exact linear
 solve on that set polishes the answer. An extragradient iteration over the
 extended primal-dual space serves as an independent cross-check and as the
-only solver available for non-quadratic (black-box) costs.
+only solver available for non-quadratic games (the softplus-ridge family).
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class OracleSolution:
 def _require_quadratic(game: GameSpec, who: str) -> QuadraticGame:
     if not isinstance(game, QuadraticGame):
         raise TypeError(
-            f"{who} needs a QuadraticGame; for black-box costs use "
-            "solve_vi_extragradient, which carries an iteration tolerance"
+            f"{who} needs a QuadraticGame, got {type(game).__name__}; for a "
+            "non-quadratic game use solve_vi_extragradient, which carries an "
+            "iteration tolerance"
         )
     return game
 
@@ -201,8 +202,8 @@ def solve_vi_extragradient(
 ) -> OracleSolution:
     """Extragradient iteration for the regularized problem on any game.
 
-    Works from pseudo-gradient evaluations only, so it also covers black-box
-    and non-quadratic games; accuracy is the iteration tolerance, not machine
+    Works from pseudo-gradient evaluations only, so it also covers
+    non-quadratic games; accuracy is the iteration tolerance, not machine
     precision. Step size 1 / (2 (L + ||K|| + eps)) with L the (possibly
     probed) Lipschitz constant of the pseudo-gradient. The iteration starts
     at zero.

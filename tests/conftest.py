@@ -136,7 +136,7 @@ def reference_estimates(game, probe, i):
     mu, lam, sigma = probe.mu, probe.lam, probe.sigma
     sl = game.slices[i]
     rng = np.random.default_rng(probe.seed)
-    u_mu = game.cost(i, mu) + float(lam @ game.constraints.value(mu))
+    u_mu = float(game.costs_at(mu)[0, i]) + float(lam @ game.constraints.value(mu))
     chunks = []
     for start in range(0, probe.num_samples, 100_000):
         size = min(100_000, probe.num_samples - start)

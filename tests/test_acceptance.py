@@ -174,7 +174,7 @@ def test_criterion_7_operator_inequalities():
         a2 = rng.normal(size=(1000, D))
         l1 = np.abs(rng.normal(size=(1000, n)))
         l2 = np.abs(rng.normal(size=(1000, n)))
-        dwp = (game.pseudo_gradient_at(a1) - game.pseudo_gradient_at(a2)
+        dwp = (game.pseudo_gradient(a1) - game.pseudo_gradient(a2)
                + (l1 - l2) @ K)
         dwd = -(a1 - a2) @ K.T
         da, dl = a1 - a2, l1 - l2

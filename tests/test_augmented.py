@@ -9,7 +9,7 @@ from conftest import central_difference_gradient
 
 def lagrangian(game, i, a, lam):
     """Primal player i's cost in the extended game: J^i(a) + <lam, K a - l>."""
-    return game.cost(i, a) + lam @ game.constraints.value(a)
+    return float(game.costs_at(a)[0, i]) + lam @ game.constraints.value(a)
 
 
 def dual_player_cost(game, a, lam):
@@ -27,8 +27,9 @@ def test_augmented_cost_zero_dual_equals_cost(paper_game):
     rng = np.random.default_rng(0)
     for _ in range(5):
         a = rng.normal(size=2)
+        costs = paper_game.costs_at(a)[0]
         for i in range(2):
-            assert lagrangian(paper_game, i, a, np.zeros(1)) == pytest.approx(paper_game.cost(i, a))
+            assert lagrangian(paper_game, i, a, np.zeros(1)) == pytest.approx(float(costs[i]))
 
 
 def test_augmented_cost_matches_summation_oracle():
@@ -40,7 +41,7 @@ def test_augmented_cost_matches_summation_oracle():
         lam = np.abs(rng.normal(size=n))
         g = game.constraints.value(a)
         for i in range(game.num_players):
-            expected = game.cost(i, a) + sum(lam[j] * g[j] for j in range(n))
+            expected = float(game.costs_at(a)[0, i]) + sum(lam[j] * g[j] for j in range(n))
             assert lagrangian(game, i, a, lam) == pytest.approx(expected, rel=1e-12)
 
 
@@ -57,7 +58,7 @@ def test_lagrangian_terms_cancel(paper_game):
         a, lam = rng.normal(size=2), np.abs(rng.normal(size=1))
         for i in range(2):
             total = lagrangian(paper_game, i, a, lam) + dual_player_cost(paper_game, a, lam)
-            assert total == pytest.approx(paper_game.cost(i, a), rel=1e-12)
+            assert total == pytest.approx(float(paper_game.costs_at(a)[0, i]), rel=1e-12)
 
 
 def test_extended_pseudo_gradient_paper_equilibrium(paper_game):
@@ -131,7 +132,7 @@ def _sample_augmented_pairs(game, count, rng):
 def _extended_at(game, Z):
     D = game.D
     K, l = game.constraints.K, game.constraints.l
-    primal = game.pseudo_gradient_at(Z[:, :D]) + Z[:, D:] @ K
+    primal = game.pseudo_gradient(Z[:, :D]) + Z[:, D:] @ K
     dual = -(Z[:, :D] @ K.T) + l
     return np.concatenate([primal, dual], axis=1)
 

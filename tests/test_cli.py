@@ -52,10 +52,31 @@ def test_learn_subcommand_writes_csvs(tmp_path, capsys):
 
 
 def test_learn_rejects_invalid_schedules(tmp_path, capsys):
-    with pytest.raises(Exception) as exc:
-        run_cli(capsys, "learn", "--g", "0.5", "--T", "10",
-                "--outdir", str(tmp_path))
-    assert "g>1/2" in str(exc.value)
+    rc = main(["learn", "--g", "0.5", "--T", "10", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "g>1/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--num-seeds", "0"],
+    ["learn", "--T", "0"],
+    ["learn", "--G", "-1"],
+    ["oracle", "--game", "{tmp}/missing.json"],
+    ["oracle", "--game", "softplus-ridge"],
+    ["rate-fit", "--csv", "{tmp}/missing.csv"],
+    ["rate-fit", "--csv", "{tmp}/nan_agg.csv", "--t-min", "1", "--t-max", "5"],
+    ["diagnose", "--sigma", "0"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "nan_agg.csv").write_text(
+        "t,mean_err_primal_sq\n" + "".join(f"{t},nan\n" for t in range(1, 6)))
+    argv = [a.format(tmp=tmp_path) for a in argv] + (
+        ["--outdir", str(tmp_path)] if argv[0] == "learn" else [])
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"gnezero {argv[0]}: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_learn_divergence_writes_no_csv(tmp_path, capsys):

@@ -39,7 +39,7 @@ def test_smoothed_cost_matches_gaussian_integral(paper_game):
     values = smoothed_cost(paper_game, probe)
     assert len(values) == 2
     for i, mc in enumerate(values):
-        base = paper_game.cost(i, probe.mu) + float(
+        base = float(paper_game.costs_at(probe.mu)[0, i]) + float(
             probe.lam @ paper_game.constraints.value(probe.mu))
         analytic = base + probe.sigma**2 / 2 * np.trace(paper_game.A[i])
         assert abs(mc.value - analytic) <= 4 * mc.stderr
@@ -48,7 +48,7 @@ def test_smoothed_cost_matches_gaussian_integral(paper_game):
 def test_smoothed_cost_small_sigma_limit(paper_game):
     probe = SmoothingProbe(mu=[0.4, 0.6], lam=[0.3], sigma=1e-6,
                            num_samples=2_000, seed=2)
-    exact = paper_game.cost(0, probe.mu) + float(
+    exact = float(paper_game.costs_at(probe.mu)[0, 0]) + float(
         probe.lam @ paper_game.constraints.value(probe.mu))
     mc = smoothed_cost(paper_game, probe)[0]
     assert mc.value == pytest.approx(exact, rel=1e-6)
@@ -63,7 +63,7 @@ def test_smoothed_cost_linear_costs_unaffected():
     probe = SmoothingProbe(mu=[0.2, -0.1], lam=[0.0], sigma=0.8,
                            num_samples=100_000, seed=3)
     for i, mc in enumerate(smoothed_cost(game, probe)):
-        assert abs(mc.value - game.cost(i, probe.mu)) <= 4 * mc.stderr
+        assert abs(mc.value - float(game.costs_at(probe.mu)[0, i])) <= 4 * mc.stderr
 
 
 def test_smoothed_cost_stderr_shrinks_with_samples(paper_game):

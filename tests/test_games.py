@@ -1,4 +1,3 @@
-import functools
 import json
 import pickle
 
@@ -12,6 +11,7 @@ from gnezero.games import (
     GameSpec,
     InfeasibleConstraintsError,
     QuadraticGame,
+    SoftplusQuadraticGame,
     builtin_game,
     game_from_config,
     load_game,
@@ -38,8 +38,8 @@ def make_isotropic_game(scale=2.0):
 
 def test_cost_paper_game_hand_values(paper_game):
     # 3/2 * 1^2 + 1 * 1 = 2.5
-    assert paper_game.cost(0, [1.0, 1.0]) == pytest.approx(2.5, abs=1e-14)
-    assert paper_game.cost(1, [0.0, 0.0]) == 0.0
+    assert float(paper_game.costs_at([1.0, 1.0])[0, 0]) == pytest.approx(2.5, abs=1e-14)
+    assert float(paper_game.costs_at([0.0, 0.0])[0, 1]) == 0.0
 
 
 def test_cost_matches_bruteforce_summation():
@@ -54,19 +54,14 @@ def test_cost_matches_bruteforce_summation():
                 for k in range(game.D):
                     expected += 0.5 * a[j] * game.A[i][j, k] * a[k]
                 expected += game.b[i][j] * a[j]
-            assert game.cost(i, a) == pytest.approx(expected, rel=1e-12)
+            assert float(game.costs_at(a)[0, i]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cost_dimension_mismatch_is_structured(paper_game):
     with pytest.raises(DimensionMismatchError) as exc:
-        paper_game.cost(0, [1.0, 2.0, 3.0])
+        paper_game.costs_at([1.0, 2.0, 3.0])
     assert exc.value.expected == 2
     assert exc.value.given == 3
-
-
-def test_cost_player_index_checked(paper_game):
-    with pytest.raises(IndexError):
-        paper_game.cost(2, [0.0, 0.0])
 
 
 # -- pseudo-gradient ----------------------------------------------------------
@@ -94,16 +89,28 @@ def test_pseudo_gradient_matches_finite_differences():
         exact = game.pseudo_gradient(a)
         fd = np.empty(game.D)
         for i, sl in enumerate(game.slices):
-            fd[sl] = central_difference_gradient(lambda x: game.cost(i, x), a)[sl]
+            fd[sl] = central_difference_gradient(lambda x: float(game.costs_at(x)[0, i]), a)[sl]
         assert np.max(np.abs(exact - fd)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
 
 
-def test_black_box_pseudo_gradient_finite_differences():
-    quad = random_quadratic_game(33)
-    black = GameSpec(quad.dims, [functools.partial(quad.cost, i) for i in range(quad.num_players)],
-                     quad.constraints)
-    a = np.linspace(-1, 1, quad.D)
-    assert black.pseudo_gradient(a) == pytest.approx(quad.pseudo_gradient(a), rel=1e-5, abs=1e-6)
+@pytest.mark.parametrize("build", [
+    paper_example,
+    lambda: random_quadratic_game(4, dims=(2, 1, 2), num_constraints=2),
+    lambda: softplus_game(0),
+], ids=["paper-example", "random-quadratic-4", "softplus-0"])
+def test_pseudo_gradient_batch_rows_match_single_points(build):
+    game = build()
+    X = np.random.default_rng(12).normal(scale=2.0, size=(100, game.D))
+    batch = game.pseudo_gradient(X)
+    singles = np.stack([game.pseudo_gradient(x) for x in X])
+    assert batch.shape == X.shape
+    # a batch goes through a matrix-matrix product, a point through a
+    # matrix-vector one, so rows may differ in the last bits of a D-term sum
+    tol = 4 * game.D * np.finfo(float).eps * np.abs(singles).max()
+    assert np.max(np.abs(batch - singles)) <= tol
+    for wrong in (np.zeros(game.D + 1), np.zeros((3, game.D - 1))):
+        with pytest.raises(DimensionMismatchError):
+            game.pseudo_gradient(wrong)
 
 
 # -- constraints --------------------------------------------------------------
@@ -185,7 +192,7 @@ def test_quadratic_monotonicity_inequality_on_pairs(random_games):
         nu = game.nu()
         x1 = rng.normal(size=(1000, game.D))
         x2 = rng.normal(size=(1000, game.D))
-        md = game.pseudo_gradient_at(x1) - game.pseudo_gradient_at(x2)
+        md = game.pseudo_gradient(x1) - game.pseudo_gradient(x2)
         diff = x1 - x2
         lhs = np.einsum("ij,ij->i", md, diff)
         rhs = nu * np.einsum("ij,ij->i", diff, diff)
@@ -210,6 +217,16 @@ def test_quadratic_game_requires_monotone():
     A = np.stack([np.diag([-5.0, 0.0]), np.diag([0.0, 1.0])])
     with pytest.raises(GameConfigError):
         QuadraticGame(A, np.zeros((2, 2)), ConstraintSet([[1.0, 1.0]], [10.0]))
+
+
+def test_both_families_check_A_and_b():
+    cs = ConstraintSet([[1.0, 1.0]], [10.0])
+    A, b = paper_example().A, np.zeros((2, 2))
+    for bad_A, bad_b in ((A[:, :, :1], b), (A, b[:, :1]), (A[:1], b[:1])):
+        with pytest.raises(GameConfigError):
+            QuadraticGame(bad_A, bad_b, cs, dims=(1, 1))
+        with pytest.raises(GameConfigError):
+            SoftplusQuadraticGame((1, 1), bad_A, bad_b, np.eye(2), np.ones(2), 10.0, cs)
 
 
 def test_random_quadratic_game_rejects_more_constraints_than_dimensions():
@@ -271,10 +288,9 @@ def test_builtin_and_config_loading(tmp_path, paper_game):
 
 def test_known_constants_override_probes():
     quad = random_quadratic_game(40)
-    black = GameSpec(quad.dims, [functools.partial(quad.cost, i) for i in range(quad.num_players)],
-                     quad.constraints, nu=0.123, lipschitz=9.9)
-    assert black.nu() == 0.123
-    assert black.lipschitz() == 9.9
+    spec = GameSpec(quad.dims, quad.constraints, nu=0.123, lipschitz=9.9)
+    assert spec.nu() == 0.123
+    assert spec.lipschitz() == 9.9
 
 
 @pytest.mark.parametrize("build", [
@@ -290,12 +306,9 @@ def test_pickle_round_trip(build):
     clone = pickle.loads(pickle.dumps(obj))
     assert type(clone) is type(obj)
     if isinstance(obj, GameSpec):
-        # the bound costs survive: every cost path gives the same bits
+        # the game's arrays survive: costs and pseudo-gradient give the same bits
         x = np.linspace(-1.0, 1.0, obj.D)
         assert np.array_equal(clone.costs_at(x), obj.costs_at(x))
-        for i in range(obj.num_players):
-            assert clone.cost(i, x) == obj.cost(i, x)
-            assert clone._costs[i](x) == obj._costs[i](x)
         assert np.array_equal(clone.pseudo_gradient(x), obj.pseudo_gradient(x))
     else:
         assert repr(clone) == repr(obj)

@@ -38,6 +38,9 @@ def test_fit_rate_validations():
         fit_rate(t, np.array([1.0, 0.5, -0.4, 0.3, 0.2]), 10, 50)
     with pytest.raises(ValueError):
         fit_rate(t, err, 50, 10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            fit_rate(t, np.array([1.0, 0.5, bad, 0.3, 0.2]), 10, 50)
 
 
 # -- experiments --------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_two_point_estimate_unbiased_for_quadratic(paper_game):
     J = paper_game.costs_at(X)
     gX = X @ K.T - paper_game.constraints.l
     U = J + (gX @ lam)[:, None]
-    u0 = np.array([paper_game.cost(i, mu) for i in range(2)])
+    u0 = paper_game.costs_at(mu)[0]
     u0 = u0 + float(lam @ paper_game.constraints.value(mu))
     target = paper_game.pseudo_gradient(mu) + K.T @ lam
     for i, sl in enumerate(paper_game.slices):
@@ -327,8 +327,8 @@ def test_payoff_boundary_hides_structure(paper_game):
     for p, x in enumerate(X):
         assert g[p] == pytest.approx(paper_game.constraints.value(x))
         for i in range(2):
-            lagrangian = paper_game.cost(i, x) + lam @ paper_game.constraints.value(x)
-            assert U[p, i] == pytest.approx(lagrangian)
+            cost = 0.5 * x @ paper_game.A[i] @ x + paper_game.b[i] @ x
+            assert U[p, i] == pytest.approx(cost + lam @ paper_game.constraints.value(x))
     # a leading batch axis with one multiplier row per batch: each batch as alone
     stack, lams = np.stack([X, X + 1.0]), np.array([[0.5], [0.2]])
     U2, g2 = env.feedback(stack, lams)
