@@ -158,7 +158,12 @@ def cmd_diagnose(args) -> int:
         seed=args.seed,
     )
     if "estimator-mean" in wanted:
-        reports.append(diag.estimator_mean_report(game, probe))
+        if not isinstance(game, QuadraticGame):
+            # smoothing shifts the estimator's mean off the exact gradient
+            # unless the costs are quadratic
+            print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
+        else:
+            reports.append(diag.estimator_mean_report(game, probe))
     if "dual-perturbation" in wanted:
         reports.append(diag.dual_perturbation_report(game, probe))
     if "second-moment-growth" in wanted:

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ValueError("seed list must be nonempty")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass

@@ -5,13 +5,15 @@ counterpart solve one KKT system, to near machine precision in polynomial
 time and for any number of constraints: eliminating the primal leaves a
 monotone linear complementarity problem in the multipliers, complementary
 pivoting (Lemke's method) identifies the active set, and an exact linear
-solve on that set polishes the answer. An extragradient iteration over the
-extended primal-dual space serves as an independent cross-check and as the
-only solver available for non-quadratic games (the softplus-ridge family).
+solve on that set polishes the answer. Tseng's forward-backward-forward
+iteration over the extended primal-dual space, with a backtracked adaptive
+step, serves as an independent cross-check and as the only solver available
+for non-quadratic games (the softplus-ridge family).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,51 +196,101 @@ def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) ->
     return _solve_kkt(_require_quadratic(game, "solve_regularized_vi"), float(eps), tol)
 
 
+# Step control of solve_vi_extragradient, as multiples of the reference step
+# tau0 = 1 / (2 (L + ||K|| + eps)): the first trial step, the growth after
+# each accepted iteration, the shrink factor of a rejected trial, the
+# acceptance ratio theta < 1 of tau ||F(y) - F(z)|| <= theta ||y - z||, and
+# the floor below which the backtracking gives up.
+_STEP_START = 1.9
+_STEP_GROW = 1.05
+_STEP_SHRINK = 0.7
+_STEP_THETA = 0.9
+_STEP_FLOOR = 1e-12
+
+
+def _finite(value: float) -> float:
+    """value, or SolverError when it is not finite.
+
+    Applied to squared norms of operator values: a NaN or infinite entry,
+    or an overflow, makes them non-finite.
+    """
+    if not math.isfinite(value):
+        raise SolverError("the extended pseudo-gradient returned a non-finite value")
+    return value
+
+
 def solve_vi_extragradient(
     game: GameSpec,
     eps: float,
     tol: float = 1e-8,
     max_iter: int = 200_000,
 ) -> OracleSolution:
-    """Extragradient iteration for the regularized problem on any game.
+    """Forward-backward-forward iteration for the regularized problem on any game.
 
     Works from pseudo-gradient evaluations only, so it also covers
     non-quadratic games; accuracy is the iteration tolerance, not machine
-    precision. Step size 1 / (2 (L + ||K|| + eps)) with L the (possibly
-    probed) Lipschitz constant of the pseudo-gradient. The iteration starts
-    at zero.
+    precision. Each iteration of Tseng's method takes, with F the extended
+    pseudo-gradient and P the projection keeping the dual block >= 0,
+        y = P(z - tau F(z)),   z+ = P(y - tau (F(y) - F(z))),
+    from z = 0. The step tau adapts: it starts at 1.9 tau0, grows by 5% per
+    iteration and shrinks by 0.7 until tau ||F(y) - F(z)|| <= 0.9 ||y - z||,
+    after which each iteration moves z closer to the solution for any
+    monotone F, so no global Lipschitz constant has to hold. Here
+    tau0 = 1 / (2 (L + ||K|| + eps)) is the reference step, with L the
+    (possibly probed) Lipschitz constant of the pseudo-gradient. The
+    iteration stops at the first z whose fixed-point residual at tau0,
+    ||z - P(z - tau0 F(z))||, is at most tol * tau0. SolverError is raised
+    when F returns a non-finite value, when tau falls below 1e-12 tau0, or
+    after max_iter iterations.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     K = game.constraints.K
     D, n = game.D, K.shape[0]
     norm_K = float(np.linalg.norm(K, 2))
-    tau = 1.0 / (2.0 * (game.lipschitz() + norm_K + eps))
+    tau0 = 1.0 / (2.0 * (game.lipschitz() + norm_K + eps))
+    tau = _STEP_START * tau0
 
     a = np.zeros(D)
     lam = np.zeros(n)
     residual = np.inf
     for _ in range(max_iter):
-        a_half, lam_half = _projected_step(a, lam, tau, *_operator(game, a, lam, eps))
-        residual = float(np.linalg.norm(a - a_half) + np.linalg.norm(lam - lam_half))
-        if residual <= tol * tau:
+        v, w = _operator(game, a, lam, eps)
+        a_ref, lam_ref = _projected_step(a, lam, tau0, v, w)
+        da, dlam = a - a_ref, lam - lam_ref
+        residual = math.sqrt(_finite(da @ da)) + math.sqrt(dlam @ dlam)
+        if residual <= tol * tau0:
             break
-        a, lam = _projected_step(a, lam, tau, *_operator(game, a_half, lam_half, eps))
+        while True:
+            a_half, lam_half = _projected_step(a, lam, tau, v, w)
+            v_half, w_half = _operator(game, a_half, lam_half, eps)
+            dv, dw = v_half - v, w_half - w
+            da, dlam = a_half - a, lam_half - lam
+            step_sq = da @ da + dlam @ dlam
+            if tau * tau * _finite(dv @ dv + dw @ dw) <= _STEP_THETA ** 2 * step_sq:
+                break
+            tau *= _STEP_SHRINK
+            if tau < _STEP_FLOOR * tau0:
+                raise SolverError(
+                    f"step fell below {_STEP_FLOOR:g} of the reference step {tau0:.3e}: "
+                    "the pseudo-gradient is not locally Lipschitz here")
+        a, lam = _projected_step(a_half, lam_half, tau, dv, dw)
+        tau *= _STEP_GROW
     else:
         raise SolverError(
             f"extragradient did not reach tolerance {tol:g} within {max_iter} "
             f"iterations (residual {residual:.3e})"
         )
 
-    # the dual block is -(K a - l - eps lam), the shifted constraint value
-    primal, dual = _operator(game, a, lam, eps)
+    # F(z) at the returned point: the dual block is -(K a - l - eps lam),
+    # the shifted constraint value
     return OracleSolution(
         primal=JointAction(a),
         dual=lam,
         epsilon=float(eps),
         active_set=tuple(int(j) for j in range(n) if lam[j] > tol),
-        stationarity_residual=float(np.linalg.norm(primal)),
-        complementarity_residual=float(np.max(np.abs(lam * dual))) if n else 0.0,
+        stationarity_residual=float(np.linalg.norm(v)),
+        complementarity_residual=float(np.max(np.abs(lam * w))) if n else 0.0,
     )
 
 

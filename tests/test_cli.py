@@ -66,12 +66,14 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     ["rate-fit", "--csv", "{tmp}/missing.csv"],
     ["rate-fit", "--csv", "{tmp}/nan_agg.csv", "--t-min", "1", "--t-max", "5"],
     ["diagnose", "--sigma", "0"],
+    ["learn", "--T", "10", "--workers", "-3"],
+    ["reproduce-fig1", "--T", "10", "--workers", "0"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
         "t,mean_err_primal_sq\n" + "".join(f"{t},nan\n" for t in range(1, 6)))
     argv = [a.format(tmp=tmp_path) for a in argv] + (
-        ["--outdir", str(tmp_path)] if argv[0] == "learn" else [])
+        ["--outdir", str(tmp_path)] if argv[0] in ("learn", "reproduce-fig1") else [])
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
@@ -127,6 +129,16 @@ def test_diagnose_deterministic(tmp_path, capsys):
         run_cli(capsys, "diagnose", "--checks", "estimator-mean",
                 "--num-samples", "20000", "--out", str(p))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_diagnose_all_on_a_nonquadratic_game_skips_the_quadratic_checks(capsys):
+    rc = main(["diagnose", "--game", "softplus-ridge", "--checks", "all"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "reg-path needs a quadratic game; skipping" in captured.err
+    assert "estimator-mean needs a quadratic game; skipping" in captured.err
+    checks = {line.split(",", 1)[0] for line in captured.out.splitlines()[1:]}
+    assert checks == {"dual-perturbation", "second-moment-growth", "smoothing-bias-order"}
 
 
 def test_diagnose_unknown_check(capsys):

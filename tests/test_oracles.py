@@ -4,6 +4,7 @@ from conftest import enumerate_kkt
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from gnezero.augmented import extended_pseudo_gradient
 from gnezero.games import (
     ConstraintSet,
     DimensionMismatchError,
@@ -16,6 +17,7 @@ from gnezero.games import (
 from gnezero.learner import checkpoints, run
 from gnezero.oracles import (
     OracleSolution,
+    SolverError,
     first_order_trajectory,
     solve_regularized_vi,
     solve_vgne,
@@ -259,6 +261,48 @@ def test_extragradient_works_on_nonquadratic():
     sol = solve_vi_extragradient(game, 0.1, tol=1e-9)
     assert sol.stationarity_residual <= 1e-6 and sol.complementarity_residual <= 1e-6
     assert np.all(sol.dual >= 0)
+
+
+def test_extragradient_tolerance_is_the_reference_step_residual(random_games):
+    # tol bounds the fixed-point residual at the reference step
+    # tau0 = 1 / (2 (L + ||K|| + eps)), whatever steps the iteration takes
+    for game, eps in [(game, 1e-3) for game in random_games] + [(softplus_game(0), 0.1)]:
+        tau0 = 1.0 / (2.0 * (game.lipschitz() + np.linalg.norm(game.constraints.K, 2) + eps))
+        for tol in (1e-8, 1e-10):
+            sol = solve_vi_extragradient(game, eps, tol=tol)
+            a, lam = sol.primal.flat, sol.dual
+            F = extended_pseudo_gradient(game, a, lam, eps)
+            residual = (np.linalg.norm(a - (a - tau0 * F[:game.D]))
+                        + np.linalg.norm(lam - np.maximum(lam - tau0 * F[game.D:], 0.0)))
+            # the slack covers a recomputation in another summation order
+            assert residual <= tol * tau0 * (1.0 + 1e-9)
+            if isinstance(game, QuadraticGame):
+                # the benchmark's agreement gate: 1e-5 relative to 1 + ||a_exact||
+                exact = solve_regularized_vi(game, eps).primal.flat
+                assert np.linalg.norm(a - exact) <= 1e-5 * (1.0 + np.linalg.norm(exact))
+
+
+class _NaNGame(QuadraticGame):
+    def pseudo_gradient(self, points):
+        return np.full(np.shape(points), np.nan)
+
+
+class _JumpGame(QuadraticGame):
+    """Pseudo-gradient plus 10 sign(a): monotone, but not Lipschitz at a = 0."""
+
+    def pseudo_gradient(self, points):
+        return super().pseudo_gradient(points) + np.where(np.asarray(points) > 0, 10.0, -10.0)
+
+
+@pytest.mark.parametrize("build, kw, match", [
+    (_NaNGame, {}, "non-finite"),
+    (_JumpGame, {}, "step fell below"),
+    (QuadraticGame, dict(max_iter=3), "within 3 iterations"),
+], ids=["nan-operator", "step-floor", "max-iter"])
+def test_extragradient_stops_with_solver_error(paper_game, build, kw, match):
+    game = build(paper_game.A, paper_game.b, paper_game.constraints)
+    with pytest.raises(SolverError, match=match):
+        solve_vi_extragradient(game, 0.1, **kw)
 
 
 def test_drift_ratios_bounded_along_schedule(paper_game):
