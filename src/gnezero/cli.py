@@ -142,6 +142,14 @@ def cmd_diagnose(args) -> int:
         return 2
     game = resolve_game(args.game)
     rng = np.random.default_rng(args.seed)
+    # built before any check runs, so a bad --sigma fails before any work
+    probe = diag.SmoothingProbe(
+        mu=rng.normal(scale=0.5, size=game.D),
+        lam=np.abs(rng.normal(scale=0.5, size=game.constraints.num_constraints)),
+        sigma=args.sigma,
+        num_samples=args.num_samples,
+        seed=args.seed,
+    )
     reports = []
     if "reg-path" in wanted:
         if not isinstance(game, QuadraticGame):
@@ -150,13 +158,6 @@ def cmd_diagnose(args) -> int:
             grid = [_parse_number(x) for x in args.eps_grid.split(",")]
             reports.append(diag.regularization_path_report(game, grid))
             reports.append(diag.drift_spread_report(game))
-    probe = diag.SmoothingProbe(
-        mu=rng.normal(scale=0.5, size=game.D),
-        lam=np.abs(rng.normal(scale=0.5, size=game.constraints.num_constraints)),
-        sigma=args.sigma,
-        num_samples=args.num_samples,
-        seed=args.seed,
-    )
     if "estimator-mean" in wanted:
         if not isinstance(game, QuadraticGame):
             # smoothing shifts the estimator's mean off the exact gradient

@@ -53,8 +53,11 @@ class SmoothingProbe:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).reshape(-1))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        for field in ("mu", "lam"):
+            if not np.all(np.isfinite(getattr(self, field))):
+                raise ValueError(f"{field} must be finite")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
 

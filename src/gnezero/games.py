@@ -11,7 +11,10 @@ The learner still sees the costs only as payoff values, through costs_at.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,6 +57,19 @@ class InfeasibleConstraintsError(ValueError):
 
 class GameConfigError(ValueError):
     """A game definition file or config dict is malformed."""
+
+
+# costs_at evaluates a batch of at least twice this many rows in row blocks
+# of this size: a block's temporaries stay in cache, and the blocks run on
+# all CPUs
+_COST_BLOCK = 8192
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _as_flat(a, expected: int, what: str = "action") -> np.ndarray:
@@ -188,11 +204,46 @@ class GameSpec:
         self._probed_lipschitz = None
 
     def costs_at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate every player's cost at each row of `points`; returns (P, N)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        """Evaluate every player's cost at each row of `points`; returns (P, N).
+
+        `points` is a point (D,) or a batch (P, D). A batch of at least
+        2 * _COST_BLOCK rows is evaluated in row blocks of _COST_BLOCK rows
+        (the last block takes the remainder) on worker threads, one per
+        available CPU, each in a copy of the caller's context so that
+        np.errstate carries over. Every row's arithmetic is the same as in
+        one call on the whole batch, so the result is bit-identical to it.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim < 2:
+            points = np.atleast_2d(points)
+        elif points.ndim > 2:
+            raise ValueError(
+                f"points must be a point (D,) or a batch (P, D), got shape {points.shape}")
         if points.shape[1] != self.D:
             raise DimensionMismatchError("points", self.D, points.shape[1])
-        return self._costs(points)
+        rows = points.shape[0]
+        if rows < 2 * _COST_BLOCK:
+            return self._costs(points)
+        # the last block takes the remainder: numpy sends a one-row matrix
+        # product to gemv, whose rounding differs from gemm's
+        count = rows // _COST_BLOCK
+        edges = [i * _COST_BLOCK for i in range(count)] + [rows]
+        out = np.empty((rows, self.num_players))
+
+        def block(i):
+            out[edges[i]:edges[i + 1]] = self._costs(points[edges[i]:edges[i + 1]])
+
+        workers = min(_available_cpus(), count)
+        if workers == 1:
+            for i in range(count):
+                block(i)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(contextvars.copy_context().run, block, i)
+                           for i in range(count)]
+                for future in futures:
+                    future.result()
+        return out
 
     def pseudo_gradient(self, points) -> np.ndarray:
         """Stacked per-player partial gradients, block i = dJ^i/da^i.

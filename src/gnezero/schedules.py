@@ -8,6 +8,7 @@ rate exponent for the mean squared distance to the equilibrium.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Schedules", "ScheduleReport", "validate_schedules", "ScheduleError"]
@@ -29,12 +30,10 @@ class Schedules:
     s: float = 4.0 / 7.0
 
     def __post_init__(self):
-        for field in ("G", "E", "S"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0, got {getattr(self, field)}")
-        for field in ("g", "e", "s"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0, got {getattr(self, field)}")
+        for field in ("G", "g", "E", "e", "S", "s"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{field} must be finite and >= 0, got {value}")
         if self.S == 0:
             raise ValueError("S must be positive: the sampling spread cannot vanish")
 

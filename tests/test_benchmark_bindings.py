@@ -60,6 +60,15 @@ def test_traced_diagnose_counts_one_pass_for_all_players(capsys):
     assert m["games.costs_at_rows"] == 2001
 
 
+def test_traced_diagnose_records_one_span_per_blocked_cost_batch(capsys):
+    # 20,000 rows are cut into row blocks on worker threads; the tracer keeps
+    # one span stack, so those threads must run no wrapped function
+    m = _traced_round(["diagnose", "--checks", "estimator-mean", "--num-samples", "20000"])
+    assert m["diagnostics.mc_samples"] == 20000
+    assert m["games.payoff_calls"] == 2
+    assert m["games.costs_at_rows"] == 20001
+
+
 def test_traced_learn_evaluates_two_rows_per_step(tmp_path, capsys):
     m = _traced_round(["learn", "--T", "50", "--num-seeds", "1", "--outdir", str(tmp_path)])
     assert m["learner.steps"] == 50

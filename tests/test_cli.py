@@ -66,6 +66,10 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     ["rate-fit", "--csv", "{tmp}/missing.csv"],
     ["rate-fit", "--csv", "{tmp}/nan_agg.csv", "--t-min", "1", "--t-max", "5"],
     ["diagnose", "--sigma", "0"],
+    ["diagnose", "--sigma", "nan", "--checks", "estimator-mean"],
+    ["diagnose", "--sigma", "inf", "--game", "softplus-ridge"],
+    ["learn", "--S", "nan", "--T", "50"],
+    ["learn", "--G", "inf", "--T", "50"],
     ["learn", "--T", "10", "--workers", "-3"],
     ["reproduce-fig1", "--T", "10", "--workers", "0"],
 ], ids=lambda argv: " ".join(argv[:3]))

@@ -27,6 +27,9 @@ def test_probe_validation():
         SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.0)
     with pytest.raises(ValueError):
         SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.1, num_samples=0)
+    for bad in [dict(sigma=np.inf), dict(mu=[np.nan]), dict(lam=[-np.inf])]:
+        with pytest.raises(ValueError, match="finite"):
+            SmoothingProbe(**{"mu": [0.0], "lam": [0.0], "sigma": 0.1, **bad})
 
 
 # -- smoothed cost -----------------------------------------------------------------

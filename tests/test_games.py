@@ -1,10 +1,13 @@
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from gnezero import games
 from gnezero.games import (
+    _COST_BLOCK,
     ConstraintSet,
     DimensionMismatchError,
     GameConfigError,
@@ -62,6 +65,64 @@ def test_cost_dimension_mismatch_is_structured(paper_game):
         paper_game.costs_at([1.0, 2.0, 3.0])
     assert exc.value.expected == 2
     assert exc.value.given == 3
+    for shape in [(2, 2, 2), (4, 1, 2)]:
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}, {shape[2]}\)"):
+            paper_game.costs_at(np.zeros(shape))
+
+
+# -- blocked evaluation of large batches ---------------------------------------
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Spread the blocks over four worker threads, whatever this machine has."""
+    assert games._available_cpus() >= 1
+    monkeypatch.setattr(games, "_available_cpus", lambda: 4)
+
+
+BLOCK_TEST_GAMES = {
+    "paper": paper_example,
+    "softplus": lambda: softplus_game(0),
+    "random-D5": lambda: random_quadratic_game(4, dims=(2, 1, 2), num_constraints=2),
+    "random-D24": lambda: random_quadratic_game(3, dims=[2] * 12, num_constraints=4),
+}
+
+
+@pytest.mark.parametrize("rows", [_COST_BLOCK, _COST_BLOCK + 1, 2 * _COST_BLOCK + 1,
+                                  3 * _COST_BLOCK + 17])
+@pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
+def test_blocked_costs_equal_one_shot_costs(four_cpus, name, rows):
+    # a one-row last block would go through gemv and round differently
+    game = BLOCK_TEST_GAMES[name]()
+    X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
+    assert np.array_equal(game.costs_at(X), game._costs(X))
+
+
+def test_blocked_costs_leave_no_thread_behind(four_cpus, paper_game):
+    before = threading.active_count()
+    paper_game.costs_at(np.ones((3 * _COST_BLOCK, 2)))
+    assert threading.active_count() == before
+
+
+def test_blocked_costs_raise_a_block_error(four_cpus):
+    game = paper_example()
+    X = np.zeros((3 * _COST_BLOCK, 2))
+    X[-1, 0] = 1.0
+
+    def fails_on_marked_rows(points):
+        if points[:, 0].any():
+            raise RuntimeError("marked block")
+        return np.zeros((points.shape[0], 2))
+
+    game._costs = fails_on_marked_rows
+    with pytest.raises(RuntimeError, match="marked block"):
+        game.costs_at(X)
+
+
+@pytest.mark.parametrize("rows", [10, 3 * _COST_BLOCK])
+def test_blocked_costs_keep_the_callers_errstate(four_cpus, paper_game, rows):
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        paper_game.costs_at(np.full((rows, 2), 1e200))
 
 
 # -- pseudo-gradient ----------------------------------------------------------

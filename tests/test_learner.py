@@ -72,6 +72,13 @@ def test_validate_schedules_boundaries_excluded():
     assert any("s+g>1" in name for name in rep.failing())
 
 
+@pytest.mark.parametrize("field", ["G", "g", "E", "e", "S", "s"])
+def test_schedules_reject_non_finite_values(field):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Schedules(**{field: value})
+
+
 def test_schedule_values():
     sched = Schedules(G=2.0, g=0.5, E=3.0, e=0.25, S=0.5, s=1.0)
     assert sched.gamma(4) == pytest.approx(1.0)
