@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextvars
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -208,10 +207,11 @@ class GameSpec:
 
         `points` is a point (D,) or a batch (P, D). A batch of at least
         2 * _COST_BLOCK rows is evaluated in row blocks of _COST_BLOCK rows
-        (the last block takes the remainder) on worker threads, one per
-        available CPU, each in a copy of the caller's context so that
-        np.errstate carries over. Every row's arithmetic is the same as in
-        one call on the whole batch, so the result is bit-identical to it.
+        (the last block takes the remainder) on worker threads, at most one
+        per available CPU, each in a copy of the caller's context so that
+        np.errstate carries over (numpy 2 keeps it in a context variable).
+        Every row's arithmetic is the same as in one call on the whole
+        batch, so the result is bit-identical to it.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim < 2:
@@ -233,16 +233,15 @@ class GameSpec:
         def block(i):
             out[edges[i]:edges[i + 1]] = self._costs(points[edges[i]:edges[i + 1]])
 
-        workers = min(_available_cpus(), count)
-        if workers == 1:
-            for i in range(count):
-                block(i)
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                futures = [pool.submit(contextvars.copy_context().run, block, i)
-                           for i in range(count)]
-                for future in futures:
-                    future.result()
+        # imported here so that commands which never evaluate a large batch
+        # do not pay for it at startup
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(_available_cpus(), count)) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, block, i)
+                       for i in range(count)]
+            for future in futures:
+                future.result()
         return out
 
     def pseudo_gradient(self, points) -> np.ndarray:

@@ -88,7 +88,7 @@ BLOCK_TEST_GAMES = {
 }
 
 
-@pytest.mark.parametrize("rows", [_COST_BLOCK, _COST_BLOCK + 1, 2 * _COST_BLOCK + 1,
+@pytest.mark.parametrize("rows", [2 * _COST_BLOCK - 1, 2 * _COST_BLOCK, 2 * _COST_BLOCK + 1,
                                   3 * _COST_BLOCK + 17])
 @pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
 def test_blocked_costs_equal_one_shot_costs(four_cpus, name, rows):
