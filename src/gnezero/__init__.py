@@ -16,7 +16,6 @@ from .diagnostics import (
     estimator_second_moment,
     path_drift_ratios,
     regularization_path_report,
-    smoothed_cost,
     smoothing_bias_stats,
 )
 from .games import (
@@ -57,7 +56,6 @@ from .learner import (
 from .oracles import (
     OracleSolution,
     SolverError,
-    first_order_trajectory,
     solve_regularized_vi,
     solve_vgne,
     solve_vi_extragradient,

@@ -5,9 +5,9 @@ multiplier vector on the shared constraints. Primal costs become Lagrangians
 J^i(a) + <lam, K a - l>, the dual player maximizes the aggregate constraint
 value, and a Tikhonov term eps * lam acting on the dual block only restores
 strong monotonicity of the extended pseudo-gradient. One operator, with eps
-as an argument, and one projected primal-dual step serve every solver: the
-extragradient oracle, the exact-gradient baseline and the payoff-based
-learner. Points are plain arrays: an action a (D,) and multipliers lam (n,).
+as an argument, and one projected primal-dual step serve both iterations:
+the extragradient oracle and the payoff-based learner. Points are plain
+arrays: an action a (D,) and multipliers lam (n,).
 """
 
 from __future__ import annotations

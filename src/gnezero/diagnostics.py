@@ -1,16 +1,15 @@
 """Standalone statistical checks of the estimator and the regularization path.
 
-Monte Carlo probes of the smoothed costs and of the two-point gradient
-estimator (its mean, its bias relative to the exact pseudo-gradient, the
-second moments of its noise terms), plus exact-oracle checks of the
-regularization path: the gap bound to the unregularized solution and the
-drift between consecutive solutions.
+Monte Carlo probes of the two-point gradient estimator (its mean, its bias
+relative to the exact pseudo-gradient, the second moments of its noise
+terms), plus exact-oracle checks of the regularization path: the gap bound
+to the unregularized solution and the drift between consecutive solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,11 +19,9 @@ from .oracles import solve_regularized_vi, solve_vgne
 
 __all__ = [
     "SmoothingProbe",
-    "MonteCarloValue",
     "SmoothingBias",
     "CheckCase",
     "CheckReport",
-    "smoothed_cost",
     "smoothing_bias_stats",
     "dual_perturbation_stats",
     "estimator_second_moment",
@@ -66,11 +63,6 @@ class SmoothingProbe:
                               self.num_samples, self.seed)
 
 
-class MonteCarloValue(NamedTuple):
-    value: float
-    stderr: float
-
-
 def _iter_chunks(total: int):
     done = 0
     while done < total:
@@ -90,27 +82,6 @@ def _payoff_draws(game: GameSpec, probe: SmoothingProbe):
     for size in _iter_chunks(probe.num_samples):
         X = probe.mu + probe.sigma * rng.standard_normal((size, probe.mu.shape[0]))
         yield X, env.feedback(X, probe.lam)[0]
-
-
-def smoothed_cost(game: GameSpec, probe: SmoothingProbe) -> tuple[MonteCarloValue, ...]:
-    """Monte Carlo estimate of every player's Lagrangian cost under Gaussian play.
-
-    Samples joint actions from N(mu, sigma^2 I) and averages U^i; the
-    standard error is the sample standard deviation over sqrt(num_samples).
-    Returns one value per player, all from the same draws.
-    """
-    total = np.zeros(game.num_players)
-    total_sq = np.zeros(game.num_players)
-    for _, U in _payoff_draws(game, probe):
-        # contiguous rows, so each player's sum and dot round as over that
-        # player's values alone
-        for i, u in enumerate(U.T.copy()):
-            total[i] += u.sum()
-            total_sq[i] += u @ u
-    M = probe.num_samples
-    mean = total / M
-    se = np.sqrt(np.maximum(total_sq / M - mean * mean, 0.0) / M)
-    return tuple(MonteCarloValue(float(v), float(e)) for v, e in zip(mean, se))
 
 
 @dataclass(frozen=True)

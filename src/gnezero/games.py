@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .lcp import SolverError, _lemke
+
 __all__ = [
     "DimensionMismatchError",
     "InfeasibleConstraintsError",
@@ -51,7 +53,12 @@ class DimensionMismatchError(ValueError):
 
 
 class InfeasibleConstraintsError(ValueError):
-    """No strictly feasible point was found for the constraint set."""
+    """Slater's condition fails: no a has K a < l.
+
+    Raised when Lemke's method on LCP(K K', l - delta 1) ends on a ray, which
+    proves {a : K a <= l - delta 1} empty, hits its pivot cap, or returns a
+    point whose worst margin is not below -1e-9 (1 + ||l||).
+    """
 
 
 class GameConfigError(ValueError):
@@ -109,9 +116,12 @@ class JointAction:
 class ConstraintSet:
     """Shared affine constraints g(a) = K a - l <= 0.
 
-    Construction verifies numerically that the feasible set has a strictly
-    feasible point (a point with max_j g_j(a) < 0), by descending the worst
-    constraint margin from a least-squares starting point.
+    K and l must be finite. Construction decides Slater's condition exactly:
+    some a has K a < l when {a : K a <= l - delta 1} is nonempty, with
+    delta = 1e-6 (1 + ||l||). Its minimal-norm point is a = -K' y, where y
+    solves LCP(K K', l - delta 1); the check accepts that a when its worst
+    margin is below -1e-9 (1 + ||l||). Lemke's method ending on a ray
+    proves the set empty.
     """
 
     def __init__(self, K, l):
@@ -119,9 +129,23 @@ class ConstraintSet:
         self.l = np.array(l, dtype=float).reshape(-1)
         if self.K.shape[0] != self.l.shape[0]:
             raise DimensionMismatchError("constraint offset l", self.K.shape[0], self.l.shape[0])
+        for name, arr in (("K", self.K), ("l", self.l)):
+            if not np.all(np.isfinite(arr)):
+                raise GameConfigError(f"constraint {name} has non-finite entries")
         self.K.flags.writeable = False
         self.l.flags.writeable = False
-        self.interior_point = self._find_interior_point()
+        scale = 1.0 + float(np.linalg.norm(self.l))
+        delta = 1e-6 * scale
+        try:
+            y = _lemke(self.K @ self.K.T, self.l - delta)
+        except SolverError as err:
+            raise InfeasibleConstraintsError(
+                f"Slater's condition fails for K a <= l - {delta:.1e}: {err}") from None
+        worst = float(np.max(self.value(-self.K.T @ y), initial=-np.inf))
+        if worst >= -1e-9 * scale:
+            raise InfeasibleConstraintsError(
+                f"Slater's condition fails: the minimal-norm a with K a <= l - {delta:.1e} "
+                f"has margin {worst:.3e}")
 
     @property
     def num_constraints(self) -> int:
@@ -135,39 +159,6 @@ class ConstraintSet:
         """Constraint values g(a) = K a - l."""
         vec = _as_flat(a, self.dim)
         return self.K @ vec - self.l
-
-    def _find_interior_point(self, max_iter: int = 500) -> np.ndarray:
-        """Numeric feasibility search: minimize max_j g_j(a) until strictly negative.
-
-        Uses Polyak subgradient steps on the piecewise-linear worst margin,
-        warm-started at the least-squares point aiming K a below l.
-        """
-        if self.num_constraints == 0:
-            return np.zeros(self.dim)  # vacuously strictly feasible
-        scale = 1.0 + float(np.linalg.norm(self.l))
-        target_margin = 0.5 * scale
-        a, *_ = np.linalg.lstsq(self.K, self.l - target_margin, rcond=None)
-        best = np.inf
-        for _ in range(max_iter):
-            g = self.K @ a - self.l
-            j = int(np.argmax(g))
-            worst = g[j]
-            best = min(best, worst)
-            if worst < -1e-9 * scale:
-                return a
-            row = self.K[j]
-            row_sq = float(row @ row)
-            if row_sq == 0.0:
-                # 0 <= l_j is violated identically; no interior exists
-                raise InfeasibleConstraintsError(
-                    f"constraint row {j} is zero with offset {self.l[j]}; no interior point"
-                )
-            # Polyak step toward a margin strictly below zero
-            a = a - ((worst + target_margin) / row_sq) * row
-        raise InfeasibleConstraintsError(
-            f"no strictly feasible point found after {max_iter} iterations "
-            f"(best margin {best:.3e}); Slater's condition appears violated"
-        )
 
 
 class GameSpec:
@@ -286,6 +277,9 @@ def _set_quadratic_part(game, A, b, dims) -> tuple[int, ...]:
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    for name, arr in (("A", A), ("b", b)):
+        if not np.all(np.isfinite(arr)):
+            raise GameConfigError(f"cost {name} has non-finite entries")
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise GameConfigError(f"A must have shape (N, D, D), got {A.shape}")
     N, D = A.shape[0], A.shape[1]

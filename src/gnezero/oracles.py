@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import _operator, _projected_step, _start_point
+from .augmented import _operator, _projected_step
 from .games import GameSpec, JointAction, QuadraticGame
-from .learner import checkpoints
+from .lcp import SolverError, _lemke
 
 __all__ = [
     "OracleSolution",
@@ -28,12 +28,7 @@ __all__ = [
     "solve_vgne",
     "solve_regularized_vi",
     "solve_vi_extragradient",
-    "first_order_trajectory",
 ]
-
-
-class SolverError(RuntimeError):
-    """The oracle could not produce a solution satisfying its optimality checks."""
 
 
 @dataclass(frozen=True)
@@ -56,51 +51,6 @@ def _require_quadratic(game: GameSpec, who: str) -> QuadraticGame:
             "iteration tolerance"
         )
     return game
-
-
-def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solution lam of the LCP 0 <= lam, M lam + r >= 0, lam'(M lam + r) = 0.
-
-    Lemke's complementary pivoting with covering vector e and a ratio test
-    lexicographic over the right-hand side and the initial basis inverse, so
-    degenerate pivots cannot cycle; on a tie the artificial z0 leaves first.
-    For monotone M, ray termination proves the LCP infeasible.
-    """
-    n = r.shape[0]
-    if n == 0 or r.min() >= 0.0:
-        return np.zeros(n)
-    # tableau of w - M lam - e z0 = r; columns w (0..n-1), lam (n..2n-1), z0, rhs
-    z0, rhs = 2 * n, 2 * n + 1
-    T = np.hstack([np.eye(n), -M, -np.ones((n, 1)), r[:, None]])
-    basis = np.arange(n)
-
-    def lex_min_row(rows, denom):
-        for c in (rhs, *range(n)):
-            ratios = T[rows, c] / denom[rows]
-            rows = rows[ratios <= ratios.min() + 1e-12 * max(1.0, abs(ratios.min()))]
-            if rows.size == 1:
-                break
-            if c == rhs and z0 in basis[rows]:
-                return rows[basis[rows] == z0][0]
-        return rows[0]
-
-    row, entering = lex_min_row(np.arange(n), np.ones(n)), z0
-    for _ in range(50 * (n + 1)):  # no basis repeats; the cap guards round-off
-        pivot_row = T[row] / T[row, entering]
-        T -= np.outer(T[:, entering], pivot_row)
-        T[row] = pivot_row
-        leaving, basis[row] = basis[row], entering
-        if leaving == z0:
-            values = np.zeros(rhs)
-            values[basis] = T[:, rhs]
-            return np.maximum(values[n:z0], 0.0)
-        entering = leaving + n if leaving < n else leaving - n
-        col = T[:, entering]
-        rows = np.flatnonzero(col > 1e-12 * max(1.0, float(np.abs(col).max())))
-        if rows.size == 0:
-            raise SolverError("complementary pivoting ended on a ray: the KKT system is infeasible")
-        row = lex_min_row(rows, col)
-    raise SolverError("complementary pivoting did not terminate")
 
 
 def _min_norm_multiplier(K_T: np.ndarray, c: np.ndarray, check_tol: float) -> np.ndarray:
@@ -292,34 +242,3 @@ def solve_vi_extragradient(
         stationarity_residual=float(np.linalg.norm(v)),
         complementarity_residual=float(np.max(np.abs(lam * w))) if n else 0.0,
     )
-
-
-def first_order_trajectory(
-    game: GameSpec,
-    sched,
-    T: int,
-    mu0=None,
-    lam0=None,
-    record_every: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-gradient analogue of the payoff-based iteration, for baselines.
-
-    Runs `run`'s primal-dual update from the same checked start point, with
-    the true extended pseudo-gradient in place of the sampled estimate and
-    without any action sampling. Returns the start point followed by the
-    points after the steps checkpoints(T, record_every), as arrays mus (k, D)
-    and lams (k, n); at T = 0 only the start point.
-    """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    # max(T, 1): at T = 0 the call only validates record_every
-    record_at = set(checkpoints(max(T, 1), record_every).tolist())
-    mu, lam = _start_point(game, mu0, lam0)
-    mus, lams = [mu], [lam]
-    for t in range(1, T + 1):
-        # simultaneous update: both blocks read the same current point
-        mu, lam = _projected_step(mu, lam, sched.gamma(t), *_operator(game, mu, lam, sched.eps(t)))
-        if t in record_at:
-            mus.append(mu)
-            lams.append(lam)
-    return np.array(mus), np.array(lams)

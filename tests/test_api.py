@@ -20,6 +20,5 @@ def test_star_import():
     assert "gnezero.oracles" in MODULES
     namespace = {}
     exec("from gnezero import *", namespace)
-    for name in ("solve_vgne", "OracleSolution", "first_order_trajectory",
-                 "extended_pseudo_gradient", "run"):
+    for name in ("solve_vgne", "OracleSolution", "extended_pseudo_gradient", "run"):
         assert name in namespace

@@ -174,6 +174,31 @@ def test_game_file_argument(tmp_path, capsys):
     assert "a* = [" in out
 
 
+@pytest.mark.parametrize("key, where, value", [
+    ("l", (0,), float("nan")),
+    ("K", (0, 1), float("inf")),
+    ("A", (1, 0, 0), float("nan")),
+])
+def test_game_file_with_non_finite_entries_exits_2(tmp_path, capfd, key, where, value):
+    # json reads NaN and Infinity; fd-level capture also sees any LAPACK output
+    from gnezero.games import paper_example
+
+    g = paper_example()
+    cfg = {"players": 2, "dims": [1, 1], "A": g.A.tolist(), "b": g.b.tolist(),
+           "K": g.constraints.K.tolist(), "l": g.constraints.l.tolist()}
+    entry = cfg[key]
+    for i in where[:-1]:
+        entry = entry[i]
+    entry[where[-1]] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["oracle", "--game", str(path)])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert err == f"gnezero oracle: error: {'cost' if key == 'A' else 'constraint'} {key} " \
+                  "has non-finite entries\n"
+
+
 def test_outdir_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GNEZERO_OUTDIR", str(tmp_path / "env-out"))
     rc, _ = run_cli(capsys, "learn", "--T", "20", "--label", "env")

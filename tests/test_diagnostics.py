@@ -9,13 +9,10 @@ from gnezero.diagnostics import (
     estimator_second_moment,
     path_drift_ratios,
     regularization_path_report,
-    smoothed_cost,
     smoothing_bias_stats,
     smoothing_bias_order_report,
 )
 from gnezero.games import (
-    ConstraintSet,
-    QuadraticGame,
     paper_example,
     random_quadratic_game,
     softplus_game,
@@ -30,51 +27,6 @@ def test_probe_validation():
     for bad in [dict(sigma=np.inf), dict(mu=[np.nan]), dict(lam=[-np.inf])]:
         with pytest.raises(ValueError, match="finite"):
             SmoothingProbe(**{"mu": [0.0], "lam": [0.0], "sigma": 0.1, **bad})
-
-
-# -- smoothed cost -----------------------------------------------------------------
-
-
-def test_smoothed_cost_matches_gaussian_integral(paper_game):
-    # exact Gaussian integral of a quadratic: U + sigma^2/2 * trace(A_i)
-    probe = SmoothingProbe(mu=[0.3, -0.2], lam=[0.7], sigma=0.5,
-                           num_samples=200_000, seed=1)
-    values = smoothed_cost(paper_game, probe)
-    assert len(values) == 2
-    for i, mc in enumerate(values):
-        base = float(paper_game.costs_at(probe.mu)[0, i]) + float(
-            probe.lam @ paper_game.constraints.value(probe.mu))
-        analytic = base + probe.sigma**2 / 2 * np.trace(paper_game.A[i])
-        assert abs(mc.value - analytic) <= 4 * mc.stderr
-
-
-def test_smoothed_cost_small_sigma_limit(paper_game):
-    probe = SmoothingProbe(mu=[0.4, 0.6], lam=[0.3], sigma=1e-6,
-                           num_samples=2_000, seed=2)
-    exact = float(paper_game.costs_at(probe.mu)[0, 0]) + float(
-        probe.lam @ paper_game.constraints.value(probe.mu))
-    mc = smoothed_cost(paper_game, probe)[0]
-    assert mc.value == pytest.approx(exact, rel=1e-6)
-
-
-def test_smoothed_cost_linear_costs_unaffected():
-    # zero quadratic part: smoothing shifts nothing (zero Hessian trace)
-    A = np.zeros((2, 2, 2))
-    b = np.array([[1.0, -2.0], [0.5, 0.3]])
-    game = QuadraticGame(A, b, ConstraintSet([[1.0, 1.0]], [10.0]),
-                         require_monotone=False)
-    probe = SmoothingProbe(mu=[0.2, -0.1], lam=[0.0], sigma=0.8,
-                           num_samples=100_000, seed=3)
-    for i, mc in enumerate(smoothed_cost(game, probe)):
-        assert abs(mc.value - float(game.costs_at(probe.mu)[0, i])) <= 4 * mc.stderr
-
-
-def test_smoothed_cost_stderr_shrinks_with_samples(paper_game):
-    p1 = SmoothingProbe(mu=[0.1, 0.1], lam=[0.2], sigma=0.4, num_samples=20_000, seed=4)
-    p2 = SmoothingProbe(mu=[0.1, 0.1], lam=[0.2], sigma=0.4, num_samples=40_000, seed=5)
-    se1 = smoothed_cost(paper_game, p1)[0].stderr
-    se2 = smoothed_cost(paper_game, p2)[0].stderr
-    assert 1.2 <= se1 / se2 <= 1.7  # about sqrt(2), wide band for noise
 
 
 # -- estimator bias -----------------------------------------------------------------

@@ -204,6 +204,50 @@ def test_slater_violation_raises():
         ConstraintSet([[1.0], [-1.0]], [0.0, -1.0])
 
 
+@pytest.mark.parametrize("rows", [3, 8, 30])
+def test_polygons_with_many_rows_build(rows):
+    # every polygon keeps (5, -3) at margin 0.05; a numeric interior-point
+    # search rejected most of them, more often the more rows they had
+    rng = np.random.default_rng(rows)
+    for _ in range(20):
+        K = rng.standard_normal((rows, 2))
+        ConstraintSet(K, K @ [5.0, -3.0] + 0.05)
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.0], ids=["empty", "no-interior"])
+@pytest.mark.parametrize("seed", range(5))
+def test_sets_with_an_infeasibility_certificate_raise(seed, gap):
+    # y >= 0 with K'y = 0 and l'y = -gap <= 0: summing y_j (K a - l)_j gives
+    # l'y >= 0 for a feasible a, and l'y > 0 for a strictly feasible one
+    rng = np.random.default_rng(seed)
+    n, D = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    y = rng.uniform(0.1, 1.0, size=n)
+    K = rng.standard_normal((n, D))
+    K[-1] = -(y[:-1] @ K[:-1]) / y[-1]
+    l = rng.standard_normal(n)
+    l[-1] = -(y[:-1] @ l[:-1] + gap) / y[-1]
+    assert np.allclose(y @ K, 0.0) and y @ l == pytest.approx(-gap)
+    with pytest.raises(InfeasibleConstraintsError):
+        ConstraintSet(K, l)
+
+
+def test_zero_row_with_negative_offset_raises():
+    # row 0 asks 0 <= -0.5
+    with pytest.raises(InfeasibleConstraintsError):
+        ConstraintSet([[0.0, 0.0], [1.0, 0.0]], [-0.5, 1.0])
+
+
+def test_random_quadratic_game_draws_are_pinned():
+    # the feasibility check draws nothing, so seeded games stay as they were
+    game = random_quadratic_game(1)
+    assert game.dims == (2, 2)
+    assert game.constraints.l == pytest.approx(
+        [-1.9319854865151025, -0.834017216605523, -1.126859425322022], rel=1e-12)
+    assert game.q == pytest.approx(
+        [-1.2273520542445742, -0.6832266617805622, -0.07204367972722743, -0.9447516230607774],
+        rel=1e-12)
+
+
 def test_empty_constraint_set_allowed():
     cs = ConstraintSet(np.zeros((0, 2)), np.zeros(0))
     assert cs.value([1.0, 2.0]).shape == (0,)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib.util
 import pickle
 from pathlib import Path
 
@@ -358,15 +359,31 @@ def test_run_checks_start_point_length(paper_game, kw):
         run(paper_game, Schedules(), 5, seeds=[0], **kw)
 
 
-def test_learner_never_imports_the_oracle():
-    # the learner sees payoff values only; the reference belongs to the harness
-    import gnezero.learner
+def _package_imports(module: str) -> set[str]:
+    """Names of the gnezero modules that gnezero.<module> imports, from its source."""
+    tree = ast.parse(Path(importlib.util.find_spec(f"gnezero.{module}").origin).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import y
+            names.update([f"gnezero.{node.module}"] if node.module
+                         else [f"gnezero.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return {name.split(".")[1] for name in names if name.startswith("gnezero.")}
 
-    tree = ast.parse(Path(gnezero.learner.__file__).read_text())
-    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names]
-    assert imported and not [name for name in imported if "oracles" in name]
+
+def test_learner_never_imports_the_oracle():
+    # one layering check in both directions: the learner sees payoff values
+    # only (the reference belongs to the harness), the oracle reads no
+    # learner or harness code, and the LCP solver, which games and oracles
+    # share, stands on numpy alone
+    learner, oracles, lcp = (_package_imports(m) for m in ("learner", "oracles", "lcp"))
+    assert "games" in learner and "lcp" in oracles  # relative imports are seen
+    assert "oracles" not in learner
+    assert not oracles & {"learner", "harness"}
+    assert lcp == set()
 
 
 # -- divergence ---------------------------------------------------------------------

@@ -1,29 +1,24 @@
 import numpy as np
 import pytest
 from conftest import enumerate_kkt
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gnezero.augmented import extended_pseudo_gradient
 from gnezero.games import (
     ConstraintSet,
-    DimensionMismatchError,
-    InfeasibleConstraintsError,
     QuadraticGame,
     paper_example,
     random_quadratic_game,
     softplus_game,
 )
-from gnezero.learner import checkpoints, run
 from gnezero.oracles import (
     OracleSolution,
     SolverError,
-    first_order_trajectory,
     solve_regularized_vi,
     solve_vgne,
     solve_vi_extragradient,
 )
-from gnezero.schedules import Schedules
 
 
 def test_paper_game_equilibrium(paper_game, paper_solution):
@@ -155,7 +150,9 @@ def degenerate_games(draw):
     positively scaled copies of them. Rows tight at the solution with zero
     multiplier (weakly active, possibly repeated) are drawn orthogonal to the
     base rows, so the tight rows stay well conditioned up to exact repeats
-    and 1e-10 is a fair tolerance; slack rows point anywhere.
+    and 1e-10 is a fair tolerance; slack rows point anywhere, with a margin
+    of at least 0.1 at the solution and at a point on the base rows. Every
+    such set is strictly feasible, so ConstraintSet must accept it.
     """
     seed = draw(st.integers(0, 2**16))
     eps = draw(st.sampled_from([0.0, 1e-3, 0.1]))
@@ -163,7 +160,7 @@ def degenerate_games(draw):
     D = sum(dims)
     num_base = draw(st.integers(0, min(D, 3)))
     base = random_quadratic_game(seed, dims=dims, num_constraints=num_base)
-    K, l = base.constraints.K, base.constraints.l
+    K, l = base_K, base_l = base.constraints.K, base.constraints.l
     if num_base:
         copies = draw(st.lists(st.tuples(st.integers(0, num_base - 1),
                                          st.sampled_from([1.0, 0.5, 3.0])), max_size=2))
@@ -172,16 +169,17 @@ def degenerate_games(draw):
     a = enumerate_kkt(QuadraticGame(base.A, base.b, ConstraintSet(K, l), dims=dims), eps)[0]
     rng = np.random.default_rng(seed)
     num_weak = draw(st.integers(0, min(2, D - num_base)))
-    basis, _ = np.linalg.qr(np.column_stack([base.constraints.K.T, rng.standard_normal((D, D))]))
+    basis, _ = np.linalg.qr(np.column_stack([base_K.T, rng.standard_normal((D, D))]))
     weak = basis[:, num_base:num_base + num_weak].T * rng.uniform(0.5, 2.0, size=(num_weak, 1))
     if num_weak and draw(st.booleans()):
         weak = np.vstack([weak, 2.0 * weak[0]])
     slack = rng.standard_normal((draw(st.integers(0, min(1, 8 - len(K) - len(weak)))), D))
-    try:
-        cs = ConstraintSet(np.vstack([K, weak, slack]), np.concatenate(
-            [l, weak @ a, slack @ a + rng.uniform(0.1, 1.0, size=len(slack))]))
-    except InfeasibleConstraintsError:
-        assume(False)
+    # at eps > 0 the solution a violates the base rows by eps * lam; a_in, a
+    # moved onto them, keeps the weak rows tight and the slack rows slack
+    a_in = a - np.linalg.pinv(base_K) @ (base_K @ a - base_l)
+    cs = ConstraintSet(np.vstack([K, weak, slack]), np.concatenate(
+        [l, weak @ a, np.maximum(slack @ a, slack @ a_in)
+         + rng.uniform(0.1, 1.0, size=len(slack))]))
     return QuadraticGame(base.A, base.b, cs, dims=dims), eps
 
 
@@ -313,72 +311,3 @@ def test_drift_ratios_bounded_along_schedule(paper_game):
     r_primal, r_dual = path_drift_ratios(paper_game, eps_path)
     for ratios in (r_primal, r_dual):
         assert np.max(ratios) <= 10.0 * np.median(ratios)
-
-
-# -- first-order baseline ---------------------------------------------------------
-
-
-def test_first_order_trajectory_zero_steps(paper_game):
-    mus, lams = first_order_trajectory(paper_game, Schedules(), 0, mu0=[0.5, 0.5], lam0=[0.2])
-    assert mus.shape == (1, 2) and lams.shape == (1, 1)
-    assert mus[0] == pytest.approx([0.5, 0.5])
-    assert lams[0] == pytest.approx([0.2])
-
-
-def test_first_order_trajectory_record_shapes():
-    game = random_quadratic_game(3)
-    mus, lams = first_order_trajectory(game, Schedules(), 100, record_every=30)
-    # the initial point, t = 30, 60, 90 and the final t = 100
-    assert mus.shape == (5, game.D)
-    assert lams.shape == (5, game.constraints.num_constraints)
-
-
-@pytest.mark.parametrize("record_every", [0, -2])
-def test_first_order_trajectory_rejects_bad_record_every(paper_game, record_every):
-    with pytest.raises(ValueError):
-        first_order_trajectory(paper_game, Schedules(), 5, record_every=record_every)
-
-
-def test_first_order_trajectory_records_the_run_checkpoints(paper_game):
-    # the start point, then the points after the steps that run records
-    T = 40
-    every, _ = first_order_trajectory(paper_game, Schedules(), T)
-    for record_every in (7, "log"):
-        mus, _ = first_order_trajectory(paper_game, Schedules(), T, record_every=record_every)
-        assert np.array_equal(mus, every[np.r_[0, checkpoints(T, record_every)]])
-
-
-def test_first_order_dual_iterates_nonnegative(paper_game):
-    _, lams = first_order_trajectory(paper_game, Schedules(), 500)
-    assert np.all(lams >= 0)
-
-
-@pytest.mark.parametrize("kw, err", [
-    (dict(mu0=[1.0, 2.0, 3.0]), DimensionMismatchError),
-    (dict(lam0=[0.1, 0.2]), DimensionMismatchError),
-    (dict(lam0=[-0.1]), ValueError),
-], ids=["mu0-length", "lam0-length", "lam0-negative"])
-def test_first_order_trajectory_checks_start_point(paper_game, kw, err):
-    with pytest.raises(err):
-        first_order_trajectory(paper_game, Schedules(), 5, **kw)
-
-
-def test_first_order_beats_payoff_based_run(paper_game, paper_solution):
-    T = 10_000
-    mus, _ = first_order_trajectory(paper_game, Schedules(), T, record_every=T)
-    fo_err = float(np.sum((mus[-1] - paper_solution.primal.flat) ** 2))
-    zo_mus, _ = run(paper_game, Schedules(), T, seeds=[0])
-    d = zo_mus[0, -1] - paper_solution.primal.flat
-    zo_err = float(d @ d)
-    assert fo_err <= zo_err
-
-
-def test_first_order_tracks_regularized_path(paper_game, paper_solution):
-    # the exact-gradient iterate locks onto the regularized solution at the
-    # current eps; its gap to the equilibrium is the regularization gap
-    T = 20_000
-    sched = Schedules()
-    mus, _ = first_order_trajectory(paper_game, sched, T, record_every=T)
-    reg = solve_regularized_vi(paper_game, sched.eps(T))
-    assert np.linalg.norm(mus[-1] - reg.primal.flat) <= 0.01
-    assert np.linalg.norm(mus[-1] - paper_solution.primal.flat) <= 2.0 * sched.eps(T)
