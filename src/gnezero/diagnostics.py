@@ -4,6 +4,12 @@ Monte Carlo probes of the two-point gradient estimator (its mean, its bias
 relative to the exact pseudo-gradient, the second moments of its noise
 terms), plus exact-oracle checks of the regularization path: the gap bound
 to the unregularized solution and the drift between consecutive solutions.
+
+Probes that share a seed share one draw stream (common random numbers): the
+sigma sweep of smoothing_bias_order_report and the scale sweep of
+second_moment_growth_report draw each chunk of standard normals once for all
+their probes, and every probe's figures are bit-identical to a separate
+smoothing_bias_stats or estimator_second_moment call.
 """
 
 from __future__ import annotations
@@ -71,17 +77,34 @@ def _iter_chunks(total: int):
         done += size
 
 
-def _payoff_draws(game: GameSpec, probe: SmoothingProbe):
-    """Gaussian joint actions around probe.mu and every player's payoff at them.
+def _shared_stream(probes: Sequence[SmoothingProbe]) -> tuple[int, int, int]:
+    """The (seed, num_samples, D) that all probes share; ValueError if they differ."""
+    streams = {(p.seed, p.num_samples, p.mu.shape[0]) for p in probes}
+    if len(streams) != 1:
+        raise ValueError("probes must share one seed, num_samples and dimension, "
+                         f"got (seed, num_samples, D) in {sorted(streams)}")
+    return streams.pop()
 
-    Yields (X, U) chunks: X (size, D) drawn from the probe's seeded stream
-    and U (size, N) the Lagrangian payoffs from the learner's boundary.
+
+def _payoff_draws(game: GameSpec, probes: Sequence[SmoothingProbe]):
+    """Gaussian joint actions around each probe's mean and every player's payoff at them.
+
+    The probes share one seeded stream: each chunk of standard normals xi is
+    drawn once, and for each probe k in turn X = mu_k + sigma_k xi is built
+    and evaluated, so X is bit-identical to a draw from that probe alone.
+    Yields (k, X, U): X (size, D) and U (size, N) the Lagrangian payoffs
+    from the learner's boundary. Feedback runs in the calling thread, one
+    probe's chunk at a time, so the caller folds it before the next is made.
     """
+    seed, num_samples, dim = _shared_stream(probes)
     env = PayoffEnvironment(game)
-    rng = np.random.default_rng(probe.seed)
-    for size in _iter_chunks(probe.num_samples):
-        X = probe.mu + probe.sigma * rng.standard_normal((size, probe.mu.shape[0]))
-        yield X, env.feedback(X, probe.lam)[0]
+    rng = np.random.default_rng(seed)
+    for size in _iter_chunks(num_samples):
+        xi = rng.standard_normal((size, dim))
+        for k, probe in enumerate(probes):
+            X = probe.mu + probe.sigma * xi
+            yield k, X, env.feedback(X, probe.lam)[0]
+            del X  # with the caller's del, the next probe's X replaces this one
 
 
 @dataclass(frozen=True)
@@ -101,44 +124,65 @@ class SmoothingBias:
     num_samples: int
 
 
-def _estimates(game: GameSpec, probe: SmoothingProbe):
-    """Two-point estimates of every player's gradient block at the probe point, in chunks.
+def _estimates(game: GameSpec, probes: Sequence[SmoothingProbe]):
+    """Two-point estimates of every player's gradient block at each probe point, in chunks.
 
-    Yields, per chunk of joint actions, one row-major (size, d_i) array per
-    player, all from the same draws around probe.mu; separate blocks keep
-    each player's column sums rounding as over that player's estimates alone.
+    Yields (k, blocks) per chunk and probe k in the order of _payoff_draws:
+    one row-major (size, d_i) array per player, all from the same draws
+    around probes[k].mu; separate blocks keep each player's column sums
+    rounding as over that player's estimates alone.
     """
-    u_mu = PayoffEnvironment(game).feedback(probe.mu[None], probe.lam)[0][0]
-    for X, U in _payoff_draws(game, probe):
-        yield [two_point_estimate(U[:, i, None], u_mu[i], X[:, sl], probe.mu[sl], probe.sigma)
-               for i, sl in enumerate(game.slices)]
-        del X, U  # free this chunk before the next is drawn and evaluated
+    _shared_stream(probes)  # before any payoff is evaluated
+    env = PayoffEnvironment(game)
+    # one one-row call per probe, not one batch of all means: numpy sends a
+    # one-row matrix product to gemv, which rounds differently from the gemm
+    # of a larger batch, so only this keeps each probe's results as alone
+    u_mu = [env.feedback(p.mu[None], p.lam)[0][0] for p in probes]
+    for k, X, U in _payoff_draws(game, probes):
+        p = probes[k]
+        yield k, [two_point_estimate(U[:, i, None], u_mu[k][i], X[:, sl], p.mu[sl], p.sigma)
+                  for i, sl in enumerate(game.slices)]
+        del X, U  # free this chunk before the next is built and evaluated
+
+
+def _bias_stats(game: GameSpec,
+                probes: Sequence[SmoothingProbe]) -> list[tuple[SmoothingBias, ...]]:
+    """smoothing_bias_stats for probes that share one draw stream, one pass for all."""
+    M = _shared_stream(probes)[1]
+    if M < 2:
+        raise ValueError(f"the standard error needs num_samples >= 2, got {M}")
+    sum_m = np.zeros((len(probes), game.D))
+    sumsq_m = np.zeros((len(probes), game.D))
+    for k, blocks in _estimates(game, probes):
+        for sl, m in zip(game.slices, blocks):
+            sum_m[k, sl] += m.sum(axis=0)
+            sumsq_m[k, sl] += np.einsum("kj,kj->j", m, m)
+    out = []
+    for probe, total, total_sq in zip(probes, sum_m, sumsq_m):
+        mean_m = total / M
+        se = np.sqrt(np.maximum(total_sq / M - mean_m**2, 0.0) / M)
+        exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
+        bias = mean_m - exact
+        out.append(tuple(
+            SmoothingBias(
+                bias=bias[sl],
+                stderr=se[sl],
+                norm=float(np.linalg.norm(bias[sl])),
+                norm_sq_debiased=float(bias[sl] @ bias[sl] - se[sl] @ se[sl]),
+                exact_gradient=exact[sl],
+                num_samples=M,
+            )
+            for sl in game.slices
+        ))
+    return out
 
 
 def smoothing_bias_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[SmoothingBias, ...]:
-    """Sample mean of every player's two-point estimate minus the exact gradient block."""
-    sum_m = np.zeros(game.D)
-    sumsq_m = np.zeros(game.D)
-    for blocks in _estimates(game, probe):
-        for sl, m in zip(game.slices, blocks):
-            sum_m[sl] += m.sum(axis=0)
-            sumsq_m[sl] += np.einsum("kj,kj->j", m, m)
-    M = probe.num_samples
-    mean_m = sum_m / M
-    se = np.sqrt(np.maximum(sumsq_m / M - mean_m**2, 0.0) / M)
-    exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
-    bias = mean_m - exact
-    return tuple(
-        SmoothingBias(
-            bias=bias[sl],
-            stderr=se[sl],
-            norm=float(np.linalg.norm(bias[sl])),
-            norm_sq_debiased=float(bias[sl] @ bias[sl] - se[sl] @ se[sl]),
-            exact_gradient=exact[sl],
-            num_samples=M,
-        )
-        for sl in game.slices
-    )
+    """Sample mean of every player's two-point estimate minus the exact gradient block.
+
+    Needs num_samples >= 2 for a standard error (ValueError otherwise).
+    """
+    return _bias_stats(game, [probe])[0]
 
 
 def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[float, float]:
@@ -159,12 +203,17 @@ def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[floa
     return total / M, exact
 
 
+def _second_moments(game: GameSpec, probes: Sequence[SmoothingProbe]) -> np.ndarray:
+    """estimator_second_moment for probes that share one draw stream: (len(probes), N)."""
+    total = np.zeros((len(probes), game.num_players))
+    for k, blocks in _estimates(game, probes):
+        total[k] += [np.einsum("kj,kj->", m, m) for m in blocks]
+    return total / probes[0].num_samples
+
+
 def estimator_second_moment(game: GameSpec, probe: SmoothingProbe) -> np.ndarray:
     """Empirical E||m^i||^2 of the two-point estimate at the probe point, one per player."""
-    total = np.zeros(game.num_players)
-    for blocks in _estimates(game, probe):
-        total += [np.einsum("kj,kj->", m, m) for m in blocks]
-    return total / probe.num_samples
+    return _second_moments(game, [probe])[0]
 
 
 # -- reports -----------------------------------------------------------------
@@ -356,14 +405,14 @@ def smoothing_bias_order_report(
 
     For each sigma the squared norm of the bias (Monte Carlo corrected) is
     measured at the probe point, summed over players; the log-log slope
-    against sigma is compared to the expected second-order scaling.
+    against sigma is compared to the expected second-order scaling. All
+    sigmas share the probe's draws, in one pass.
     """
     sigmas = [float(s) for s in sigmas]
-    norms_sq = []
-    for s in sigmas:
-        p = SmoothingProbe(probe.mu, probe.lam, s, probe.num_samples, probe.seed)
-        total = sum(stats.norm_sq_debiased for stats in smoothing_bias_stats(game, p))
-        norms_sq.append(max(total, 1e-30))
+    probes = [SmoothingProbe(probe.mu, probe.lam, s, probe.num_samples, probe.seed)
+              for s in sigmas]
+    norms_sq = [max(sum(stats.norm_sq_debiased for stats in per_player), 1e-30)
+                for per_player in _bias_stats(game, probes)]
     slope = _loglog_slope(sigmas, norms_sq)
     case = CheckCase(
         case=f"loglog slope of E||Q||^2 vs sigma in {slope_target}+-{slope_tol}",
@@ -386,9 +435,9 @@ def second_moment_growth_report(
 
     The probe point (means and dual) is scaled by each factor; the fitted
     log-log slope of the second moment against the scale must not exceed
-    the quadratic-growth bound.
+    the quadratic-growth bound. All scales share the probe's draws, in one pass.
     """
-    per_scale = np.array([estimator_second_moment(game, probe.scaled(c)) for c in scales])
+    per_scale = _second_moments(game, [probe.scaled(c) for c in scales])
     cases = []
     for i in range(game.num_players):
         moments = per_scale[:, i].tolist()

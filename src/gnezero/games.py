@@ -202,7 +202,11 @@ class GameSpec:
         per available CPU, each in a copy of the caller's context so that
         np.errstate carries over (numpy 2 keeps it in a context variable).
         Every row's arithmetic is the same as in one call on the whole
-        batch, so the result is bit-identical to it.
+        batch, so the result is bit-identical to it. A one-row batch (or a
+        point) is the exception: numpy sends its matrix products to gemv,
+        which rounds differently from the gemm of a larger batch, so it is
+        not bit-equal to the same row inside a larger batch. The diagnostics
+        therefore evaluate each probe's mean point in its own one-row call.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim < 2:

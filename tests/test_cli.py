@@ -68,6 +68,7 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     ["diagnose", "--sigma", "0"],
     ["diagnose", "--sigma", "nan", "--checks", "estimator-mean"],
     ["diagnose", "--sigma", "inf", "--game", "softplus-ridge"],
+    ["diagnose", "--checks", "estimator-mean", "--num-samples", "1"],
     ["learn", "--S", "nan", "--T", "50"],
     ["learn", "--G", "inf", "--T", "50"],
     ["learn", "--T", "10", "--workers", "-3"],

@@ -1,7 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 from conftest import reference_estimates
 
+import gnezero.diagnostics as diag
+from gnezero.cli import main
 from gnezero.diagnostics import (
     SmoothingProbe,
     drift_spread_report,
@@ -9,12 +13,14 @@ from gnezero.diagnostics import (
     estimator_second_moment,
     path_drift_ratios,
     regularization_path_report,
+    second_moment_growth_report,
     smoothing_bias_stats,
     smoothing_bias_order_report,
 )
 from gnezero.games import (
     paper_example,
     random_quadratic_game,
+    resolve_game,
     softplus_game,
 )
 
@@ -100,6 +106,94 @@ def test_bias_order_report_slope_two():
     report = smoothing_bias_order_report(game, [0.2, 0.1, 0.05, 0.025], probe)
     case = report.cases[0]
     assert abs(case.statistic - 2.0) <= 0.3, case.detail
+
+
+# -- sweeps over one shared draw stream --------------------------------------------------
+
+
+def _random_probe(game, num_samples, seed):
+    rng = np.random.default_rng(seed)
+    return SmoothingProbe(mu=rng.normal(scale=0.5, size=game.D),
+                          lam=np.abs(rng.normal(scale=0.5, size=game.constraints.num_constraints)),
+                          sigma=0.3, num_samples=num_samples, seed=seed)
+
+
+def test_sigma_sweep_equals_separate_calls_bit_for_bit():
+    game = resolve_game("softplus-ridge")
+    sigmas = [0.2, 0.1, 0.05, 0.025]
+    # three chunks, the last one short
+    base = _random_probe(game, 250_000, 21)
+    probes = [SmoothingProbe(base.mu, base.lam, s, base.num_samples, base.seed) for s in sigmas]
+    swept = diag._bias_stats(game, probes)
+    assert len(swept) == len(sigmas)
+    norms_sq = []
+    for probe, per_player in zip(probes, swept):
+        alone = smoothing_bias_stats(game, probe)
+        assert len(per_player) == len(alone) == game.num_players
+        for got, want in zip(per_player, alone):
+            for name in ("bias", "stderr", "exact_gradient"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for name in ("norm", "norm_sq_debiased", "num_samples"):
+                assert getattr(got, name) == getattr(want, name), name
+        norms_sq.append(max(sum(stats.norm_sq_debiased for stats in alone), 1e-30))
+    report = smoothing_bias_order_report(game, sigmas, base)
+    assert report.cases[0].detail["norms_sq"] == norms_sq
+
+
+@pytest.mark.parametrize("make_game", [
+    paper_example,
+    lambda: random_quadratic_game(4, dims=(2, 1, 2), num_constraints=2),
+])
+def test_scale_sweep_equals_separate_calls_bit_for_bit(make_game):
+    game = make_game()
+    probe = _random_probe(game, 250_000, 22)
+    scales = (1.0, 2.0, 4.0, 8.0)
+    swept = diag._second_moments(game, [probe.scaled(c) for c in scales])
+    alone = np.array([estimator_second_moment(game, probe.scaled(c)) for c in scales])
+    assert swept.shape == (len(scales), game.num_players)
+    assert np.array_equal(swept, alone)
+    report = second_moment_growth_report(game, probe, scales)
+    for i, case in enumerate(report.cases):
+        assert case.detail["moments"] == alone[:, i].tolist()
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=1), dict(num_samples=1_001), dict(mu=np.zeros(3)),
+], ids=["seed", "num_samples", "dimension"])
+def test_sweep_rejects_probes_with_different_streams(paper_game, change):
+    first = SmoothingProbe(mu=[0.1, 0.2], lam=[0.3], sigma=0.2, num_samples=1_000, seed=0)
+    fields = dict(mu=first.mu, lam=first.lam, sigma=0.1,
+                  num_samples=first.num_samples, seed=first.seed)
+    other = SmoothingProbe(**{**fields, **change})
+    with pytest.raises(ValueError, match="share one seed, num_samples and dimension"):
+        diag._bias_stats(paper_game, [first, other])
+    with pytest.raises(ValueError, match="share one seed, num_samples and dimension"):
+        diag._second_moments(paper_game, [first, other])
+
+
+def test_bias_order_check_draws_each_chunk_once(monkeypatch, capsys):
+    # diagnose runs the sigma sweep at 400,000 samples: four 1e5-row chunks
+    # drawn once for all four sigmas, not once per sigma
+    shapes = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = np.random.default_rng(seed)
+
+        def standard_normal(self, size):
+            shapes.append(size)
+            return self._rng.standard_normal(size)
+
+    class NumpyWithCountingGenerator:
+        random = types.SimpleNamespace(default_rng=CountingGenerator)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(diag, "np", NumpyWithCountingGenerator())
+    assert main(["diagnose", "--checks", "smoothing-bias-order"]) == 0
+    capsys.readouterr()
+    assert shapes == [(100_000, 2)] * 4
 
 
 def test_dual_perturbation_second_moment(paper_game):

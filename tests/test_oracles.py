@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import enumerate_kkt
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gnezero.augmented import extended_pseudo_gradient
@@ -142,38 +142,32 @@ def test_dependent_tight_rows_give_min_norm_multiplier(build, a_star, lam_star):
     assert enumerate_kkt(game)[1] == pytest.approx(lam_star, abs=1e-12)
 
 
-@st.composite
-def degenerate_games(draw):
-    """Small games with repeated, weakly active and slack rows, plus an eps.
+def degenerate_game(seed, eps, dims, num_base, copies=(), num_weak=0,
+                    repeat_weak=False, num_slack=0):
+    """A small game with repeated, weakly active and slack rows, and its eps.
 
     The binding base rows come from random_quadratic_game, followed by
-    positively scaled copies of them. Rows tight at the solution with zero
-    multiplier (weakly active, possibly repeated) are drawn orthogonal to the
-    base rows, so the tight rows stay well conditioned up to exact repeats
-    and 1e-10 is a fair tolerance; slack rows point anywhere, with a margin
-    of at least 0.1 at the solution and at a point on the base rows. Every
-    such set is strictly feasible, so ConstraintSet must accept it.
+    positively scaled copies of them, (row, factor) for each entry of
+    copies. Rows tight at the solution with zero multiplier (weakly active,
+    the first one repeated if repeat_weak) are orthogonal to the base rows,
+    so the tight rows stay well conditioned up to exact repeats and 1e-10 is
+    a fair tolerance; slack rows point anywhere, with a margin of at least
+    0.1 at the solution and at a point on the base rows. Every such set is
+    strictly feasible, so ConstraintSet must accept it.
     """
-    seed = draw(st.integers(0, 2**16))
-    eps = draw(st.sampled_from([0.0, 1e-3, 0.1]))
-    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)))
     D = sum(dims)
-    num_base = draw(st.integers(0, min(D, 3)))
     base = random_quadratic_game(seed, dims=dims, num_constraints=num_base)
     K, l = base_K, base_l = base.constraints.K, base.constraints.l
     if num_base:
-        copies = draw(st.lists(st.tuples(st.integers(0, num_base - 1),
-                                         st.sampled_from([1.0, 0.5, 3.0])), max_size=2))
         K = np.vstack([K] + [s * K[i] for i, s in copies])
         l = np.concatenate([l] + [[s * l[i]] for i, s in copies])
     a = enumerate_kkt(QuadraticGame(base.A, base.b, ConstraintSet(K, l), dims=dims), eps)[0]
     rng = np.random.default_rng(seed)
-    num_weak = draw(st.integers(0, min(2, D - num_base)))
     basis, _ = np.linalg.qr(np.column_stack([base_K.T, rng.standard_normal((D, D))]))
     weak = basis[:, num_base:num_base + num_weak].T * rng.uniform(0.5, 2.0, size=(num_weak, 1))
-    if num_weak and draw(st.booleans()):
+    if num_weak and repeat_weak:
         weak = np.vstack([weak, 2.0 * weak[0]])
-    slack = rng.standard_normal((draw(st.integers(0, min(1, 8 - len(K) - len(weak)))), D))
+    slack = rng.standard_normal((num_slack, D))
     # at eps > 0 the solution a violates the base rows by eps * lam; a_in, a
     # moved onto them, keeps the weak rows tight and the slack rows slack
     a_in = a - np.linalg.pinv(base_K) @ (base_K @ a - base_l)
@@ -183,9 +177,35 @@ def degenerate_games(draw):
     return QuadraticGame(base.A, base.b, cs, dims=dims), eps
 
 
+@st.composite
+def degenerate_games(draw):
+    """degenerate_game with drawn seed, eps, dims and row counts."""
+    seed = draw(st.integers(0, 2**16))
+    eps = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)))
+    D = sum(dims)
+    num_base = draw(st.integers(0, min(D, 3)))
+    copies = []
+    if num_base:
+        copies = draw(st.lists(st.tuples(st.integers(0, num_base - 1),
+                                         st.sampled_from([1.0, 0.5, 3.0])), max_size=2))
+    num_weak = draw(st.integers(0, min(2, D - num_base)))
+    repeat_weak = bool(num_weak) and draw(st.booleans())
+    num_rows = num_base + len(copies) + num_weak + repeat_weak
+    num_slack = draw(st.integers(0, min(1, 8 - num_rows)))
+    return degenerate_game(seed, eps, dims, num_base, copies, num_weak, repeat_weak, num_slack)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(degenerate_games())
+# one pinned case per degenerate class, whatever else Hypothesis draws
+@example(degenerate_game(101, 0.0, (1, 2), 1, copies=[(0, 1.0)]))  # repeated binding row
+@example(degenerate_game(101, 1e-3, (1, 2), 1, copies=[(0, 1.0)]))
+@example(degenerate_game(102, 0.0, (2, 1), 1, num_weak=1))  # weakly active orthogonal row
+@example(degenerate_game(102, 1e-3, (2, 1), 1, num_weak=1))
+@example(degenerate_game(103, 0.0, (1, 1), 1, num_slack=1))  # slack row
+@example(degenerate_game(103, 1e-3, (1, 1), 1, num_slack=1))
 def test_matches_enumeration_on_degenerate_games(case):
     game, eps = case
     a, lam, _ = enumerate_kkt(game, eps)
