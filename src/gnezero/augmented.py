@@ -1,13 +1,16 @@
-"""Dual-extended game: the extended pseudo-gradient and the projected step.
+"""Dual-extended game: the extended pseudo-gradient on the stacked point.
 
 The original game is extended with one virtual dual player whose action is the
 multiplier vector on the shared constraints. Primal costs become Lagrangians
 J^i(a) + <lam, K a - l>, the dual player maximizes the aggregate constraint
 value, and a Tikhonov term eps * lam acting on the dual block only restores
-strong monotonicity of the extended pseudo-gradient. One operator, with eps
-as an argument, and one projected primal-dual step serve both iterations:
-the extragradient oracle and the payoff-based learner. Points are plain
-arrays: an action a (D,) and multipliers lam (n,).
+strong monotonicity of the extended pseudo-gradient. A point of the extended
+game is one stacked vector z = [a; lam] of length D + n, and the operator is
+built once per eps as F(z) = B z + c + [M(a); 0] with the constant
+B = [[0, K'], [-K, eps I]] and c = [0; l]. The extragradient oracle iterates
+on it; extended_pseudo_gradient is its checked entry. The payoff-based
+learner never evaluates it: it sees payoffs only and takes its own projected
+step on (mu, lam).
 """
 
 from __future__ import annotations
@@ -21,19 +24,28 @@ __all__ = [
 ]
 
 
-def _operator(game: GameSpec, a: np.ndarray, lam: np.ndarray, eps: float):
-    """Primal and dual blocks of the extended pseudo-gradient at (a, lam).
+def _operator(game: GameSpec, eps: float):
+    """The extended pseudo-gradient z -> F(z) at eps, on stacked points z (D + n,).
 
-    Primal block: M(a) + K' lam; dual block: -(K a - l) + eps * lam. The
-    arrays are used as given; extended_pseudo_gradient is the checked entry.
+    F(z) = B z + c + [M(a); 0] with a = z[:D], M the game's pseudo-gradient,
+    B = [[0, K'], [-K, eps I]] and c = [0; l]: primal block M(a) + K' lam,
+    dual block -(K a - l) + eps * lam. B and c are built here once; F uses
+    its argument as given and returns a new array.
     """
     K, l = game.constraints.K, game.constraints.l
-    return game.pseudo_gradient(a) + K.T @ lam, -(K @ a) + l + eps * lam
+    n, D = K.shape
+    B = np.zeros((D + n, D + n))
+    B[:D, D:] = K.T
+    B[D:, :D] = -K
+    B[D:, D:] = eps * np.eye(n)
+    c = np.concatenate([np.zeros(D), l])
 
+    def F(z: np.ndarray) -> np.ndarray:
+        out = B @ z + c
+        out[:D] += game.pseudo_gradient(z[:D])
+        return out
 
-def _projected_step(a: np.ndarray, lam: np.ndarray, tau: float, v, w):
-    """One primal-dual step (a - tau v, max(lam - tau w, 0)); the dual stays >= 0."""
-    return a - tau * v, np.maximum(lam - tau * w, 0.0)
+    return F
 
 
 def _start_point(game: GameSpec, mu0, lam0) -> tuple[np.ndarray, np.ndarray]:
@@ -59,4 +71,4 @@ def extended_pseudo_gradient(game: GameSpec, a, lam, eps: float = 0.0) -> np.nda
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     a = _as_flat(a, game.D)
     lam = _as_flat(lam, game.constraints.num_constraints, "dual variable")
-    return np.concatenate(_operator(game, a, lam, eps))
+    return _operator(game, eps)(np.concatenate([a, lam]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .augmented import _projected_step, _start_point
+from .augmented import _start_point
 from .games import GameSpec
 from .schedules import ScheduleError, Schedules, validate_schedules
 
@@ -195,7 +195,8 @@ def run(
                 U, g = env.feedback(np.concatenate((a, mu), axis=1).reshape(R, 2, D), lam)
                 U = U.take(block_of, axis=2)  # each player's payoff on each of its coordinates
                 m = two_point_estimate(U[:, 0], U[:, 1], a, mu, sigma)
-                mu, lam = _projected_step(mu, lam, gamma, m, eps * lam - g[:, 0])
+                mu = mu - gamma * m
+                lam = np.maximum(lam - gamma * (eps * lam - g[:, 0]), 0.0)  # dual stays >= 0
                 if t == ts[j]:
                     finite = np.isfinite(mu).all(axis=1) & np.isfinite(lam).all(axis=1)
                     if not finite.all():

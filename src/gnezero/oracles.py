@@ -8,7 +8,11 @@ pivoting (Lemke's method) identifies the active set, and an exact linear
 solve on that set polishes the answer. Tseng's forward-backward-forward
 iteration over the extended primal-dual space, with a backtracked adaptive
 step, serves as an independent cross-check and as the only solver available
-for non-quadratic games (the softplus-ridge family).
+for non-quadratic games (the softplus-ridge family). It iterates on one
+stacked vector z = [a; lam] with the operator of gnezero.augmented, and its
+projection keeps the dual block >= 0. Every solver rejects a non-finite or
+non-positive tolerance, and the regularized ones a non-finite eps, with
+ValueError.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import _operator, _projected_step
+from .augmented import _operator
 from .games import GameSpec, JointAction, QuadraticGame
 from .lcp import SolverError, _lemke
 
@@ -51,6 +55,13 @@ def _require_quadratic(game: GameSpec, who: str) -> QuadraticGame:
             "iteration tolerance"
         )
     return game
+
+
+def _positive(what: str, value: float) -> float:
+    """value as a float, or ValueError when it is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return float(value)
 
 
 def _min_norm_multiplier(K_T: np.ndarray, c: np.ndarray, check_tol: float) -> np.ndarray:
@@ -131,7 +142,7 @@ def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
     Otherwise the multiplier of minimal norm is returned: a row repeated k
     times carries 1/k of the multiplier in each copy.
     """
-    return _solve_kkt(_require_quadratic(game, "solve_vgne"), 0.0, tol)
+    return _solve_kkt(_require_quadratic(game, "solve_vgne"), 0.0, _positive("tol", tol))
 
 
 def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) -> OracleSolution:
@@ -141,9 +152,8 @@ def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) ->
     makes the multipliers unique; the polish adds one refinement step so the
     residuals stay near machine precision even for tiny eps.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return _solve_kkt(_require_quadratic(game, "solve_regularized_vi"), float(eps), tol)
+    eps, tol = _positive("eps", eps), _positive("tol", tol)
+    return _solve_kkt(_require_quadratic(game, "solve_regularized_vi"), eps, tol)
 
 
 # Step control of solve_vi_extragradient, as multiples of the reference step
@@ -179,8 +189,10 @@ def solve_vi_extragradient(
 
     Works from pseudo-gradient evaluations only, so it also covers
     non-quadratic games; accuracy is the iteration tolerance, not machine
-    precision. Each iteration of Tseng's method takes, with F the extended
-    pseudo-gradient and P the projection keeping the dual block >= 0,
+    precision. The iterate is the stacked point z = [a; lam] (D + n,). Each
+    iteration of Tseng's method takes, with F the extended pseudo-gradient
+    and P(x) = max(x, lo), lo = [-inf 1_D; 0_n], the projection keeping the
+    dual block >= 0,
         y = P(z - tau F(z)),   z+ = P(y - tau (F(y) - F(z))),
     from z = 0. The step tau adapts: it starts at 1.9 tau0, grows by 5% per
     iteration and shrinks by 0.7 until tau ||F(y) - F(z)|| <= 0.9 ||y - z||,
@@ -189,42 +201,43 @@ def solve_vi_extragradient(
     tau0 = 1 / (2 (L + ||K|| + eps)) is the reference step, with L the
     (possibly probed) Lipschitz constant of the pseudo-gradient. The
     iteration stops at the first z whose fixed-point residual at tau0,
-    ||z - P(z - tau0 F(z))||, is at most tol * tau0. SolverError is raised
-    when F returns a non-finite value, when tau falls below 1e-12 tau0, or
-    after max_iter iterations.
+    d = z - P(z - tau0 F(z)), has ||d_a|| + ||d_lam|| <= tol * tau0.
+    ValueError is raised for a non-finite or non-positive eps or tol and
+    for max_iter < 1; SolverError when F returns a non-finite value, when
+    tau falls below 1e-12 tau0, or after max_iter iterations.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps, tol = _positive("eps", eps), _positive("tol", tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     K = game.constraints.K
     D, n = game.D, K.shape[0]
     norm_K = float(np.linalg.norm(K, 2))
     tau0 = 1.0 / (2.0 * (game.lipschitz() + norm_K + eps))
     tau = _STEP_START * tau0
 
-    a = np.zeros(D)
-    lam = np.zeros(n)
+    F = _operator(game, eps)
+    lo = np.concatenate([np.full(D, -np.inf), np.zeros(n)])
+    z = np.zeros(D + n)
     residual = np.inf
     for _ in range(max_iter):
-        v, w = _operator(game, a, lam, eps)
-        a_ref, lam_ref = _projected_step(a, lam, tau0, v, w)
-        da, dlam = a - a_ref, lam - lam_ref
+        Fz = F(z)
+        d = z - np.maximum(z - tau0 * Fz, lo)
+        da, dlam = d[:D], d[D:]
         residual = math.sqrt(_finite(da @ da)) + math.sqrt(dlam @ dlam)
         if residual <= tol * tau0:
             break
         while True:
-            a_half, lam_half = _projected_step(a, lam, tau, v, w)
-            v_half, w_half = _operator(game, a_half, lam_half, eps)
-            dv, dw = v_half - v, w_half - w
-            da, dlam = a_half - a, lam_half - lam
-            step_sq = da @ da + dlam @ dlam
-            if tau * tau * _finite(dv @ dv + dw @ dw) <= _STEP_THETA ** 2 * step_sq:
+            y = np.maximum(z - tau * Fz, lo)
+            dF = F(y) - Fz
+            dz = y - z
+            if tau * tau * _finite(dF @ dF) <= _STEP_THETA ** 2 * (dz @ dz):
                 break
             tau *= _STEP_SHRINK
             if tau < _STEP_FLOOR * tau0:
                 raise SolverError(
                     f"step fell below {_STEP_FLOOR:g} of the reference step {tau0:.3e}: "
                     "the pseudo-gradient is not locally Lipschitz here")
-        a, lam = _projected_step(a_half, lam_half, tau, dv, dw)
+        z = np.maximum(y - tau * dF, lo)
         tau *= _STEP_GROW
     else:
         raise SolverError(
@@ -232,13 +245,15 @@ def solve_vi_extragradient(
             f"iterations (residual {residual:.3e})"
         )
 
-    # F(z) at the returned point: the dual block is -(K a - l - eps lam),
-    # the shifted constraint value
+    # copies, so the read-only primal shares no buffer with the dual; Fz is
+    # F(z) at the returned point, its dual block -(K a - l - eps lam) the
+    # shifted constraint value
+    a, lam = z[:D].copy(), z[D:].copy()
     return OracleSolution(
         primal=JointAction(a),
         dual=lam,
-        epsilon=float(eps),
+        epsilon=eps,
         active_set=tuple(int(j) for j in range(n) if lam[j] > tol),
-        stationarity_residual=float(np.linalg.norm(v)),
-        complementarity_residual=float(np.max(np.abs(lam * w))) if n else 0.0,
+        stationarity_residual=float(np.linalg.norm(Fz[:D])),
+        complementarity_residual=float(np.max(np.abs(lam * Fz[D:]))) if n else 0.0,
     )

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from gnezero.augmented import extended_pseudo_gradient
-from gnezero.games import DimensionMismatchError, random_quadratic_game
+from gnezero.augmented import _operator, extended_pseudo_gradient
+from gnezero.games import (
+    DimensionMismatchError,
+    paper_example,
+    random_quadratic_game,
+    softplus_game,
+)
 
 from conftest import central_difference_gradient
 
@@ -84,6 +89,26 @@ def test_extended_pseudo_gradient_matches_finite_differences():
         assert w[sl] == pytest.approx(fd[sl], rel=1e-5, abs=1e-6)
     fd_dual = central_difference_gradient(lambda y: dual_player_cost(game, a, y), lam)
     assert w[game.D:] == pytest.approx(fd_dual, rel=1e-5, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5])
+def test_stacked_operator_matches_the_block_formula(eps):
+    # F(z) = B z + c + [M(a); 0] against (M(a) + K' lam, -(K a - l) + eps lam)
+    rng = np.random.default_rng(12)
+    for game in (paper_example(), random_quadratic_game(5, dims=[2] * 6, num_constraints=4),
+                 softplus_game(0), softplus_game(2)):
+        K, l = game.constraints.K, game.constraints.l
+        F = _operator(game, eps)
+        for _ in range(5):
+            a = 2.0 * rng.normal(size=game.D)
+            lam = np.abs(rng.normal(size=K.shape[0]))
+            expected = np.concatenate([game.pseudo_gradient(a) + K.T @ lam,
+                                       -(K @ a - l) + eps * lam])
+            z = np.concatenate([a, lam])
+            got = F(z)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.array_equal(z, np.concatenate([a, lam]))  # F leaves z alone
+            assert np.array_equal(extended_pseudo_gradient(game, a, lam, eps), got)
 
 
 def test_primal_block_cases(paper_game):

@@ -63,6 +63,12 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     ["learn", "--G", "-1"],
     ["oracle", "--game", "{tmp}/missing.json"],
     ["oracle", "--game", "softplus-ridge"],
+    ["oracle", "--eps", "nan"],
+    ["oracle", "--eps", "inf"],
+    ["oracle", "--tol", "0"],
+    ["oracle", "--tol", "-1"],
+    ["oracle", "--tol", "nan"],
+    ["oracle", "--tol", "inf", "--eps", "0.1"],
     ["rate-fit", "--csv", "{tmp}/missing.csv"],
     ["rate-fit", "--csv", "{tmp}/nan_agg.csv", "--t-min", "1", "--t-max", "5"],
     ["diagnose", "--sigma", "0"],

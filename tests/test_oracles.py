@@ -265,6 +265,57 @@ def test_one_solution_type_carries_epsilon(paper_game, paper_solution):
         assert not sol.primal.flat.flags.writeable
 
 
+def test_extragradient_copies_its_blocks_out_of_the_iterate():
+    sol = solve_vi_extragradient(random_quadratic_game(4, dims=[2] * 3, num_constraints=3), 1e-3)
+    primal, dual = sol.primal.flat, sol.dual
+    assert not primal.flags.writeable
+    # each block owns its buffer, so no writable view of the stacked iterate
+    # reaches the read-only primal
+    assert primal.base is None and dual.base is None
+    assert not np.may_share_memory(primal, dual)
+
+
+# solve_vi_extragradient's pseudo-gradient calls at its default tol, the same
+# whether the iterate is held as separate (a, lam) blocks or stacked: a change
+# to the step rule or the stopping rule moves a count
+@pytest.mark.parametrize("build, eps, calls", [
+    (paper_example, 0.1, 196),
+    (lambda: random_quadratic_game(2, dims=[2] * 12, num_constraints=2), 1e-3, 1734),
+    (lambda: random_quadratic_game(6, dims=[2] * 12, num_constraints=6), 1e-3, 452),
+    (lambda: random_quadratic_game(12, dims=[2] * 12, num_constraints=12), 1e-3, 485),
+    (lambda: softplus_game(0), 0.1, 145),
+], ids=["paper-example", "random-n2", "random-n6", "random-n12", "softplus-0"])
+def test_extragradient_pseudo_gradient_calls_are_pinned(build, eps, calls):
+    game = build()
+    game.lipschitz()  # a probed constant would add calls of its own
+    pseudo_gradient, count = game.pseudo_gradient, [0]
+
+    def counted(points):
+        count[0] += 1
+        return pseudo_gradient(points)
+
+    game.pseudo_gradient = counted
+    solve_vi_extragradient(game, eps)
+    assert count[0] == calls
+
+
+_BAD_EPS = [float("nan"), float("inf")]
+_BAD_TOL = [0.0, -1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("solve, kw", [
+    *[(solve_vgne, dict(tol=tol)) for tol in _BAD_TOL],
+    *[(solve_regularized_vi, dict(eps=eps)) for eps in _BAD_EPS],
+    *[(solve_regularized_vi, dict(eps=0.1, tol=tol)) for tol in _BAD_TOL],
+    *[(solve_vi_extragradient, dict(eps=eps)) for eps in _BAD_EPS],
+    *[(solve_vi_extragradient, dict(eps=0.1, tol=tol)) for tol in _BAD_TOL],
+    *[(solve_vi_extragradient, dict(eps=0.1, max_iter=k)) for k in (0, -1)],
+], ids=lambda x: x.__name__ if callable(x) else ",".join(f"{k}={v}" for k, v in x.items()))
+def test_solvers_reject_bad_eps_tol_and_max_iter(paper_game, solve, kw):
+    with pytest.raises(ValueError, match="must be"):
+        solve(paper_game, **kw)
+
+
 def test_extragradient_cross_validates_active_set(random_games):
     for game in random_games:
         exact = solve_regularized_vi(game, 0.1)
