@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -249,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve the regularized problem at this eps instead")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--csv", default=None, help="also write the CSV block to this path")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("learn", help="run the payoff-based learning iteration")
     p.add_argument("--game", default="paper-example")
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="learn")
     p.add_argument("--allow-invalid-schedules", action="store_true")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("diagnose", help="statistical and oracle-based checks")
     p.add_argument("--game", default="paper-example")
@@ -281,14 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the report CSV here")
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("rate-fit", help="log-log rate fit of an aggregate CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--t-min", type=_parse_number, default=1e3)
     p.add_argument("--t-max", type=_parse_number, default=1e5)
     p.add_argument("--column", default="mean_err_primal_sq")
-    p.set_defaults(func=cmd_rate_fit)
 
     p = sub.add_parser("reproduce-fig1",
                        help="convergence comparison across sampling spreads")
@@ -298,16 +295,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--s-values", default="4/7,2,10")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_reproduce_fig1)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main() call in this process.
+
+    Sharing it is safe: parse_args returns a fresh namespace per call, and
+    no default depends on the environment (GNEZERO_OUTDIR is read when a
+    command runs, by _resolve_outdir).
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one subcommand; bad input (a flag value, a missing or malformed file) exits 2."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up when called, not bound into the shared parser, so a function
+    # that later replaces cmd_<name> on this module is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as err:
         print(f"gnezero {args.command}: error: {err}", file=sys.stderr)
         return 2

@@ -252,7 +252,11 @@ def path_drift_ratios(game: QuadraticGame, eps_values: Sequence[float]):
     convention.
     """
     eps_values = [float(e) for e in eps_values]
-    sols = [solve_regularized_vi(game, e) for e in eps_values]
+    return _drift_ratios([solve_regularized_vi(game, e) for e in eps_values], eps_values)
+
+
+def _drift_ratios(sols, eps_values: list[float]):
+    """path_drift_ratios of the regularized solutions sols, one per eps value."""
     r_primal, r_dual = [], []
     for prev, cur, e_prev, e_cur in zip(sols, sols[1:], eps_values, eps_values[1:]):
         de = e_cur - e_prev
@@ -286,9 +290,9 @@ def regularization_path_report(
     norm_K = float(np.linalg.norm(game.constraints.K, 2))
     gap_coeff = lam_norm * game.lipschitz() / (norm_K * game.nu())
 
+    sols = [solve_regularized_vi(game, eps) for eps in eps_grid]
     cases = []
-    for eps in eps_grid:
-        sol = solve_regularized_vi(game, eps)
+    for eps, sol in zip(eps_grid, sols):
         gap = float(np.linalg.norm(base.primal.flat - sol.primal.flat))
         bound = eps * gap_coeff
         cases.append(CheckCase(
@@ -300,7 +304,7 @@ def regularization_path_report(
         ))
 
     if len(eps_grid) >= 2:
-        r_primal, r_dual = path_drift_ratios(game, eps_grid)
+        r_primal, r_dual = _drift_ratios(sols, eps_grid)
         for name, ratios in (("primal", r_primal), ("dual", r_dual)):
             for (e_prev, e_cur), r in zip(zip(eps_grid, eps_grid[1:]), ratios):
                 cases.append(CheckCase(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,6 +180,10 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
     if k > 1:
         cuts = [len(cfg.seeds) * j // k for j in range(k + 1)]
         batches = [cfg.seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        # imported here so that a run without worker processes never loads
+        # multiprocessing at startup
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=k) as pool:
             mus, lams = (np.concatenate(parts) for parts in zip(*pool.map(learn, batches)))
     else:

@@ -15,6 +15,8 @@ learner, and the harness measures the errors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .augmented import _start_point
@@ -86,8 +88,9 @@ def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
     cost values broadcast against a_i - mu_i (a scalar, one value per
     coordinate, or a (P, 1) column for a batch).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    # one scalar comparison per learner step; NaN fails it too
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     a_i = np.asarray(a_i, dtype=float)
     mu_i = np.asarray(mu_i, dtype=float)
     if mu_i.shape not in (a_i.shape, a_i.shape[-1:]):

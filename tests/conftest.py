@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gnezero
 from gnezero.games import paper_example, random_quadratic_game
 from gnezero.oracles import solve_vgne
 
@@ -144,3 +149,12 @@ def reference_estimates(game, probe, i):
         u = game.costs_at(X)[:, i] + (X @ K.T - l) @ lam
         chunks.append((u - u_mu)[:, None] * (X[:, sl] - mu[sl]) / (sigma * sigma))
     return chunks
+
+
+def fresh_python(*args) -> str:
+    """Test-local helper: stdout of a new interpreter, run with this gnezero on its path."""
+    src = str(Path(gnezero.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout

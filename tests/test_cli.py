@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from conftest import fresh_python
 
+import gnezero.cli
 from gnezero.cli import main
 
 
@@ -211,3 +213,44 @@ def test_outdir_env_override(tmp_path, capsys, monkeypatch):
     rc, _ = run_cli(capsys, "learn", "--T", "20", "--label", "env")
     assert rc == 0
     assert (tmp_path / "env-out" / "env_agg.csv").exists()
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_oracle_flags_do_not_carry_over_to_the_next_call(capsys):
+    rc, out = run_cli(capsys, "oracle", "--eps", "1e-3")
+    assert rc == 0 and "eps,0.001" in out.splitlines()
+    rc, out = run_cli(capsys, "oracle")
+    assert rc == 0 and "variational equilibrium:" in out
+    assert not any(line.startswith("eps,") for line in out.splitlines())
+
+
+def test_diagnose_eps_grid_does_not_carry_over_to_the_next_call(capsys):
+    def gap_cases(out):
+        return [line.split(",")[1] for line in out.splitlines()
+                if line.startswith("regularization-path,gap-bound")]
+
+    rc, out = run_cli(capsys, "diagnose", "--checks", "reg-path", "--eps-grid", "1e-1,1e-2")
+    assert rc == 0
+    assert gap_cases(out) == ["gap-bound eps=0.1", "gap-bound eps=0.01"]
+    rc, out = run_cli(capsys, "diagnose", "--checks", "reg-path")
+    assert rc == 0
+    assert gap_cases(out) == [f"gap-bound eps={e}" for e in ("0.1", "0.01", "0.001", "0.0001")]
+
+
+def test_call_after_a_bad_flag_prints_what_a_fresh_process_prints(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "--eps", "not-a-number"])
+    assert exit_info.value.code == 2
+    rc, out = run_cli(capsys, "oracle", "--eps", "0.1")
+    assert rc == 0
+    assert out == fresh_python("-m", "gnezero.cli", "oracle", "--eps", "0.1")
+
+
+def test_commands_are_looked_up_when_called(capsys, monkeypatch):
+    # a function that replaces cmd_<name> after the parser was built (as a
+    # tracing wrapper does) must be the one that runs
+    run_cli(capsys, "oracle")
+    monkeypatch.setattr(gnezero.cli, "cmd_oracle", lambda args: 7)
+    assert main(["oracle"]) == 7

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import fresh_python
 
 from gnezero.harness import (
     ExperimentConfig,
@@ -136,6 +137,13 @@ def test_worker_pool_matches_sequential(tmp_path):
             agg.add((out / "w_agg.csv").read_bytes())
         assert len(raw) == 1  # the raw CSV lists seeds in seed-list order
     assert len(agg) == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a fresh interpreter: this test process may already hold the pool modules
+    out = fresh_python("-c", "import sys, gnezero, gnezero.cli; print(sorted("
+                       "{'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    assert out.strip() == "[]"
 
 
 def test_bad_outdir_fails_before_running(tmp_path):

@@ -117,8 +117,9 @@ def test_sample_action_rejects_bad_sigma():
         Schedules(S=0.0)
     with pytest.raises(ValueError):
         Schedules(S=-1.0)
-    with pytest.raises(ValueError):
-        two_point_estimate(1.0, 0.0, [0.1], [0.0], -1.0)
+    for sigma in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            two_point_estimate(1.0, 0.0, [0.1], [0.0], sigma)
 
 
 # -- two-point estimate ------------------------------------------------------------
