@@ -181,8 +181,7 @@ def cmd_diagnose(args) -> int:
             num_samples=max(args.num_samples, 400_000),
             seed=args.seed,
         )
-        reports.append(diag.smoothing_bias_order_report(
-            ridge, [0.2, 0.1, 0.05, 0.025], ridge_probe))
+        reports.append(diag.smoothing_bias_order_report(ridge, ridge_probe))
 
     lines = _report_csv_lines(reports)
     print("\n".join(lines))
@@ -200,6 +199,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_rate_fit(args) -> int:
+    if not Path(args.csv).read_text().strip():  # genfromtxt raises IndexError on it
+        raise ValueError(f"{args.csv} is empty")
     data = np.genfromtxt(args.csv, delimiter=",", names=True)
     t = np.atleast_1d(data["t"])
     err = np.atleast_1d(data[args.column])

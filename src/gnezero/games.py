@@ -501,27 +501,22 @@ def random_quadratic_game(
     return QuadraticGame(A, b, cs, dims=dims, name=f"random-quadratic-{seed}")
 
 
-def softplus_game(
-    seed: int = 0,
-    dims: Sequence[int] = (1, 1),
-    delta: float = 0.1,
-    beta: float = 400.0,
-) -> SoftplusQuadraticGame:
+def softplus_game(seed: int = 0) -> SoftplusQuadraticGame:
     """Smooth non-quadratic family: quadratic base plus a sharp softplus ridge.
 
-    Each player's ridge direction passes through the origin, so probes placed
-    at zero sit exactly on the high-curvature ridge. The perturbation weight
-    is kept small enough that the probed strong-monotonicity constant stays
-    positive.
+    Two one-dimensional players, one shared constraint, ridge weight 0.1 and
+    sharpness 400. Each player's ridge direction passes through the origin,
+    so probes placed at zero sit exactly on the high-curvature ridge. The
+    perturbation weight is kept small enough that the probed
+    strong-monotonicity constant stays positive.
     """
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in dims)
-    N, D = len(dims), int(sum(dims))
+    dims = (1, 1)
     base = random_quadratic_game(seed, dims=dims, num_constraints=1)
-    W = rng.standard_normal((N, D))
+    W = rng.standard_normal((2, 2))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     game = SoftplusQuadraticGame(
-        dims, base.A, np.zeros((N, D)), W, np.full(N, delta), beta,
+        dims, base.A, np.zeros((2, 2)), W, np.full(2, 0.1), 400.0,
         base.constraints,
         name=f"softplus-{seed}",
     )
@@ -540,12 +535,27 @@ BUILTIN_GAMES: dict[str, Callable[[], GameSpec]] = {
 
 
 def builtin_game(name: str) -> GameSpec:
+    if not isinstance(name, str):
+        raise GameConfigError(f"builtin game name must be a string, got {name!r}")
     try:
         return BUILTIN_GAMES[name]()
     except KeyError:
         raise GameConfigError(
             f"unknown builtin game {name!r}; available: {sorted(BUILTIN_GAMES)}"
         ) from None
+
+
+def _config_field(cfg: dict, key: str, convert):
+    """convert(cfg[key]); GameConfigError if the key is missing or convert rejects its value."""
+    try:
+        value = cfg[key]
+    except KeyError:
+        raise GameConfigError(f"game config is missing key {key!r}") from None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise GameConfigError(
+            f"game config key {key!r} has the wrong type or shape ({err})") from None
 
 
 def game_from_config(cfg: dict) -> GameSpec:
@@ -555,17 +565,14 @@ def game_from_config(cfg: dict) -> GameSpec:
     players, dims, A (list of N DxD matrices), b (list of N length-D vectors),
     K, l.
     """
+    if not isinstance(cfg, dict):
+        raise GameConfigError(f"game config must be a JSON object, got {type(cfg).__name__}")
     if "builtin" in cfg:
         return builtin_game(cfg["builtin"])
-    try:
-        players = int(cfg["players"])
-        dims = [int(d) for d in cfg["dims"]]
-        A = np.asarray(cfg["A"], dtype=float)
-        b = np.asarray(cfg["b"], dtype=float)
-        K = np.asarray(cfg["K"], dtype=float)
-        l = np.asarray(cfg["l"], dtype=float)
-    except KeyError as missing:
-        raise GameConfigError(f"game config is missing key {missing}") from None
+    players = _config_field(cfg, "players", int)
+    dims = _config_field(cfg, "dims", lambda v: [int(d) for d in v])
+    A, b, K, l = (_config_field(cfg, key, lambda v: np.asarray(v, dtype=float))
+                  for key in ("A", "b", "K", "l"))
     if players != len(dims):
         raise GameConfigError(f"players={players} but dims has {len(dims)} entries")
     cs = ConstraintSet(K, l)

@@ -17,7 +17,7 @@ import numpy as np
 from . import oracles
 from .games import GameSpec, QuadraticGame, resolve_game
 from .learner import checkpoints, run
-from .schedules import Schedules
+from .schedules import ScheduleError, Schedules
 
 __all__ = [
     "ExperimentConfig",
@@ -298,22 +298,33 @@ def reproduce_fig1(
     num_seeds: int = 20,
     seed_base: int = 0,
     s_values: tuple[float, ...] = (4.0 / 7.0, 2.0, 10.0),
-    game: str = "paper-example",
     workers: int = 1,
 ) -> list[MetricsTable]:
-    """Convergence comparison across sampling-spread schedules on one game.
+    """Convergence comparison across sampling-spread schedules on paper-example.
 
     Runs the learning iteration for each spread exponent s (the step-size and
     regularization exponents stay at their standard values), aggregates over
     seeds, writes CSVs, and emits a plot script drawing one curve per s.
+    Every schedule and label is checked before the first run, so an invalid
+    s, or two s values whose CSVs would share a label, writes nothing.
     """
     outdir = Path(outdir)
-    tables = []
+    runs = {}  # label -> (s, schedules)
     for s in s_values:
         sched = Schedules(s=float(s))
-        label = f"s_{s:g}".replace(".", "p").replace("/", "_")
+        report = sched.validate()
+        if not report.valid:
+            raise ScheduleError(f"s={s:g}: schedules violate validity conditions: "
+                                + ", ".join(report.failing()))
+        label = f"s_{s:g}".replace(".", "p")
+        if label in runs:
+            raise ValueError(f"s values {runs[label][0]!r} and {s!r} would both "
+                             f"write {label}_raw.csv")
+        runs[label] = (s, sched)
+    tables = []
+    for label, (s, sched) in runs.items():
         cfg = ExperimentConfig(
-            game=game, schedules=sched, T=T,
+            game="paper-example", schedules=sched, T=T,
             seeds=[seed_base + k for k in range(num_seeds)],
             outdir=outdir, label=label, workers=workers,
         )

@@ -149,7 +149,7 @@ def test_criterion_6_estimator_statistics():
     ridge = softplus_game(0)
     ridge_probe = SmoothingProbe(mu=np.zeros(ridge.D), lam=np.zeros(1), sigma=0.1,
                                  num_samples=1_000_000, seed=103)
-    report = smoothing_bias_order_report(ridge, [0.2, 0.1, 0.05, 0.025], ridge_probe)
+    report = smoothing_bias_order_report(ridge, ridge_probe)
     slope = report.cases[0].statistic
     ok_c = abs(slope - 2.0) <= 0.3
 

@@ -80,3 +80,16 @@ def test_traced_learn_makes_one_payoff_call_per_step_for_all_seeds(tmp_path, cap
     assert m["learner.run_calls"] == 1
     assert m["games.payoff_calls"] == 50
     assert m["games.costs_at_rows"] == 2 * 3 * 50
+
+
+def test_traced_diagnose_all_counts(capsys):
+    # every check of the diagnose-all workload, at 2,000 samples: estimator-mean
+    # and dual-perturbation sample the probe once each; the two sweeps call no
+    # traced sampling function, and smoothing-bias-order samples at least
+    # 400,000 rows for each of its four sigmas
+    m = _traced_round(["diagnose", "--checks", "all", "--num-samples", "2000"])
+    assert m["diagnostics.mc_samples"] == 4_000
+    assert m["games.payoff_calls"] == 30
+    assert m["games.costs_at_rows"] == 1_610_009
+    assert m["oracles.regularized_calls_in_diag"] == 204
+    assert m["oracles.linear_solves"] == 615

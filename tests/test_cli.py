@@ -59,6 +59,21 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     assert "g>1/2" in capsys.readouterr().err
 
 
+_PAPER_CONFIG = {"players": 2, "dims": [1, 1],
+                 "A": [[[3.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [-1.0, 1.0]]],
+                 "b": [[0.0, 0.0], [0.0, 0.0]], "K": [[-1.0, -1.0]], "l": [-1.0]}
+
+# game files of the wrong shape: each must be rejected as bad input
+_BAD_GAME_FILES = {
+    "top_level_list": [1, 2],
+    "top_level_string": "paper-example",
+    "dims_number": {**_PAPER_CONFIG, "dims": 5},
+    "dims_nested": {**_PAPER_CONFIG, "dims": [[1], [1]]},
+    "players_null": {**_PAPER_CONFIG, "players": None},
+    "builtin_list": {"builtin": []},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["learn", "--num-seeds", "0"],
     ["learn", "--T", "0"],
@@ -81,10 +96,20 @@ def test_learn_rejects_invalid_schedules(tmp_path, capsys):
     ["learn", "--G", "inf", "--T", "50"],
     ["learn", "--T", "10", "--workers", "-3"],
     ["reproduce-fig1", "--T", "10", "--workers", "0"],
+    *(["oracle", "--game", f"{{tmp}}/{name}.json"] for name in _BAD_GAME_FILES),
+    ["rate-fit", "--csv", "{tmp}/empty.csv"],
+    # both map to the label s_0p571429
+    ["reproduce-fig1", "--s-values", "4/7,0.5714286", "--T", "10"],
+    # a valid s first, then one that Schedules rejects or that fails s + g > 1
+    ["reproduce-fig1", "--s-values", "4/7,-1", "--T", "10"],
+    ["reproduce-fig1", "--s-values", "4/7,0.3", "--T", "10"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
         "t,mean_err_primal_sq\n" + "".join(f"{t},nan\n" for t in range(1, 6)))
+    (tmp_path / "empty.csv").write_text("")
+    for name, cfg in _BAD_GAME_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     argv = [a.format(tmp=tmp_path) for a in argv] + (
         ["--outdir", str(tmp_path)] if argv[0] in ("learn", "reproduce-fig1") else [])
     rc = main(argv)
@@ -92,6 +117,8 @@ def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     assert rc == 2
     assert err.startswith(f"gnezero {argv[0]}: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # bad input is rejected before any run writes its CSVs
+    assert list(tmp_path.glob("*_raw.csv")) == []
 
 
 def test_learn_divergence_writes_no_csv(tmp_path, capsys):
