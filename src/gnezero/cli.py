@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help="comma list of " + ",".join(CHECK_NAMES))
     p.add_argument("--eps-grid", default="1e-1,1e-2,1e-3,1e-4")
-    p.add_argument("--sigma", type=_parse_number, default=0.5)
+    p.add_argument("--sigma", type=_parse_number, default=0.5,
+                   help="sampling spread of the estimator probes; smoothing-bias-order "
+                        "ignores it and sweeps sigma in {0.2, 0.1, 0.05, 0.025}")
     p.add_argument("--num-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the report CSV here")

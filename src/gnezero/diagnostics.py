@@ -113,7 +113,9 @@ def _estimates(game: GameSpec, probes: Sequence[SmoothingProbe]):
     alone. Feedback runs in the calling thread, one probe's chunk at a time.
     """
     seed, num_samples, dim = _shared_stream(probes)  # before any payoff is evaluated
-    env = PayoffEnvironment(game)
+    # at D >= 3 the einsum contraction rounds the costs differently from
+    # the learner's product and sum, in the last bits
+    env = PayoffEnvironment(game, einsum=True)
     # one one-row call per probe, not one batch of all means: numpy sends a
     # one-row matrix product to gemv, which rounds differently from the gemm
     # of a larger batch, so only this keeps each probe's results as alone

@@ -116,8 +116,9 @@ class JointAction:
 class ConstraintSet:
     """Shared affine constraints g(a) = K a - l <= 0.
 
-    K and l must be finite. Construction decides Slater's condition exactly:
-    some a has K a < l when {a : K a <= l - delta 1} is nonempty, with
+    K must be a finite (n, D) matrix and l a finite vector of length n.
+    Construction decides Slater's condition exactly: some a has K a < l
+    when {a : K a <= l - delta 1} is nonempty, with
     delta = 1e-6 (1 + ||l||). Its minimal-norm point is a = -K' y, where y
     solves LCP(K K', l - delta 1); the check accepts that a when its worst
     margin is below -1e-9 (1 + ||l||). Lemke's method ending on a ray
@@ -125,7 +126,10 @@ class ConstraintSet:
     """
 
     def __init__(self, K, l):
-        self.K = np.array(K, dtype=float, ndmin=2)
+        self.K = np.array(K, dtype=float)
+        if self.K.ndim != 2:
+            raise GameConfigError(
+                f"constraint K must be an (n, D) matrix, got shape {self.K.shape}")
         self.l = np.array(l, dtype=float).reshape(-1)
         if self.K.shape[0] != self.l.shape[0]:
             raise DimensionMismatchError("constraint offset l", self.K.shape[0], self.l.shape[0])
@@ -165,7 +169,7 @@ class GameSpec:
     """The part every game family shares: player blocks, shared constraints, constants.
 
     Player indices are 0-based. A family defines the batched cost
-    `_costs(points)` on (P, D) rows, returning (P, N), and the exact
+    `_costs(points, einsum)` on (P, D) rows, returning (P, N), and the exact
     `pseudo_gradient(points)` on a point (D,) or a batch (P, D). All state is
     fixed at construction; instances are safe to share across threads.
     """
@@ -193,10 +197,12 @@ class GameSpec:
         self._probed_nu = None
         self._probed_lipschitz = None
 
-    def costs_at(self, points: np.ndarray) -> np.ndarray:
+    def costs_at(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
         """Evaluate every player's cost at each row of `points`; returns (P, N).
 
-        `points` is a point (D,) or a batch (P, D). A batch of at least
+        `points` is a point (D,) or a batch (P, D); einsum selects how the
+        quadratic part is contracted (see _quadratic_costs), and the
+        learner keeps the default. A batch of at least
         2 * _COST_BLOCK rows is evaluated in row blocks of _COST_BLOCK rows
         (the last block takes the remainder) on worker threads, at most one
         per available CPU, each in a copy of the caller's context so that
@@ -218,7 +224,7 @@ class GameSpec:
             raise DimensionMismatchError("points", self.D, points.shape[1])
         rows = points.shape[0]
         if rows < 2 * _COST_BLOCK:
-            return self._costs(points)
+            return self._costs(points, einsum)
         # the last block takes the remainder: numpy sends a one-row matrix
         # product to gemv, whose rounding differs from gemm's
         count = rows // _COST_BLOCK
@@ -226,7 +232,7 @@ class GameSpec:
         out = np.empty((rows, self.num_players))
 
         def block(i):
-            out[edges[i]:edges[i + 1]] = self._costs(points[edges[i]:edges[i + 1]])
+            out[edges[i]:edges[i + 1]] = self._costs(points[edges[i]:edges[i + 1]], einsum)
 
         # imported here so that commands which never evaluate a large batch
         # do not pay for it at startup
@@ -309,11 +315,30 @@ def _set_quadratic_part(game, A, b, dims) -> tuple[int, ...]:
     return dims
 
 
-def _quadratic_costs(game, points: np.ndarray) -> np.ndarray:
-    """Quadratic part of every player's cost at each row of points; returns (P, N)."""
-    AX = points @ game._A_flat.T  # (P, N*D)
-    quad = AX.reshape(points.shape[0], game.num_players, game.D) * points[:, None, :]
-    return 0.5 * quad.sum(axis=2) + points @ game.b.T
+def _quadratic_costs(game, points: np.ndarray, einsum: bool = False) -> np.ndarray:
+    """Quadratic part of every player's cost at each row of points; returns (P, N).
+
+    By default a'A_i a is an elementwise (P, N, D) product summed over D.
+    With einsum it is contracted in one np.einsum pass, which forms no
+    (P, N, D) temporary. At D = 2 both round the same; at D >= 3 einsum adds
+    in another order, so the results differ in the last bits. Either way a
+    row's value does not depend on the other rows of the batch. einsum does
+    not report overflow or invalid values to np.errstate, so a row whose
+    einsum result is not finite is computed again with the product and sum,
+    which gives the default's values and raises or warns as the caller's
+    errstate says. A floating-point error that leaves a row's einsum result
+    finite, such as an underflow, goes unreported.
+    """
+    AX3 = (points @ game._A_flat.T).reshape(points.shape[0], game.num_players, game.D)
+    if not einsum:
+        quad = (AX3 * points[:, None, :]).sum(axis=2)
+    else:
+        quad = np.einsum("pnd,pd->pn", AX3, points)
+        finite = np.isfinite(quad)
+        if not finite.all():  # all(axis=1) alone would cost a third of the einsum
+            bad = ~finite.all(axis=1)
+            quad[bad] = (AX3[bad] * points[bad, None, :]).sum(axis=2)
+    return 0.5 * quad + points @ game.b.T
 
 
 class QuadraticGame(GameSpec):
@@ -369,9 +394,9 @@ class SoftplusQuadraticGame(GameSpec):
         sig = 0.5 * (1.0 + np.tanh(0.5 * self.beta * u))
         return 2.0 * _softplus(u, self.beta) * sig
 
-    def _costs(self, points: np.ndarray) -> np.ndarray:
+    def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
         ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
-        return _quadratic_costs(self, points) + ridge
+        return _quadratic_costs(self, points, einsum) + ridge
 
     def pseudo_gradient(self, points) -> np.ndarray:
         x = _as_points(points, self.D)
@@ -558,6 +583,12 @@ def _config_field(cfg: dict, key: str, convert):
             f"game config key {key!r} has the wrong type or shape ({err})") from None
 
 
+def _int_list(value) -> list[int]:
+    if isinstance(value, str):  # iterating it would read "11" as [1, 1]
+        raise TypeError(f"expected a list of integers, got the string {value!r}")
+    return [int(d) for d in value]
+
+
 def game_from_config(cfg: dict) -> GameSpec:
     """Build a game from a config dict.
 
@@ -570,7 +601,7 @@ def game_from_config(cfg: dict) -> GameSpec:
     if "builtin" in cfg:
         return builtin_game(cfg["builtin"])
     players = _config_field(cfg, "players", int)
-    dims = _config_field(cfg, "dims", lambda v: [int(d) for d in v])
+    dims = _config_field(cfg, "dims", _int_list)
     A, b, K, l = (_config_field(cfg, key, lambda v: np.asarray(v, dtype=float))
                   for key in ("A", "b", "K", "l"))
     if players != len(dims):

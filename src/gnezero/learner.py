@@ -57,10 +57,16 @@ class DivergenceError(ArithmeticError):
 
 
 class PayoffEnvironment:
-    """Payoff-only view of a game: Lagrangian payoffs and constraint values."""
+    """Payoff-only view of a game: Lagrangian payoffs and constraint values.
 
-    def __init__(self, game: GameSpec):
+    einsum selects the cost contraction of games._quadratic_costs. The
+    learner keeps the default, whose D >= 3 rounding its CSVs were recorded
+    with; the Monte Carlo diagnostics take einsum.
+    """
+
+    def __init__(self, game: GameSpec, einsum: bool = False):
         self._game = game
+        self._einsum = einsum
         self._K = game.constraints.K
         self._l = game.constraints.l
 
@@ -75,7 +81,7 @@ class PayoffEnvironment:
         game to the players.
         """
         g = X @ self._K.T - self._l
-        U = self._game.costs_at(X.reshape(-1, X.shape[-1])).reshape(
+        U = self._game.costs_at(X.reshape(-1, X.shape[-1]), self._einsum).reshape(
             X.shape[:-1] + (self._game.num_players,))
         return U + g @ lam[..., None], g
 

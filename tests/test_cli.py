@@ -71,6 +71,8 @@ _BAD_GAME_FILES = {
     "dims_nested": {**_PAPER_CONFIG, "dims": [[1], [1]]},
     "players_null": {**_PAPER_CONFIG, "players": None},
     "builtin_list": {"builtin": []},
+    "dims_string": {**_PAPER_CONFIG, "dims": "11"},
+    "K_three_axes": {**_PAPER_CONFIG, "K": [[[1.0]]]},
 }
 
 
@@ -119,6 +121,17 @@ def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
     # bad input is rejected before any run writes its CSVs
     assert list(tmp_path.glob("*_raw.csv")) == []
+
+
+@pytest.mark.parametrize("name, names_key", [
+    ("dims_string", "game config key 'dims'"),
+    ("K_three_axes", "constraint K must be an (n, D) matrix, got shape (1, 1, 1)"),
+])
+def test_bad_game_file_errors_name_their_key(tmp_path, capsys, name, names_key):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_BAD_GAME_FILES[name]))
+    assert main(["oracle", "--game", str(path)]) == 2
+    assert names_key in capsys.readouterr().err
 
 
 def test_learn_divergence_writes_no_csv(tmp_path, capsys):

@@ -96,6 +96,7 @@ def test_blocked_costs_equal_one_shot_costs(four_cpus, name, rows):
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
     assert np.array_equal(game.costs_at(X), game._costs(X))
+    assert np.array_equal(game.costs_at(X, einsum=True), game._costs(X, True))
 
 
 def test_blocked_costs_leave_no_thread_behind(four_cpus, paper_game):
@@ -109,7 +110,7 @@ def test_blocked_costs_raise_a_block_error(four_cpus):
     X = np.zeros((3 * _COST_BLOCK, 2))
     X[-1, 0] = 1.0
 
-    def fails_on_marked_rows(points):
+    def fails_on_marked_rows(points, einsum):
         if points[:, 0].any():
             raise RuntimeError("marked block")
         return np.zeros((points.shape[0], 2))
@@ -123,6 +124,86 @@ def test_blocked_costs_raise_a_block_error(four_cpus):
 def test_blocked_costs_keep_the_callers_errstate(four_cpus, paper_game, rows):
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         paper_game.costs_at(np.full((rows, 2), 1e200))
+
+
+# -- the einsum contraction -------------------------------------------------
+
+
+def product_and_sum_costs(game, X):
+    """Every player's cost from the quadratic form as one elementwise product and sum."""
+    AX3 = (X @ game._A_flat.T).reshape(X.shape[0], game.num_players, game.D)
+    costs = 0.5 * (AX3 * X[:, None, :]).sum(axis=2) + X @ game.b.T
+    if isinstance(game, SoftplusQuadraticGame):
+        costs += game.delta * games._softplus(X @ game.W.T, game.beta) ** 2
+    return costs
+
+
+@pytest.mark.parametrize("rows", [1, 2, 10, _COST_BLOCK - 1, _COST_BLOCK, 3 * _COST_BLOCK + 17])
+@pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
+def test_default_costs_are_the_product_and_sum(four_cpus, name, rows):
+    game = BLOCK_TEST_GAMES[name]()
+    X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
+    assert np.array_equal(game.costs_at(X), product_and_sum_costs(game, X))
+
+
+@pytest.mark.parametrize("rows", [2, 10, _COST_BLOCK, 3 * _COST_BLOCK + 17])
+@pytest.mark.parametrize("name", ["paper", "softplus"])
+def test_einsum_costs_in_two_dimensions_equal_the_product_and_sum(four_cpus, name, rows):
+    # at D = 2 einsum forms the same two products and one add
+    game = BLOCK_TEST_GAMES[name]()
+    X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
+    expected = product_and_sum_costs(game, X)
+    assert np.array_equal(game._costs(X, True), expected)
+    assert np.array_equal(game.costs_at(X, einsum=True), expected)
+
+
+@pytest.mark.parametrize("name", ["random-D5", "random-D24"])
+def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(four_cpus, name):
+    # einsum adds in another order; measure the error against the size of the
+    # summed terms, since a cost near zero can be a sum of large terms
+    game = BLOCK_TEST_GAMES[name]()
+    X = np.random.default_rng(5).normal(scale=2.0, size=(3 * _COST_BLOCK + 17, game.D))
+    AX3 = (X @ game._A_flat.T).reshape(X.shape[0], game.num_players, game.D)
+    magnitude = 0.5 * np.abs(AX3 * X[:, None, :]).sum(axis=2) + np.abs(X) @ np.abs(game.b.T)
+    error = np.abs(game.costs_at(X, einsum=True) - product_and_sum_costs(game, X))
+    assert np.all(error <= 1e-12 * magnitude)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
+def test_einsum_rows_do_not_depend_on_the_batch(name):
+    # rows past the first two overflow and fall back to the product and sum
+    game = BLOCK_TEST_GAMES[name]()
+    X = np.random.default_rng(1).normal(scale=2.0, size=(_COST_BLOCK + 3, game.D))
+    X[2:4] *= 1e200
+    with np.errstate(all="ignore"):
+        whole = game.costs_at(X, einsum=True)
+        parts = [game.costs_at(X[a:b], einsum=True)
+                 for a, b in [(0, 2), (2, 4), (4, 6), (6, _COST_BLOCK + 3)]]
+    assert np.array_equal(whole, np.concatenate(parts), equal_nan=True)
+
+
+def test_einsum_rows_that_overflow_are_recomputed_under_the_callers_errstate(four_cpus,
+                                                                             paper_game):
+    X = np.random.default_rng(0).normal(size=(3 * _COST_BLOCK, 2))
+    X[_COST_BLOCK:2 * _COST_BLOCK] *= 1e200  # only the middle block overflows
+    with np.errstate(all="ignore"):
+        expected = product_and_sum_costs(paper_game, X)
+    assert np.isinf(expected[_COST_BLOCK:2 * _COST_BLOCK]).any()
+    with pytest.warns(RuntimeWarning) as caught:
+        costs = paper_game.costs_at(X, einsum=True)
+    assert any("overflow" in str(w.message) for w in caught)
+    np.testing.assert_array_equal(costs, expected)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        paper_game.costs_at(X, einsum=True)
+
+
+@pytest.mark.parametrize("rows", [10, 3 * _COST_BLOCK])
+def test_einsum_leaves_an_underflow_with_finite_costs_unreported(four_cpus, paper_game, rows):
+    X = np.full((rows, 2), 1e-200)
+    with np.errstate(under="raise"):
+        assert np.all(paper_game.costs_at(X, einsum=True) == 0.0)
+        with pytest.raises(FloatingPointError):
+            paper_game.costs_at(X)
 
 
 # -- pseudo-gradient ----------------------------------------------------------

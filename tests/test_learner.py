@@ -246,6 +246,14 @@ def test_run_record_does_not_depend_on_batch():
     inside = run(game, Schedules(), 300, seeds=[s - 1, s, s + 1], **kw)
     for x, y in zip(alone, inside):
         assert x.dtype == y.dtype and x[0].tobytes() == y[1].tobytes()
+    # 8,200 seeds make 16,400 cost rows per step, which costs_at evaluates in
+    # row blocks on worker threads
+    many = list(range(s - 1, s + 8199))
+    inside = run(game, Schedules(), 5, seeds=many, **kw)
+    for r in (0, 1, 8199):
+        alone = run(game, Schedules(), 5, seeds=[many[r]], **kw)
+        for x, y in zip(alone, inside):
+            assert x[0].tobytes() == y[r].tobytes()
 
 
 def test_run_is_deterministic(paper_game):
