@@ -56,6 +56,7 @@ from .learner import (
 from .oracles import (
     OracleSolution,
     SolverError,
+    solve_regularized_path,
     solve_regularized_vi,
     solve_vgne,
     solve_vi_extragradient,

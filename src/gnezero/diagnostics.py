@@ -23,7 +23,7 @@ import numpy as np
 
 from .games import GameSpec, QuadraticGame
 from .learner import PayoffEnvironment, two_point_estimate
-from .oracles import solve_regularized_vi, solve_vgne
+from .oracles import solve_regularized_path, solve_vgne
 
 __all__ = [
     "SmoothingProbe",
@@ -226,7 +226,7 @@ def path_drift_ratios(game: QuadraticGame, eps_values: Sequence[float]):
     convention.
     """
     eps_values = [float(e) for e in eps_values]
-    return _drift_ratios([solve_regularized_vi(game, e) for e in eps_values], eps_values)
+    return _drift_ratios(solve_regularized_path(game, eps_values), eps_values)
 
 
 def _drift_ratios(sols, eps_values: list[float]):
@@ -257,14 +257,12 @@ def regularization_path_report(
     finiteness; drift_spread_report bounds their spread along a schedule path.
     """
     eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("all eps values must be positive")
+    sols = solve_regularized_path(game, eps_grid)  # rejects a bad eps before any solve
     base = solve_vgne(game)
     lam_norm = float(np.linalg.norm(base.dual))
     norm_K = float(np.linalg.norm(game.constraints.K, 2))
     gap_coeff = lam_norm * game.lipschitz() / (norm_K * game.nu())
 
-    sols = [solve_regularized_vi(game, eps) for eps in eps_grid]
     cases = []
     for eps, sol in zip(eps_grid, sols):
         gap = float(np.linalg.norm(base.primal.flat - sol.primal.flat))
@@ -293,9 +291,10 @@ def regularization_path_report(
 def drift_spread_report(game: QuadraticGame) -> CheckReport:
     """Boundedness of the drift ratios along the schedule path eps_t = 1 / t^(2/7).
 
-    Solves the regularized problem at every t in [1, 200] and requires the
-    max of each normalized drift ratio over t to stay within 10 times its
-    median: the path must not show runaway growth.
+    Solves the regularized problem at every t in [1, 200] in one
+    solve_regularized_path call; the max of each normalized drift ratio over
+    t must stay within 10 times its median: the path must not show runaway
+    growth.
     """
     ts = np.arange(1, 201)
     eps_path = 1.0 / ts.astype(float) ** (2.0 / 7.0)

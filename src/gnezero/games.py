@@ -583,10 +583,12 @@ def _config_field(cfg: dict, key: str, convert):
             f"game config key {key!r} has the wrong type or shape ({err})") from None
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, str):  # iterating it would read "11" as [1, 1]
-        raise TypeError(f"expected a list of integers, got the string {value!r}")
-    return [int(d) for d in value]
+def _integral(value) -> int:
+    """value as an int: a JSON integer or an integral float, not a bool; else TypeError."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def game_from_config(cfg: dict) -> GameSpec:
@@ -600,8 +602,8 @@ def game_from_config(cfg: dict) -> GameSpec:
         raise GameConfigError(f"game config must be a JSON object, got {type(cfg).__name__}")
     if "builtin" in cfg:
         return builtin_game(cfg["builtin"])
-    players = _config_field(cfg, "players", int)
-    dims = _config_field(cfg, "dims", _int_list)
+    players = _config_field(cfg, "players", _integral)
+    dims = _config_field(cfg, "dims", lambda value: [_integral(d) for d in value])
     A, b, K, l = (_config_field(cfg, key, lambda v: np.asarray(v, dtype=float))
                   for key in ("A", "b", "K", "l"))
     if players != len(dims):

@@ -12,13 +12,16 @@ for non-quadratic games (the softplus-ridge family). It iterates on one
 stacked vector z = [a; lam] with the operator of gnezero.augmented, and its
 projection keeps the dual block >= 0. Every solver rejects a non-finite or
 non-positive tolerance, and the regularized ones a non-finite eps, with
-ValueError.
+ValueError. solve_regularized_path solves an eps grid in groups of
+consecutive eps sharing an active set, one Lemke call and one stacked solve
+each, bit-equal to single solves where Lemke's method finds the group's set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "OracleSolution",
     "SolverError",
     "solve_vgne",
+    "solve_regularized_path",
     "solve_regularized_vi",
     "solve_vi_extragradient",
 ]
@@ -84,52 +88,45 @@ def _min_norm_multiplier(K_T: np.ndarray, c: np.ndarray, check_tol: float) -> np
     return np.maximum(lam, 0.0)
 
 
-def _solve_kkt(game: QuadraticGame, eps: float, tol: float) -> OracleSolution:
-    """Exact solution of the KKT system at eps >= 0.
+def _dual_lcp(game: QuadraticGame) -> tuple[float, np.ndarray, np.ndarray]:
+    """The check tolerance and the data (M0, r) of the game's dual LCP.
 
     Stationarity P a + q + K' lam = 0 gives a = -P^{-1}(q + K' lam), which
-    leaves the dual LCP 0 <= lam, M lam + r >= 0, lam'(M lam + r) = 0 with
-    M = K P^{-1} K' + eps I and r = l + K P^{-1} q; M is monotone because P's
-    symmetric part is positive definite. Lemke's method identifies the active
-    set A, whose rows are independent, and the saddle system
+    leaves the dual LCP(M0 + eps I, r) with M0 = K P^{-1} K' and
+    r = l + K P^{-1} q, monotone as P's symmetric part is positive definite.
+    Lemke's method identifies the active set A, whose rows are independent,
+    and the saddle system (second row: (K a - l)_j = eps lam_j)
         [P    K_A'   ] [a    ]   [-q ]
         [K_A  -eps I ] [lam_A] = [l_A]
-    (second row: (K a - l)_j = eps lam_j) gives the exact answer, for eps > 0
-    by a solve with one refinement step, for eps = 0 by least squares.
+    gives the exact answer, by least squares at eps = 0.
     """
-    K, l, P, q = game.constraints.K, game.constraints.l, game.P, game.q
-    D, n = game.D, K.shape[0]
+    K, l, q = game.constraints.K, game.constraints.l, game.q
     check_tol = 1e-9 * (1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(l)))
-    X = np.linalg.solve(P, np.column_stack([q, K.T]))  # P^{-1} [q, K']
-    active = tuple(int(j) for j in np.flatnonzero(
-        _lemke(K @ X[:, 1:] + eps * np.eye(n), l + K @ X[:, 0]) > 0.0))
-    idx, k = list(active), len(active)
-    sys = np.zeros((D + k, D + k))
-    sys[:D, :D], sys[:D, D:], sys[D:, :D] = P, K[idx].T, K[idx]
-    rhs = np.concatenate([-q, l[idx]])
-    if eps > 0:
-        sys[D:, D:] = -eps * np.eye(k)
-        sol = np.linalg.solve(sys, rhs)
-        sol += np.linalg.solve(sys, rhs - sys @ sol)  # refinement
-    else:
-        sol, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
-    a, lam = sol[:D], np.zeros(n)
-    lam[idx] = np.maximum(sol[D:], 0.0)
-    if eps == 0:
-        # tight rows outside the support can make the multiplier non-unique;
-        # the one of minimal norm lives on the tight set
-        active = tuple(int(j) for j in np.flatnonzero(np.abs(K @ a - l) <= check_tol))
-        lam = np.zeros(n)
-        lam[list(active)] = _min_norm_multiplier(K[list(active)], -(P @ a + q), check_tol)
-    if np.any(sol[D:] < -check_tol) or np.any(K @ a - l - eps * lam > check_tol):
-        raise SolverError("the identified active set fails the optimality checks")
-    stat = float(np.linalg.norm(P @ a + q + K.T @ lam))
+    X = np.linalg.solve(game.P, np.column_stack([q, K.T]))  # P^{-1} [q, K']
+    return check_tol, K @ X[:, 1:], l + K @ X[:, 0]
+
+
+def _saddle(game: QuadraticGame, M0: np.ndarray, r: np.ndarray, eps: float, count: int):
+    """Lemke's active set A at eps, count saddle matrices of A (eps block 0), [-q; l_A]."""
+    K, D = game.constraints.K, game.D
+    idx = np.flatnonzero(_lemke(M0 + eps * np.eye(len(r)), r) > 0.0)
+    sys = np.zeros((count, D + len(idx), D + len(idx)))
+    sys[:, :D, :D], sys[:, :D, D:], sys[:, D:, :D] = game.P, K[idx].T, K[idx]
+    return idx, sys, np.concatenate([-game.q, game.constraints.l[idx]])[:, None]
+
+
+def _verified(game, a, lam, lam_A, eps, active, tol, check_tol) -> OracleSolution | None:
+    """The solution with its residuals; None when the sign or feasibility check fails."""
+    K, l = game.constraints.K, game.constraints.l
+    if np.any(lam_A < -check_tol) or np.any(K @ a - l - eps * lam > check_tol):
+        return None
+    stat = float(np.linalg.norm(game.P @ a + game.q + K.T @ lam))
     # complementarity against the shifted constraint value (K a - l) - eps lam
     comp = float(np.max(np.abs(lam * (K @ a - l - eps * lam)), initial=0.0))
     if stat > tol or comp > tol:
         raise SolverError(f"optimality residuals at eps={eps:g} exceed tol={tol:g}: "
                           f"stationarity {stat:.3e}, complementarity {comp:.3e}")
-    return OracleSolution(JointAction(a), lam, eps, active, stat, comp)
+    return OracleSolution(JointAction(a), lam, eps, tuple(int(j) for j in active), stat, comp)
 
 
 def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
@@ -137,23 +134,64 @@ def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
 
     Solves the KKT system of the game extended by the dual player through
     its dual linear complementarity problem and an exact polish on the
-    identified active set. The primal part is unique, and so are the
-    multipliers when the tight constraint rows are linearly independent.
+    identified active set (_dual_lcp). The primal part is unique, and so are
+    the multipliers when the tight constraint rows are linearly independent.
     Otherwise the multiplier of minimal norm is returned: a row repeated k
     times carries 1/k of the multiplier in each copy.
     """
-    return _solve_kkt(_require_quadratic(game, "solve_vgne"), 0.0, _positive("tol", tol))
+    game, tol = _require_quadratic(game, "solve_vgne"), _positive("tol", tol)
+    K, l, D = game.constraints.K, game.constraints.l, game.D
+    check_tol, M0, r = _dual_lcp(game)
+    _, sys, rhs = _saddle(game, M0, r, 0.0, 1)
+    sol, *_ = np.linalg.lstsq(sys[0], rhs[:, 0], rcond=None)
+    # tight rows outside the support can make the multiplier non-unique;
+    # the one of minimal norm lives on the tight set
+    active = np.flatnonzero(np.abs(K @ sol[:D] - l) <= check_tol)
+    lam = np.zeros(K.shape[0])
+    lam[active] = _min_norm_multiplier(K[active], -(game.P @ sol[:D] + game.q), check_tol)
+    solution = _verified(game, sol[:D], lam, sol[D:], 0.0, active, tol, check_tol)
+    if solution is None:
+        raise SolverError("the identified active set fails the optimality checks")
+    return solution
+
+
+def solve_regularized_path(game: QuadraticGame, eps_values: Sequence[float],
+                           tol: float = 1e-10) -> list[OracleSolution]:
+    """Unique solutions of the Tikhonov-regularized problem, one per eps value.
+
+    Solved like solve_vgne with eps * lam on the dual block, which makes the
+    multipliers unique, and one refinement step of the polish. Lemke's method
+    runs at the first eps of a group, whose saddle systems are solved as one
+    stack; the first eps where its active set fails the sign or feasibility
+    check starts the next group. Each solution is bit-equal to a one-element
+    call whenever Lemke's method at its eps finds the group's set.
+    """
+    eps_values = [_positive("eps", eps) for eps in eps_values]  # before any work
+    tol, game = _positive("tol", tol), _require_quadratic(game, "solve_regularized_path")
+    D, n = game.D, game.constraints.num_constraints
+    check_tol, M0, r = _dual_lcp(game)
+    sols: list[OracleSolution] = []
+    while len(sols) < len(eps_values):
+        group = eps_values[len(sols):]
+        idx, sys, rhs = _saddle(game, M0, r, group[0], len(group))
+        sys[:, D:, D:] = -np.array(group)[:, None, None] * np.eye(len(idx))
+        sol = np.linalg.solve(sys, rhs)  # one LAPACK gesv per matrix of the stack
+        sol += np.linalg.solve(sys, rhs - sys @ sol)  # refinement
+        for i, (eps, s) in enumerate(zip(group, sol[:, :, 0])):
+            lam = np.zeros(n)
+            lam[idx] = np.maximum(s[D:], 0.0)
+            solution = _verified(game, s[:D], lam, s[D:], eps, idx, tol, check_tol)
+            if solution is None and i == 0:
+                raise SolverError("the identified active set fails the optimality checks")
+            if solution is None:
+                break  # the active set changed: the next group starts at eps
+            sols.append(solution)
+    return sols
 
 
 def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) -> OracleSolution:
-    """Unique solution of the Tikhonov-regularized variational problem.
-
-    Solved like solve_vgne with the term eps * lam on the dual block, which
-    makes the multipliers unique; the polish adds one refinement step so the
-    residuals stay near machine precision even for tiny eps.
-    """
-    eps, tol = _positive("eps", eps), _positive("tol", tol)
-    return _solve_kkt(_require_quadratic(game, "solve_regularized_vi"), eps, tol)
+    """Unique solution of the Tikhonov-regularized problem: solve_regularized_path at [eps]."""
+    return solve_regularized_path(game, [eps], tol)[0]
 
 
 # Step control of solve_vi_extragradient, as multiples of the reference step

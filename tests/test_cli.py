@@ -73,6 +73,11 @@ _BAD_GAME_FILES = {
     "builtin_list": {"builtin": []},
     "dims_string": {**_PAPER_CONFIG, "dims": "11"},
     "K_three_axes": {**_PAPER_CONFIG, "K": [[[1.0]]]},
+    # fractions and booleans are not truncated to integers
+    "players_fraction": {**_PAPER_CONFIG, "players": 2.9},
+    "dims_fractions": {**_PAPER_CONFIG, "dims": [1.7, 1.2]},
+    "players_bool": {**_PAPER_CONFIG, "players": True, "dims": [2]},
+    "dims_bools": {**_PAPER_CONFIG, "dims": [True, True]},
 }
 
 
@@ -94,6 +99,9 @@ _BAD_GAME_FILES = {
     ["diagnose", "--sigma", "nan", "--checks", "estimator-mean"],
     ["diagnose", "--sigma", "inf", "--game", "softplus-ridge"],
     ["diagnose", "--checks", "estimator-mean", "--num-samples", "1"],
+    ["diagnose", "--eps-grid", "0.1,-1", "--checks", "reg-path"],
+    ["diagnose", "--eps-grid", "0.1,nan", "--checks", "reg-path"],
+    ["diagnose", "--eps-grid", "0.1,inf", "--checks", "reg-path"],
     ["learn", "--S", "nan", "--T", "50"],
     ["learn", "--G", "inf", "--T", "50"],
     ["learn", "--T", "10", "--workers", "-3"],
@@ -125,6 +133,10 @@ def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("name, names_key", [
     ("dims_string", "game config key 'dims'"),
+    ("players_fraction", "game config key 'players'"),
+    ("dims_fractions", "game config key 'dims'"),
+    ("players_bool", "game config key 'players'"),
+    ("dims_bools", "game config key 'dims'"),
     ("K_three_axes", "constraint K must be an (n, D) matrix, got shape (1, 1, 1)"),
 ])
 def test_bad_game_file_errors_name_their_key(tmp_path, capsys, name, names_key):

@@ -471,6 +471,13 @@ def test_builtin_and_config_loading(tmp_path, paper_game):
     with pytest.raises(GameConfigError):
         game_from_config(bad)
 
+    # integral floats are integers; fractions and booleans are not
+    assert game_from_config({**cfg, "players": 2.0, "dims": [1.0, 1.0]}).dims == (1, 1)
+    for key, value in (("players", 2.5), ("players", True), ("dims", [1, 1.5]),
+                       ("dims", [False, True]), ("dims", [1, float("inf")])):
+        with pytest.raises(GameConfigError, match=f"'{key}'"):
+            game_from_config({**cfg, key: value})
+
 
 def test_known_constants_override_probes():
     quad = random_quadratic_game(40)

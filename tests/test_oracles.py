@@ -15,6 +15,7 @@ from gnezero.games import (
 from gnezero.oracles import (
     OracleSolution,
     SolverError,
+    solve_regularized_path,
     solve_regularized_vi,
     solve_vgne,
     solve_vi_extragradient,
@@ -382,3 +383,69 @@ def test_drift_ratios_bounded_along_schedule(paper_game):
     r_primal, r_dual = path_drift_ratios(paper_game, eps_path)
     for ratios in (r_primal, r_dual):
         assert np.max(ratios) <= 10.0 * np.median(ratios)
+
+
+# the schedule path eps_t = t^(-2/7), t = 1..200, as drift_spread_report builds it
+_SCHEDULE_EPS = 1.0 / np.arange(1, 201).astype(float) ** (2.0 / 7.0)
+_PATH_GAMES = {
+    "paper-example": paper_example,
+    "random-D24-n12": lambda: random_quadratic_game(7, dims=[2] * 12, num_constraints=12),
+    # its active set changes once along the schedule path
+    "random-D12-n4": lambda: random_quadratic_game(3, dims=[2] * 6, num_constraints=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_GAMES))
+def test_regularized_path_equals_single_solves(name):
+    game = _PATH_GAMES[name]()
+    path = solve_regularized_path(game, _SCHEDULE_EPS)
+    assert len(path) == len(_SCHEDULE_EPS)
+    for eps, sol in zip(_SCHEDULE_EPS, path):
+        single = solve_regularized_vi(game, eps)
+        assert sol.epsilon == single.epsilon == eps
+        assert np.array_equal(sol.primal.flat, single.primal.flat)
+        assert np.array_equal(sol.dual, single.dual)
+        assert sol.active_set == single.active_set
+        assert sol.stationarity_residual == single.stationarity_residual
+        assert sol.complementarity_residual == single.complementarity_residual
+
+
+def test_regularized_path_starts_a_group_where_the_active_set_changes():
+    path = solve_regularized_path(_PATH_GAMES["random-D12-n4"](), _SCHEDULE_EPS, tol=1e-10)
+    assert len({sol.active_set for sol in path}) >= 2
+    for sol in path:
+        assert sol.stationarity_residual <= 1e-10
+        assert sol.complementarity_residual <= 1e-10
+
+
+@pytest.mark.parametrize("grid", [[0.1, 0.1], [1e-4, 1e-3, 1e-2, 1e-1, 1.0]])
+def test_regularized_path_repeated_and_increasing_grids(paper_game, grid):
+    path = solve_regularized_path(paper_game, grid)
+    assert [sol.epsilon for sol in path] == grid
+    for eps, sol in zip(grid, path):
+        assert np.array_equal(sol.primal.flat, solve_regularized_vi(paper_game, eps).primal.flat)
+    if grid[0] == grid[1]:
+        assert np.array_equal(path[0].dual, path[1].dual)
+
+
+def test_regularized_path_of_no_eps_is_empty(paper_game):
+    assert solve_regularized_path(paper_game, []) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_regularized_path_checks_every_eps_before_any_solve(paper_game, monkeypatch, bad):
+    import gnezero.lcp
+    import gnezero.oracles
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gnezero.lcp._lemke(*args)
+
+    monkeypatch.setattr(gnezero.oracles, "_lemke", counted)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        solve_regularized_path(paper_game, [0.1, 0.01, bad, 0.001])
+    assert calls == []
+    solve_regularized_path(paper_game, [0.1])  # the wrapper is the one in use
+    assert len(calls) == 1
