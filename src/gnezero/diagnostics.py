@@ -16,12 +16,14 @@ and sweeps are fixed; their case strings name them.
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .games import GameSpec, QuadraticGame
+from .games import DimensionMismatchError, GameSpec, QuadraticGame
 from .learner import PayoffEnvironment, two_point_estimate
 from .oracles import solve_regularized_path, solve_vgne
 
@@ -43,6 +45,16 @@ __all__ = [
 ]
 
 _CHUNK = 100_000
+# _estimates cuts each chunk into row blocks of this size, one worker task
+# per block: a block's temporaries stay in cache, and the blocks run on all CPUs
+_BLOCK = 8192
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,10 @@ class SmoothingProbe:
         for field in ("mu", "lam"):
             if not np.all(np.isfinite(getattr(self, field))):
                 raise ValueError(f"{field} must be finite")
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
+        for field, low in (("num_samples", 1), ("seed", 0)):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
 
     def scaled(self, factor: float) -> "SmoothingProbe":
         return SmoothingProbe(self.mu * factor, self.lam * factor, self.sigma,
@@ -78,12 +92,20 @@ def _draws(seed: int, num_samples: int, dim: int):
         yield rng.standard_normal((min(_CHUNK, num_samples - start), dim))
 
 
-def _shared_stream(probes: Sequence[SmoothingProbe]) -> tuple[int, int, int]:
-    """The (seed, num_samples, D) that all probes share; ValueError if they differ."""
+def _shared_stream(game: GameSpec, probes: Sequence[SmoothingProbe]) -> tuple[int, int, int]:
+    """The (seed, num_samples, D) that all probes share; ValueError if they differ.
+
+    DimensionMismatchError if the probes' mu or lam does not fit the game.
+    """
     streams = {(p.seed, p.num_samples, p.mu.shape[0]) for p in probes}
     if len(streams) != 1:
         raise ValueError("probes must share one seed, num_samples and dimension, "
                          f"got (seed, num_samples, D) in {sorted(streams)}")
+    for p in probes:
+        for what, vec, size in (("probe mu", p.mu, game.D),
+                                ("probe lam", p.lam, game.constraints.num_constraints)):
+            if vec.shape[0] != size:
+                raise DimensionMismatchError(what, size, vec.shape[0])
     return streams.pop()
 
 
@@ -104,35 +126,66 @@ class SmoothingBias:
 def _estimates(game: GameSpec, probes: Sequence[SmoothingProbe]):
     """Two-point estimates of every player's gradient block at each probe point, in chunks.
 
-    Each chunk xi of the probes' shared stream is drawn once; for each probe
-    k in turn X = mu_k + sigma_k xi is built, so X is bit-identical to a
-    draw from that probe alone, and evaluated at the learner's boundary.
-    Yields (k, blocks) per chunk and probe: one row-major (size, d_i) array
-    per player, all from the same draws around probes[k].mu; separate blocks
-    keep each player's column sums rounding as over that player's estimates
-    alone. Feedback runs in the calling thread, one probe's chunk at a time.
+    Each chunk xi of the probes' shared stream is drawn once and cut into
+    row blocks of _BLOCK rows; the last block takes the remainder, since
+    numpy sends a one-row matrix product to gemv, which rounds differently
+    from gemm. One pool of worker threads per pass, at most one per
+    available CPU, takes one block per task: for every probe k it builds
+    X = mu_k + sigma_k xi, so X is bit-identical to a draw from that probe
+    alone, evaluates the Lagrangian payoffs with the learner's formula and
+    writes each player's estimates into probe k's chunk buffers. No row's
+    arithmetic depends on the other rows of its block (ConstraintSet keeps
+    K C-ordered for this), so the buffers equal one evaluation of the whole
+    chunk. Yields (k, blocks) per chunk and probe: one row-major (size, d_i)
+    array per player, all from the same draws around probes[k].mu; separate
+    blocks keep each player's column sums rounding as over that player's
+    estimates alone.
+
+    Each task runs in a copy of the caller's context, so np.errstate
+    carries over (numpy >= 2 keeps it in a context variable). The workers
+    call no traced function: perfbench's tracer keeps one span stack.
     """
-    seed, num_samples, dim = _shared_stream(probes)  # before any payoff is evaluated
-    # at D >= 3 the einsum contraction rounds the costs differently from
-    # the learner's product and sum, in the last bits
-    env = PayoffEnvironment(game, einsum=True)
+    seed, num_samples, dim = _shared_stream(game, probes)  # before any draw
+    env = PayoffEnvironment(game)
+
+    def payoffs(X, lam):
+        # at D >= 3 the einsum contraction rounds the costs differently from
+        # the learner's product and sum, in the last bits
+        return env._lagrangian(game._costs(X, True), X, lam)[0]
+
     # one one-row call per probe, not one batch of all means: numpy sends a
     # one-row matrix product to gemv, which rounds differently from the gemm
     # of a larger batch, so only this keeps each probe's results as alone
-    u_mu = [env.feedback(p.mu[None], p.lam)[0][0] for p in probes]
-    for xi in _draws(seed, num_samples, dim):
-        for k, p in enumerate(probes):
-            X = p.mu + p.sigma * xi
-            U = env.feedback(X, p.lam)[0]
-            yield k, [two_point_estimate(U[:, i, None], u_mu[k][i], X[:, sl], p.mu[sl], p.sigma)
-                      for i, sl in enumerate(game.slices)]
-            del X, U  # free this probe's chunk before the next is built and evaluated
+    u_mu = [payoffs(p.mu[None], p.lam)[0] for p in probes]
+
+    def block(xi, out, rows):
+        for p, u, blocks in zip(probes, u_mu, out):
+            X = p.mu + p.sigma * xi[rows]
+            U = payoffs(X, p.lam)
+            for i, sl in enumerate(game.slices):
+                blocks[i][rows] = two_point_estimate(U[:, i, None], u[i], X[:, sl],
+                                                     p.mu[sl], p.sigma)
+
+    # imported here so that commands which draw no samples do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    most = max(1, min(_CHUNK, num_samples) // _BLOCK)  # blocks in the first chunk
+    with ThreadPoolExecutor(min(_available_cpus(), most)) as pool:
+        for xi in _draws(seed, num_samples, dim):
+            size = xi.shape[0]
+            edges = [i * _BLOCK for i in range(max(1, size // _BLOCK))] + [size]
+            out = [[np.empty((size, d)) for d in game.dims] for _ in probes]
+            for future in [pool.submit(contextvars.copy_context().run, block, xi, out,
+                                       slice(a, b)) for a, b in zip(edges, edges[1:])]:
+                future.result()
+            yield from enumerate(out)
+            del out  # free this chunk's buffers before the next is drawn
 
 
 def _bias_stats(game: GameSpec,
                 probes: Sequence[SmoothingProbe]) -> list[tuple[SmoothingBias, ...]]:
     """smoothing_bias_stats for probes that share one draw stream, one pass for all."""
-    M = _shared_stream(probes)[1]
+    M = _shared_stream(game, probes)[1]
     if M < 2:
         raise ValueError(f"the standard error needs num_samples >= 2, got {M}")
     sum_m = np.zeros((len(probes), game.D))
@@ -171,7 +224,7 @@ def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[floa
     """
     K = game.constraints.K
     total = 0.0
-    for xi in _draws(probe.seed, probe.num_samples, probe.mu.shape[0]):
+    for xi in _draws(*_shared_stream(game, [probe])):
         S = -probe.sigma * xi @ K.T
         total += float(np.einsum("kj,kj->", S, S))
     exact = probe.sigma**2 * float(np.sum(K * K))

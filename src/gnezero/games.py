@@ -11,9 +11,7 @@ The learner still sees the costs only as payoff values, through costs_at.
 
 from __future__ import annotations
 
-import contextvars
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,19 +63,6 @@ class GameConfigError(ValueError):
     """A game definition file or config dict is malformed."""
 
 
-# costs_at evaluates a batch of at least twice this many rows in row blocks
-# of this size: a block's temporaries stay in cache, and the blocks run on
-# all CPUs
-_COST_BLOCK = 8192
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _as_flat(a, expected: int, what: str = "action") -> np.ndarray:
     """Coerce an action (sequence or ndarray) to a flat float vector."""
     vec = np.asarray(a, dtype=float).reshape(-1)
@@ -122,11 +107,14 @@ class ConstraintSet:
     delta = 1e-6 (1 + ||l||). Its minimal-norm point is a = -K' y, where y
     solves LCP(K K', l - delta 1); the check accepts that a when its worst
     margin is below -1e-9 (1 + ||l||). Lemke's method ending on a ray
-    proves the set empty.
+    proves the set empty. K is kept C-ordered: OpenBLAS can round a product
+    X @ K.T with a Fortran-ordered K differently in small batches than in
+    large ones, which would make a row block's constraint values differ from
+    the whole batch's.
     """
 
     def __init__(self, K, l):
-        self.K = np.array(K, dtype=float)
+        self.K = np.array(K, dtype=float, order="C")
         if self.K.ndim != 2:
             raise GameConfigError(
                 f"constraint K must be an (n, D) matrix, got shape {self.K.shape}")
@@ -197,22 +185,15 @@ class GameSpec:
         self._probed_nu = None
         self._probed_lipschitz = None
 
-    def costs_at(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
+    def costs_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every player's cost at each row of `points`; returns (P, N).
 
-        `points` is a point (D,) or a batch (P, D); einsum selects how the
-        quadratic part is contracted (see _quadratic_costs), and the
-        learner keeps the default. A batch of at least
-        2 * _COST_BLOCK rows is evaluated in row blocks of _COST_BLOCK rows
-        (the last block takes the remainder) on worker threads, at most one
-        per available CPU, each in a copy of the caller's context so that
-        np.errstate carries over (numpy 2 keeps it in a context variable).
-        Every row's arithmetic is the same as in one call on the whole
-        batch, so the result is bit-identical to it. A one-row batch (or a
-        point) is the exception: numpy sends its matrix products to gemv,
+        `points` is a point (D,) or a batch (P, D), evaluated in one call with
+        the elementwise product and sum of _quadratic_costs. A row's result
+        does not depend on the other rows of a batch, with one exception: a
+        one-row batch (or a point). numpy sends its matrix products to gemv,
         which rounds differently from the gemm of a larger batch, so it is
-        not bit-equal to the same row inside a larger batch. The diagnostics
-        therefore evaluate each probe's mean point in its own one-row call.
+        not bit-equal to the same row inside a larger batch.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim < 2:
@@ -222,28 +203,7 @@ class GameSpec:
                 f"points must be a point (D,) or a batch (P, D), got shape {points.shape}")
         if points.shape[1] != self.D:
             raise DimensionMismatchError("points", self.D, points.shape[1])
-        rows = points.shape[0]
-        if rows < 2 * _COST_BLOCK:
-            return self._costs(points, einsum)
-        # the last block takes the remainder: numpy sends a one-row matrix
-        # product to gemv, whose rounding differs from gemm's
-        count = rows // _COST_BLOCK
-        edges = [i * _COST_BLOCK for i in range(count)] + [rows]
-        out = np.empty((rows, self.num_players))
-
-        def block(i):
-            out[edges[i]:edges[i + 1]] = self._costs(points[edges[i]:edges[i + 1]], einsum)
-
-        # imported here so that commands which never evaluate a large batch
-        # do not pay for it at startup
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(_available_cpus(), count)) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, block, i)
-                       for i in range(count)]
-            for future in futures:
-                future.result()
-        return out
+        return self._costs(points)
 
     def pseudo_gradient(self, points) -> np.ndarray:
         """Stacked per-player partial gradients, block i = dJ^i/da^i.
@@ -318,8 +278,9 @@ def _set_quadratic_part(game, A, b, dims) -> tuple[int, ...]:
 def _quadratic_costs(game, points: np.ndarray, einsum: bool = False) -> np.ndarray:
     """Quadratic part of every player's cost at each row of points; returns (P, N).
 
-    By default a'A_i a is an elementwise (P, N, D) product summed over D.
-    With einsum it is contracted in one np.einsum pass, which forms no
+    By default a'A_i a is an elementwise (P, N, D) product summed over D, as
+    costs_at and so the learner take it. With einsum (the Monte Carlo pass
+    of the diagnostics) it is contracted in one np.einsum pass, which forms no
     (P, N, D) temporary. At D = 2 both round the same; at D >= 3 einsum adds
     in another order, so the results differ in the last bits. Either way a
     row's value does not depend on the other rows of the batch. einsum does

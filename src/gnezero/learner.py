@@ -59,14 +59,14 @@ class DivergenceError(ArithmeticError):
 class PayoffEnvironment:
     """Payoff-only view of a game: Lagrangian payoffs and constraint values.
 
-    einsum selects the cost contraction of games._quadratic_costs. The
-    learner keeps the default, whose D >= 3 rounding its CSVs were recorded
-    with; the Monte Carlo diagnostics take einsum.
+    feedback evaluates the costs with games.costs_at. The Monte Carlo pass
+    of the diagnostics evaluates them itself, with the einsum contraction of
+    games._quadratic_costs, on worker threads, and adds the multiplier term
+    through _lagrangian, the one copy of the payoff formula.
     """
 
-    def __init__(self, game: GameSpec, einsum: bool = False):
+    def __init__(self, game: GameSpec):
         self._game = game
-        self._einsum = einsum
         self._K = game.constraints.K
         self._l = game.constraints.l
 
@@ -80,10 +80,14 @@ class PayoffEnvironment:
         These opaque values are the only information that crosses from the
         game to the players.
         """
-        g = X @ self._K.T - self._l
-        U = self._game.costs_at(X.reshape(-1, X.shape[-1]), self._einsum).reshape(
+        costs = self._game.costs_at(X.reshape(-1, X.shape[-1])).reshape(
             X.shape[:-1] + (self._game.num_players,))
-        return U + g @ lam[..., None], g
+        return self._lagrangian(costs, X, lam)
+
+    def _lagrangian(self, costs: np.ndarray, X: np.ndarray, lam: np.ndarray):
+        """(U, g) of feedback from the costs J(X) (..., P, N) at the joint actions X."""
+        g = X @ self._K.T - self._l
+        return costs + g @ lam[..., None], g
 
 
 def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:

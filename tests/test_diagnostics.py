@@ -18,6 +18,7 @@ from gnezero.diagnostics import (
     smoothing_bias_order_report,
 )
 from gnezero.games import (
+    DimensionMismatchError,
     paper_example,
     random_quadratic_game,
     resolve_game,
@@ -33,6 +34,40 @@ def test_probe_validation():
     for bad in [dict(sigma=np.inf), dict(mu=[np.nan]), dict(lam=[-np.inf])]:
         with pytest.raises(ValueError, match="finite"):
             SmoothingProbe(**{"mu": [0.0], "lam": [0.0], "sigma": 0.1, **bad})
+
+
+@pytest.mark.parametrize("bad", [
+    dict(num_samples=2.5), dict(num_samples=True), dict(num_samples=-3),
+    dict(seed=1.5), dict(seed=-1), dict(seed=False),
+], ids=["fractional-samples", "bool-samples", "negative-samples",
+        "fractional-seed", "negative-seed", "bool-seed"])
+def test_probe_rejects_non_integer_samples_and_seed(bad):
+    field = next(iter(bad))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SmoothingProbe(**{"mu": [0.0], "lam": [0.0], "sigma": 0.1, **bad})
+
+
+def test_probe_accepts_numpy_integers():
+    probe = SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.1,
+                           num_samples=np.int64(5), seed=np.uint32(0))
+    assert probe.num_samples == 5 and probe.seed == 0
+
+
+@pytest.mark.parametrize("fields, what, expected, given", [
+    (dict(mu=[0.1, 0.2, 0.3], lam=[0.5]), "probe mu", 2, 3),
+    (dict(mu=[0.1, 0.2], lam=[0.5, 0.5]), "probe lam", 1, 2),
+], ids=["mu", "lam"])
+def test_probe_that_does_not_fit_the_game_fails_before_any_draw(monkeypatch, paper_game,
+                                                               fields, what, expected, given):
+    def no_draws(*args):
+        raise AssertionError("drew samples for a probe that does not fit the game")
+
+    monkeypatch.setattr(diag, "_draws", no_draws)
+    probe = SmoothingProbe(sigma=0.1, num_samples=100, **fields)
+    for check in (smoothing_bias_stats, estimator_second_moment, dual_perturbation_stats):
+        with pytest.raises(DimensionMismatchError, match=what) as exc:
+            check(paper_game, probe)
+        assert (exc.value.expected, exc.value.given) == (expected, given)
 
 
 # -- estimator bias -----------------------------------------------------------------

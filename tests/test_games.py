@@ -5,9 +5,10 @@ import threading
 import numpy as np
 import pytest
 
+from gnezero import diagnostics as diag
 from gnezero import games
+from gnezero.diagnostics import _BLOCK, SmoothingProbe, estimator_second_moment
 from gnezero.games import (
-    _COST_BLOCK,
     ConstraintSet,
     DimensionMismatchError,
     GameConfigError,
@@ -70,14 +71,14 @@ def test_cost_dimension_mismatch_is_structured(paper_game):
             paper_game.costs_at(np.zeros(shape))
 
 
-# -- blocked evaluation of large batches ---------------------------------------
+# -- the Monte Carlo pass's row blocks ------------------------------------------
 
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """Spread the blocks over four worker threads, whatever this machine has."""
-    assert games._available_cpus() >= 1
-    monkeypatch.setattr(games, "_available_cpus", lambda: 4)
+    """Spread the pass's blocks over four worker threads, whatever this machine has."""
+    assert diag._available_cpus() >= 1
+    monkeypatch.setattr(diag, "_available_cpus", lambda: 4)
 
 
 BLOCK_TEST_GAMES = {
@@ -88,42 +89,93 @@ BLOCK_TEST_GAMES = {
 }
 
 
-@pytest.mark.parametrize("rows", [2 * _COST_BLOCK - 1, 2 * _COST_BLOCK, 2 * _COST_BLOCK + 1,
-                                  3 * _COST_BLOCK + 17])
+def two_probes(game, num_samples):
+    """Two probes on one draw stream, at different points and spreads."""
+    rng = np.random.default_rng(num_samples)
+    mu = rng.normal(scale=0.5, size=game.D)
+    lam = np.abs(rng.normal(scale=0.5, size=game.constraints.num_constraints))
+    return [SmoothingProbe(mu, lam, 0.3, num_samples, seed=7),
+            SmoothingProbe(2.0 * mu, 2.0 * lam, 0.1, num_samples, seed=7)]
+
+
+def one_block_estimates(game, probes):
+    """The pass's (k, blocks) from the same draws, each chunk evaluated in one piece."""
+    K, l = game.constraints.K, game.constraints.l
+
+    def payoffs(X, lam):
+        return game._costs(X, True) + (X @ K.T - l) @ lam[:, None]
+
+    u_mu = [payoffs(p.mu[None], p.lam)[0] for p in probes]
+    for xi in diag._draws(probes[0].seed, probes[0].num_samples, game.D):
+        for k, p in enumerate(probes):
+            X = p.mu + p.sigma * xi
+            U = payoffs(X, p.lam)
+            yield k, [(U[:, i, None] - u_mu[k][i]) * (X[:, sl] - p.mu[sl]) / (p.sigma * p.sigma)
+                      for i, sl in enumerate(game.slices)]
+
+
+def assert_pass_equals_one_block(game, probes):
+    pairs = zip(diag._estimates(game, probes), one_block_estimates(game, probes), strict=True)
+    for (k, blocks), (k_ref, expected) in pairs:
+        assert k == k_ref
+        for got, want in zip(blocks, expected, strict=True):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 17])
 @pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
 def test_blocked_costs_equal_one_shot_costs(four_cpus, name, rows):
     # a one-row last block would go through gemv and round differently
     game = BLOCK_TEST_GAMES[name]()
-    X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
-    assert np.array_equal(game.costs_at(X), game._costs(X))
-    assert np.array_equal(game.costs_at(X, einsum=True), game._costs(X, True))
+    assert_pass_equals_one_block(game, two_probes(game, rows))
+
+
+@pytest.mark.parametrize("name", ["paper", "softplus", "random-D5"])
+def test_blocked_pass_ends_in_a_one_row_chunk(four_cpus, name):
+    # a full 1e5-row chunk in twelve blocks, then a one-row chunk in one;
+    # random-D24 is left out: its one-piece reference chunk alone would
+    # take a 230 MB (P, N, D) temporary
+    game = BLOCK_TEST_GAMES[name]()
+    assert_pass_equals_one_block(game, two_probes(game, diag._CHUNK + 1))
+
+
+def fail_on_the_last_block(game):
+    """Make game's costs raise on a block of _BLOCK + 17 rows, the last of 3 * _BLOCK + 17."""
+    costs = game._costs
+
+    def fails_on_marked_rows(points, einsum):
+        if points.shape[0] == _BLOCK + 17:
+            raise RuntimeError("marked block")
+        return costs(points, einsum)
+
+    game._costs = fails_on_marked_rows
+    return game
 
 
 def test_blocked_costs_leave_no_thread_behind(four_cpus, paper_game):
     before = threading.active_count()
-    paper_game.costs_at(np.ones((3 * _COST_BLOCK, 2)))
+    estimator_second_moment(paper_game, two_probes(paper_game, 3 * _BLOCK)[0])
+    assert threading.active_count() == before
+    # a full first chunk, then a failing block in the second
+    probe = two_probes(paper_game, diag._CHUNK + 3 * _BLOCK + 17)[0]
+    with pytest.raises(RuntimeError, match="marked block"):
+        estimator_second_moment(fail_on_the_last_block(paper_example()), probe)
     assert threading.active_count() == before
 
 
 def test_blocked_costs_raise_a_block_error(four_cpus):
-    game = paper_example()
-    X = np.zeros((3 * _COST_BLOCK, 2))
-    X[-1, 0] = 1.0
-
-    def fails_on_marked_rows(points, einsum):
-        if points[:, 0].any():
-            raise RuntimeError("marked block")
-        return np.zeros((points.shape[0], 2))
-
-    game._costs = fails_on_marked_rows
+    game = fail_on_the_last_block(paper_example())
     with pytest.raises(RuntimeError, match="marked block"):
-        game.costs_at(X)
+        estimator_second_moment(game, two_probes(game, 3 * _BLOCK + 17)[0])
 
 
-@pytest.mark.parametrize("rows", [10, 3 * _COST_BLOCK])
+@pytest.mark.parametrize("rows", [10, 3 * _BLOCK])
 def test_blocked_costs_keep_the_callers_errstate(four_cpus, paper_game, rows):
+    # the mean's costs are zero; only the sampled rows, on the workers, overflow
+    probe = SmoothingProbe(mu=[0.0, 0.0], lam=[0.0], sigma=1e200, num_samples=rows)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        paper_game.costs_at(np.full((rows, 2), 1e200))
+        estimator_second_moment(paper_game, probe)
 
 
 # -- the einsum contraction -------------------------------------------------
@@ -138,34 +190,32 @@ def product_and_sum_costs(game, X):
     return costs
 
 
-@pytest.mark.parametrize("rows", [1, 2, 10, _COST_BLOCK - 1, _COST_BLOCK, 3 * _COST_BLOCK + 17])
+@pytest.mark.parametrize("rows", [1, 2, 10, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17])
 @pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
-def test_default_costs_are_the_product_and_sum(four_cpus, name, rows):
+def test_default_costs_are_the_product_and_sum(name, rows):
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
     assert np.array_equal(game.costs_at(X), product_and_sum_costs(game, X))
 
 
-@pytest.mark.parametrize("rows", [2, 10, _COST_BLOCK, 3 * _COST_BLOCK + 17])
+@pytest.mark.parametrize("rows", [2, 10, _BLOCK, 3 * _BLOCK + 17])
 @pytest.mark.parametrize("name", ["paper", "softplus"])
-def test_einsum_costs_in_two_dimensions_equal_the_product_and_sum(four_cpus, name, rows):
+def test_einsum_costs_in_two_dimensions_equal_the_product_and_sum(name, rows):
     # at D = 2 einsum forms the same two products and one add
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
-    expected = product_and_sum_costs(game, X)
-    assert np.array_equal(game._costs(X, True), expected)
-    assert np.array_equal(game.costs_at(X, einsum=True), expected)
+    assert np.array_equal(game._costs(X, True), product_and_sum_costs(game, X))
 
 
 @pytest.mark.parametrize("name", ["random-D5", "random-D24"])
-def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(four_cpus, name):
+def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(name):
     # einsum adds in another order; measure the error against the size of the
     # summed terms, since a cost near zero can be a sum of large terms
     game = BLOCK_TEST_GAMES[name]()
-    X = np.random.default_rng(5).normal(scale=2.0, size=(3 * _COST_BLOCK + 17, game.D))
+    X = np.random.default_rng(5).normal(scale=2.0, size=(3 * _BLOCK + 17, game.D))
     AX3 = (X @ game._A_flat.T).reshape(X.shape[0], game.num_players, game.D)
     magnitude = 0.5 * np.abs(AX3 * X[:, None, :]).sum(axis=2) + np.abs(X) @ np.abs(game.b.T)
-    error = np.abs(game.costs_at(X, einsum=True) - product_and_sum_costs(game, X))
+    error = np.abs(game._costs(X, True) - product_and_sum_costs(game, X))
     assert np.all(error <= 1e-12 * magnitude)
 
 
@@ -173,35 +223,34 @@ def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(four_cpus, na
 def test_einsum_rows_do_not_depend_on_the_batch(name):
     # rows past the first two overflow and fall back to the product and sum
     game = BLOCK_TEST_GAMES[name]()
-    X = np.random.default_rng(1).normal(scale=2.0, size=(_COST_BLOCK + 3, game.D))
+    X = np.random.default_rng(1).normal(scale=2.0, size=(_BLOCK + 3, game.D))
     X[2:4] *= 1e200
     with np.errstate(all="ignore"):
-        whole = game.costs_at(X, einsum=True)
-        parts = [game.costs_at(X[a:b], einsum=True)
-                 for a, b in [(0, 2), (2, 4), (4, 6), (6, _COST_BLOCK + 3)]]
+        whole = game._costs(X, True)
+        parts = [game._costs(X[a:b], True)
+                 for a, b in [(0, 2), (2, 4), (4, 6), (6, _BLOCK + 3)]]
     assert np.array_equal(whole, np.concatenate(parts), equal_nan=True)
 
 
-def test_einsum_rows_that_overflow_are_recomputed_under_the_callers_errstate(four_cpus,
-                                                                             paper_game):
-    X = np.random.default_rng(0).normal(size=(3 * _COST_BLOCK, 2))
-    X[_COST_BLOCK:2 * _COST_BLOCK] *= 1e200  # only the middle block overflows
+def test_einsum_rows_that_overflow_are_recomputed_under_the_callers_errstate(paper_game):
+    X = np.random.default_rng(0).normal(size=(3 * _BLOCK, 2))
+    X[_BLOCK:2 * _BLOCK] *= 1e200  # only the middle rows overflow
     with np.errstate(all="ignore"):
         expected = product_and_sum_costs(paper_game, X)
-    assert np.isinf(expected[_COST_BLOCK:2 * _COST_BLOCK]).any()
+    assert np.isinf(expected[_BLOCK:2 * _BLOCK]).any()
     with pytest.warns(RuntimeWarning) as caught:
-        costs = paper_game.costs_at(X, einsum=True)
+        costs = paper_game._costs(X, True)
     assert any("overflow" in str(w.message) for w in caught)
     np.testing.assert_array_equal(costs, expected)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        paper_game.costs_at(X, einsum=True)
+        paper_game._costs(X, True)
 
 
-@pytest.mark.parametrize("rows", [10, 3 * _COST_BLOCK])
-def test_einsum_leaves_an_underflow_with_finite_costs_unreported(four_cpus, paper_game, rows):
+@pytest.mark.parametrize("rows", [10, 3 * _BLOCK])
+def test_einsum_leaves_an_underflow_with_finite_costs_unreported(paper_game, rows):
     X = np.full((rows, 2), 1e-200)
     with np.errstate(under="raise"):
-        assert np.all(paper_game.costs_at(X, einsum=True) == 0.0)
+        assert np.all(paper_game._costs(X, True) == 0.0)
         with pytest.raises(FloatingPointError):
             paper_game.costs_at(X)
 
@@ -277,6 +326,15 @@ def test_constraint_value_is_affine():
         alpha = rng.random()
         mix = alpha * a1 + (1 - alpha) * a2
         assert cs.value(mix) == pytest.approx(alpha * cs.value(a1) + (1 - alpha) * cs.value(a2))
+
+
+def test_constraint_matrix_is_kept_c_ordered():
+    # random_quadratic_game's K is a transposed QR factor, Fortran-ordered
+    K = np.asfortranarray(np.linalg.qr(np.random.default_rng(0).normal(size=(24, 4)))[0].T)
+    assert not K.flags.c_contiguous
+    cs = ConstraintSet(K, np.ones(4))
+    assert cs.K.flags.c_contiguous and np.array_equal(cs.K, K)
+    assert random_quadratic_game(3, dims=[2] * 12, num_constraints=4).constraints.K.flags.c_contiguous
 
 
 def test_slater_violation_raises():
