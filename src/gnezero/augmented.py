@@ -48,19 +48,6 @@ def _operator(game: GameSpec, eps: float):
     return F
 
 
-def _start_point(game: GameSpec, mu0, lam0) -> tuple[np.ndarray, np.ndarray]:
-    """Start point (mu, lam) of an iteration, zeros where None.
-
-    A wrong length raises DimensionMismatchError, a negative lam0 ValueError.
-    """
-    n = game.constraints.num_constraints
-    mu = np.zeros(game.D) if mu0 is None else _as_flat(mu0, game.D, "mu0")
-    lam = np.zeros(n) if lam0 is None else _as_flat(lam0, n, "lam0")
-    if np.any(lam < 0):
-        raise ValueError("lam0 must be componentwise nonnegative")
-    return mu, lam
-
-
 def extended_pseudo_gradient(game: GameSpec, a, lam, eps: float = 0.0) -> np.ndarray:
     """Pseudo-gradient of the extended game at (a, lam), length D + n.
 

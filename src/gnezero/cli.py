@@ -14,7 +14,7 @@ from . import diagnostics as diag
 from .games import QuadraticGame, resolve_game
 from .harness import ExperimentConfig, _fmt, fit_rate, reproduce_fig1, run_experiment
 from .learner import DivergenceError
-from .oracles import solve_regularized_vi, solve_vgne
+from .oracles import SolverError, solve_regularized_vi, solve_vgne
 from .schedules import Schedules
 
 DEFAULT_OUTDIR = "gnezero-out"
@@ -102,11 +102,7 @@ def cmd_learn(args) -> int:
         allow_invalid_schedules=args.allow_invalid_schedules,
         workers=args.workers,
     )
-    try:
-        table = run_experiment(cfg)
-    except DivergenceError as err:
-        print(f"learn diverged, no CSV written: {err}", file=sys.stderr)
-        return 1
+    table = run_experiment(cfg)
     print(f"game: {args.game}, T={args.T}, seeds={cfg.seeds[0]}..{cfg.seeds[-1]}")
     print(f"checkpoints: {table.t.shape[0]}")
     print(f"final mean err_primal_sq: {table.mean_err_primal_sq[-1]:.6e}")
@@ -314,7 +310,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input (a flag value, a missing or malformed file) exits 2."""
+    """Run one subcommand; every failure prints one stderr line.
+
+    Bad input (a flag value, a missing or malformed file) exits 2; a run
+    that diverges or a solver that fails its checks exits 1.
+    """
     args = _parser().parse_args(argv)
     # looked up when called, not bound into the shared parser, so a function
     # that later replaces cmd_<name> on this module is the one that runs
@@ -324,6 +324,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"gnezero {args.command}: error: {err}", file=sys.stderr)
         return 2
+    except DivergenceError as err:
+        # a run writes its CSVs only after every one of its seeds finished
+        print(f"{args.command} diverged, no CSV written: {err}", file=sys.stderr)
+        return 1
+    except SolverError as err:
+        print(f"gnezero {args.command}: solver failed: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

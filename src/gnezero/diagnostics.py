@@ -262,13 +262,6 @@ class CheckReport:
     check: str
     cases: tuple[CheckCase, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    def failures(self) -> list[CheckCase]:
-        return [c for c in self.cases if not c.passed]
-
 
 def path_drift_ratios(game: QuadraticGame, eps_values: Sequence[float]):
     """Normalized drift of consecutive regularized solutions along an eps path.

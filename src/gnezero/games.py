@@ -162,14 +162,7 @@ class GameSpec:
     fixed at construction; instances are safe to share across threads.
     """
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        constraints: ConstraintSet,
-        nu: float | None = None,
-        lipschitz: float | None = None,
-        name: str = "game",
-    ):
+    def __init__(self, dims: Sequence[int], constraints: ConstraintSet, name: str = "game"):
         self.dims = tuple(int(d) for d in dims)
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"player dimensions must be positive, got {self.dims}")
@@ -178,12 +171,10 @@ class GameSpec:
         if constraints.dim != self.D:
             raise DimensionMismatchError("constraint matrix K columns", self.D, constraints.dim)
         self.constraints = constraints
-        self.known_nu = None if nu is None else float(nu)
-        self.known_lipschitz = None if lipschitz is None else float(lipschitz)
         self.name = name
         self.slices = block_slices(self.dims)
-        self._probed_nu = None
-        self._probed_lipschitz = None
+        self._nu = None
+        self._lipschitz = None
 
     def costs_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every player's cost at each row of `points`; returns (P, N).
@@ -215,20 +206,16 @@ class GameSpec:
     # -- regularity constants ----------------------------------------------
 
     def nu(self) -> float:
-        """Strong-monotonicity constant: known value if supplied, else probed."""
-        if self.known_nu is not None:
-            return self.known_nu
-        if self._probed_nu is None:
-            self._probed_nu = probe_monotonicity(self, 20000, 3.0, seed=0)
-        return self._probed_nu
+        """Strong-monotonicity constant: a family's exact value, else probed once."""
+        if self._nu is None:
+            self._nu = probe_monotonicity(self, 20000, 3.0, seed=0)
+        return self._nu
 
     def lipschitz(self) -> float:
-        """Lipschitz constant of the pseudo-gradient: known if supplied, else probed."""
-        if self.known_lipschitz is not None:
-            return self.known_lipschitz
-        if self._probed_lipschitz is None:
-            self._probed_lipschitz = probe_lipschitz(self, 20000, 3.0, seed=0)
-        return self._probed_lipschitz
+        """Lipschitz constant of the pseudo-gradient: a family's exact value, else probed once."""
+        if self._lipschitz is None:
+            self._lipschitz = probe_lipschitz(self, 20000, 3.0, seed=0)
+        return self._lipschitz
 
     def __repr__(self) -> str:
         return (
@@ -311,17 +298,16 @@ class QuadraticGame(GameSpec):
     the Lipschitz constant is the largest singular value of P.
     """
 
-    def __init__(self, A, b, constraints: ConstraintSet, dims=None,
-                 name: str = "quadratic", require_monotone: bool = True):
+    def __init__(self, A, b, constraints: ConstraintSet, dims=None, name: str = "quadratic"):
         dims = _set_quadratic_part(self, A, b, dims)
-        sym_eigs = np.linalg.eigvalsh(0.5 * (self.P + self.P.T))
-        nu = float(sym_eigs.min())
-        if require_monotone and nu <= 0:
+        nu = float(np.linalg.eigvalsh(0.5 * (self.P + self.P.T)).min())
+        if nu <= 0:
             raise GameConfigError(
                 f"pseudo-gradient is not strongly monotone (min symmetric eigenvalue {nu:.3e})"
             )
-        L = float(np.linalg.svd(self.P, compute_uv=False).max())
-        super().__init__(dims, constraints, nu=nu, lipschitz=L, name=name)
+        super().__init__(dims, constraints, name=name)
+        self._nu = nu
+        self._lipschitz = float(np.linalg.svd(self.P, compute_uv=False).max())
 
     _costs = _quadratic_costs
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracles
 from .games import GameSpec, QuadraticGame, resolve_game
-from .learner import checkpoints, run
+from .learner import _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules
 
 __all__ = [
@@ -51,9 +51,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.seeds = [int(s) for s in self.seeds]
-        if not self.seeds:
-            raise ValueError("seed list must be nonempty")
+        self.seeds = _seed_list(self.seeds)  # checked before run_experiment makes outdir
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.workers < 1:
@@ -213,8 +211,8 @@ class RateFit:
 def fit_rate(t, err, t_min: float, t_max: float) -> RateFit:
     """Ordinary least squares of log(err) against log(t) on a window.
 
-    Needs at least five checkpoints inside [t_min, t_max], all with finite,
-    strictly positive error values (the log is undefined otherwise).
+    Needs at least five checkpoints inside [t_min, t_max], all positive and
+    with finite, strictly positive error values (the log is undefined otherwise).
     """
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got {t_min} >= {t_max}")
@@ -225,10 +223,13 @@ def fit_rate(t, err, t_min: float, t_max: float) -> RateFit:
         raise ValueError(
             f"need at least 5 checkpoints in [{t_min:g}, {t_max:g}], found {int(mask.sum())}"
         )
-    window_err = err[mask]
+    window_t, window_err = t[mask], err[mask]
+    if np.any(window_t <= 0):
+        raise ValueError(f"checkpoints must be positive for a log-log fit, got t = "
+                         f"{window_t[window_t <= 0][0]:g}")
     if not np.all(np.isfinite(window_err) & (window_err > 0)):
         raise ValueError("error values must be finite and positive for a log-log fit")
-    x = np.log(t[mask])
+    x = np.log(window_t)
     y = np.log(window_err)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -19,8 +19,7 @@ import math
 
 import numpy as np
 
-from .augmented import _start_point
-from .games import GameSpec
+from .games import GameSpec, _integral
 from .schedules import ScheduleError, Schedules, validate_schedules
 
 __all__ = [
@@ -135,19 +134,30 @@ def checkpoints(T: int, record_every) -> np.ndarray:
     return ts[(ts >= 1) & (ts <= T)]
 
 
+def _seed_list(seeds) -> list[int]:
+    """seeds as a nonempty list of ints; ValueError for a bool, a fraction or a negative seed."""
+    try:
+        seeds = [_integral(seed) for seed in seeds]
+    except TypeError as err:
+        raise ValueError(f"seeds must be integers >= 0: {err}") from None
+    if not seeds:
+        raise ValueError("seed list must be nonempty")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be integers >= 0, got {min(seeds)}")
+    return seeds
+
+
 def run(
     game: GameSpec,
     sched: Schedules,
     T: int,
     seeds,
     record_every="log",
-    mu0=None,
-    lam0=None,
     allow_invalid_schedules: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the payoff-based iteration for T steps, one seeded run per entry of seeds.
 
-    Every seed starts at (mu0, lam0) and draws its samples from its own
+    Every seed starts at mu = 0, lam = 0 and draws its samples from its own
     default_rng(seed) stream, so a seed's iterates do not depend on which
     other seeds share the call. The loop touches the game only through a
     PayoffEnvironment: per step it samples one joint action
@@ -159,16 +169,15 @@ def run(
     seeds[r] and column j for the state after step checkpoints(T,
     record_every)[j].
 
-    Raises ScheduleError when the schedule exponents are invalid, unless
+    Raises ValueError unless seeds is a nonempty list of integers >= 0,
+    ScheduleError when the schedule exponents are invalid, unless
     allow_invalid_schedules is set, and DivergenceError when a checkpoint
     finds a non-finite mean or multiplier; the error names the first seed in
     list order that is non-finite at that checkpoint.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ValueError("seed list must be nonempty")
+    seeds = _seed_list(seeds)
     report = validate_schedules(sched)
     if not report.valid and not allow_invalid_schedules:
         raise ScheduleError(
@@ -179,9 +188,8 @@ def run(
     R, D = len(seeds), game.D
     block_of = np.repeat(np.arange(game.num_players), game.dims)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    mu, lam = _start_point(game, mu0, lam0)
-    mu = np.tile(mu, (R, 1))  # (R, D), one row per seed
-    lam = np.tile(lam, (R, 1))  # (R, n)
+    mu = np.zeros((R, D))  # one row per seed
+    lam = np.zeros((R, game.constraints.num_constraints))
 
     ts = checkpoints(T, record_every).tolist()
     mus = np.empty((R, len(ts), D))

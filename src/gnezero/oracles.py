@@ -198,12 +198,14 @@ def solve_regularized_vi(game: QuadraticGame, eps: float, tol: float = 1e-10) ->
 # tau0 = 1 / (2 (L + ||K|| + eps)): the first trial step, the growth after
 # each accepted iteration, the shrink factor of a rejected trial, the
 # acceptance ratio theta < 1 of tau ||F(y) - F(z)|| <= theta ||y - z||, and
-# the floor below which the backtracking gives up.
+# the floor below which the backtracking gives up. The solver gives up after
+# _MAX_ITER iterations.
 _STEP_START = 1.9
 _STEP_GROW = 1.05
 _STEP_SHRINK = 0.7
 _STEP_THETA = 0.9
 _STEP_FLOOR = 1e-12
+_MAX_ITER = 200_000
 
 
 def _finite(value: float) -> float:
@@ -217,12 +219,7 @@ def _finite(value: float) -> float:
     return value
 
 
-def solve_vi_extragradient(
-    game: GameSpec,
-    eps: float,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> OracleSolution:
+def solve_vi_extragradient(game: GameSpec, eps: float, tol: float = 1e-8) -> OracleSolution:
     """Forward-backward-forward iteration for the regularized problem on any game.
 
     Works from pseudo-gradient evaluations only, so it also covers
@@ -240,13 +237,11 @@ def solve_vi_extragradient(
     (possibly probed) Lipschitz constant of the pseudo-gradient. The
     iteration stops at the first z whose fixed-point residual at tau0,
     d = z - P(z - tau0 F(z)), has ||d_a|| + ||d_lam|| <= tol * tau0.
-    ValueError is raised for a non-finite or non-positive eps or tol and
-    for max_iter < 1; SolverError when F returns a non-finite value, when
-    tau falls below 1e-12 tau0, or after max_iter iterations.
+    ValueError is raised for a non-finite or non-positive eps or tol;
+    SolverError when F returns a non-finite value, when tau falls below
+    1e-12 tau0, or after 200,000 iterations (_MAX_ITER).
     """
     eps, tol = _positive("eps", eps), _positive("tol", tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     K = game.constraints.K
     D, n = game.D, K.shape[0]
     norm_K = float(np.linalg.norm(K, 2))
@@ -257,7 +252,7 @@ def solve_vi_extragradient(
     lo = np.concatenate([np.full(D, -np.inf), np.zeros(n)])
     z = np.zeros(D + n)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         Fz = F(z)
         d = z - np.maximum(z - tau0 * Fz, lo)
         da, dlam = d[:D], d[D:]
@@ -279,7 +274,7 @@ def solve_vi_extragradient(
         tau *= _STEP_GROW
     else:
         raise SolverError(
-            f"extragradient did not reach tolerance {tol:g} within {max_iter} "
+            f"extragradient did not reach tolerance {tol:g} within {_MAX_ITER} "
             f"iterations (residual {residual:.3e})"
         )
 

@@ -98,7 +98,7 @@ def enumerate_kkt(game, eps=0.0):
     return min(candidates, key=lambda c: float(np.linalg.norm(c[1])))
 
 
-def reference_run(game, sched, T, seed, mu0=None, lam0=None):
+def reference_run(game, sched, T, seed):
     """Test-local reference: the payoff-based iteration written out per player.
 
     At step t the joint action a = mu + sigma_t xi is drawn with one
@@ -107,12 +107,13 @@ def reference_run(game, sched, T, seed, mu0=None, lam0=None):
     evaluated on the two stacked points, and moves its block by gamma_t times
     the two-point estimate (U^i(a) - U^i(mu)) (a^i - mu^i) / sigma_t^2. The
     dual moves by gamma_t (eps_t lam - (K a - l)) and is clipped at zero.
-    Both blocks read the same current point. Returns the final (mu, lam).
+    Both blocks read the same current point, which starts at mu = 0,
+    lam = 0. Returns the final (mu, lam).
     """
     K, l = game.constraints.K, game.constraints.l
     rng = np.random.default_rng(seed)
-    mu = np.zeros(game.D) if mu0 is None else np.array(mu0, dtype=float)
-    lam = np.zeros(K.shape[0]) if lam0 is None else np.array(lam0, dtype=float)
+    mu = np.zeros(game.D)
+    lam = np.zeros(K.shape[0])
     for t in range(1, T + 1):
         gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
         a = mu + sigma * rng.standard_normal(game.D)

@@ -113,11 +113,15 @@ _BAD_GAME_FILES = {
     # a valid s first, then one that Schedules rejects or that fails s + g > 1
     ["reproduce-fig1", "--s-values", "4/7,-1", "--T", "10"],
     ["reproduce-fig1", "--s-values", "4/7,0.3", "--T", "10"],
+    ["learn", "--seed-base", "-1", "--T", "10"],
+    ["rate-fit", "--csv", "{tmp}/t0_agg.csv", "--t-min", "0", "--t-max", "5"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
         "t,mean_err_primal_sq\n" + "".join(f"{t},nan\n" for t in range(1, 6)))
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "t0_agg.csv").write_text(
+        "t,mean_err_primal_sq\n" + "".join(f"{t},{1 / (t + 1)}\n" for t in range(6)))
     for name, cfg in _BAD_GAME_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     argv = [a.format(tmp=tmp_path) for a in argv] + (
@@ -152,6 +156,22 @@ def test_learn_divergence_writes_no_csv(tmp_path, capsys):
     assert rc == 1
     assert list(tmp_path.iterdir()) == []
     assert err.count("\n") == 1 and "seed 0: non-finite iterate at step" in err
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["reproduce-fig1", "--s-values", "400", "--T", "10", "--num-seeds", "1"],
+     "reproduce-fig1 diverged, no CSV written: seed 0: non-finite iterate at step"),
+    (["oracle", "--tol", "1e-20"],
+     "gnezero oracle: solver failed: optimality residuals at eps=0 exceed tol=1e-20"),
+], ids=["diverged", "solver-failed"])
+def test_run_failures_print_one_line_and_exit_1(tmp_path, capsys, argv, start):
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "reproduce-fig1" else []
+    rc = main(argv + outdir)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(start)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_learn_allows_override(tmp_path, capsys):

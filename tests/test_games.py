@@ -409,8 +409,10 @@ def test_probe_monotonicity_isotropic():
 
 def test_probe_monotonicity_flags_violation():
     A = np.stack([np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])])
-    game = QuadraticGame(A, np.zeros((2, 2)), ConstraintSet([[1.0, 1.0]], [10.0]),
-                         require_monotone=False)
+    # QuadraticGame rejects this A; a zero ridge keeps its costs quadratic, and
+    # the ridge family has no monotonicity check of its own
+    game = SoftplusQuadraticGame((1, 1), A, np.zeros((2, 2)), np.eye(2), np.zeros(2), 10.0,
+                                 ConstraintSet([[1.0, 1.0]], [10.0]))
     est = probe_monotonicity(game, 2_000, 2.0, seed=0)
     assert est <= 0.0
 
@@ -537,11 +539,18 @@ def test_builtin_and_config_loading(tmp_path, paper_game):
             game_from_config({**cfg, key: value})
 
 
-def test_known_constants_override_probes():
-    quad = random_quadratic_game(40)
-    spec = GameSpec(quad.dims, quad.constraints, nu=0.123, lipschitz=9.9)
-    assert spec.nu() == 0.123
-    assert spec.lipschitz() == 9.9
+@pytest.mark.parametrize("build", [paper_example, lambda: random_quadratic_game(40)],
+                         ids=["paper-example", "random"])
+def test_quadratic_game_constants_are_exact(build, monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a quadratic game probed a constant it knows")
+
+    monkeypatch.setattr(games, "probe_monotonicity", no_probe)
+    monkeypatch.setattr(games, "probe_lipschitz", no_probe)
+    game = build()
+    P = game.P
+    assert game.nu() == float(np.linalg.eigvalsh(0.5 * (P + P.T)).min())
+    assert game.lipschitz() == float(np.linalg.svd(P, compute_uv=False).max())
 
 
 @pytest.mark.parametrize("build", [

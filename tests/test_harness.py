@@ -44,6 +44,15 @@ def test_fit_rate_validations():
             fit_rate(t, np.array([1.0, 0.5, bad, 0.3, 0.2]), 10, 50)
 
 
+@pytest.mark.parametrize("t_bad", [0, -2])
+def test_fit_rate_rejects_a_non_positive_checkpoint_in_the_window(t_bad):
+    t = np.array([t_bad, 1, 2, 3, 4, 5])
+    err = np.array([1.0, 0.5, 0.4, 0.3, 0.2, 0.1])
+    with pytest.raises(ValueError, match=f"checkpoints must be positive.*t = {t_bad}$"):
+        fit_rate(t, err, -5, 10)
+    assert fit_rate(t, err, 1, 10).slope < 0  # outside the window it is ignored
+
+
 # -- experiments --------------------------------------------------------------------
 
 
@@ -160,6 +169,16 @@ def test_config_validations():
         ExperimentConfig(game="paper-example", schedules=Schedules(), T=10, seeds=[])
     with pytest.raises(ValueError):
         ExperimentConfig(game="paper-example", schedules=Schedules(), T=0, seeds=[1])
+
+
+@pytest.mark.parametrize("seeds", [[1.5], [True], [-1], ["1"]],
+                         ids=["fraction", "bool", "negative", "string"])
+def test_config_rejects_bad_seeds_before_making_the_outdir(tmp_path, seeds):
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match="seeds must be integers >= 0"):
+        run_experiment(ExperimentConfig(game="paper-example", schedules=Schedules(), T=10,
+                                        seeds=seeds, outdir=outdir))
+    assert not outdir.exists()
 
 
 # -- plot script ------------------------------------------------------------------

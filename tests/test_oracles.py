@@ -4,6 +4,7 @@ from conftest import enumerate_kkt
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gnezero import oracles
 from gnezero.augmented import extended_pseudo_gradient
 from gnezero.games import (
     ConstraintSet,
@@ -310,7 +311,6 @@ _BAD_TOL = [0.0, -1.0, float("nan"), float("inf")]
     *[(solve_regularized_vi, dict(eps=0.1, tol=tol)) for tol in _BAD_TOL],
     *[(solve_vi_extragradient, dict(eps=eps)) for eps in _BAD_EPS],
     *[(solve_vi_extragradient, dict(eps=0.1, tol=tol)) for tol in _BAD_TOL],
-    *[(solve_vi_extragradient, dict(eps=0.1, max_iter=k)) for k in (0, -1)],
 ], ids=lambda x: x.__name__ if callable(x) else ",".join(f"{k}={v}" for k, v in x.items()))
 def test_solvers_reject_bad_eps_tol_and_max_iter(paper_game, solve, kw):
     with pytest.raises(ValueError, match="must be"):
@@ -364,15 +364,16 @@ class _JumpGame(QuadraticGame):
         return super().pseudo_gradient(points) + np.where(np.asarray(points) > 0, 10.0, -10.0)
 
 
-@pytest.mark.parametrize("build, kw, match", [
-    (_NaNGame, {}, "non-finite"),
-    (_JumpGame, {}, "step fell below"),
-    (QuadraticGame, dict(max_iter=3), "within 3 iterations"),
+@pytest.mark.parametrize("build, max_iter, match", [
+    (_NaNGame, oracles._MAX_ITER, "non-finite"),
+    (_JumpGame, oracles._MAX_ITER, "step fell below"),
+    (QuadraticGame, 3, "within 3 iterations"),
 ], ids=["nan-operator", "step-floor", "max-iter"])
-def test_extragradient_stops_with_solver_error(paper_game, build, kw, match):
+def test_extragradient_stops_with_solver_error(paper_game, monkeypatch, build, max_iter, match):
     game = build(paper_game.A, paper_game.b, paper_game.constraints)
+    monkeypatch.setattr(oracles, "_MAX_ITER", max_iter)
     with pytest.raises(SolverError, match=match):
-        solve_vi_extragradient(game, 0.1, **kw)
+        solve_vi_extragradient(game, 0.1)
 
 
 def test_drift_ratios_bounded_along_schedule(paper_game):
