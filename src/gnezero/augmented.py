@@ -5,12 +5,12 @@ multiplier vector on the shared constraints. Primal costs become Lagrangians
 J^i(a) + <lam, K a - l>, the dual player maximizes the aggregate constraint
 value, and a Tikhonov term eps * lam acting on the dual block only restores
 strong monotonicity of the extended pseudo-gradient. A point of the extended
-game is one stacked vector z = [a; lam] of length D + n, and the operator is
-built once per eps as F(z) = B z + c + [M(a); 0] with the constant
-B = [[0, K'], [-K, eps I]] and c = [0; l]. The extragradient oracle iterates
-on it; extended_pseudo_gradient is its checked entry. The payoff-based
-learner never evaluates it: it sees payoffs only and takes its own projected
-step on (mu, lam).
+game is one stacked vector z = [a; lam] of length D + n. The operator
+F(z) = B z + c + [h(a); 0] holds the affine part P a + q of the game's
+pseudo-gradient in B = [[P, K'], [-K, eps I]] and c = [q; l], built once per
+eps; h, its non-affine part, is None on a quadratic game. The extragradient
+oracle iterates on F; extended_pseudo_gradient is its checked entry. The
+learner never evaluates it: it sees payoffs only and takes its own step.
 """
 
 from __future__ import annotations
@@ -27,22 +27,26 @@ __all__ = [
 def _operator(game: GameSpec, eps: float):
     """The extended pseudo-gradient z -> F(z) at eps, on stacked points z (D + n,).
 
-    F(z) = B z + c + [M(a); 0] with a = z[:D], M the game's pseudo-gradient,
-    B = [[0, K'], [-K, eps I]] and c = [0; l]: primal block M(a) + K' lam,
-    dual block -(K a - l) + eps * lam. B and c are built here once; F uses
-    its argument as given and returns a new array.
+    F(z) = B z + c + [h(a); 0] with a = z[:D], B = [[P, K'], [-K, eps I]],
+    c = [q; l] and h the game's _nonaffine_gradient: primal block M(a) + K' lam
+    for the pseudo-gradient M = P a + q + h, dual block -(K a - l) + eps lam.
+    Where h is None, F is one matvec. F leaves z alone and returns a new array.
     """
     K, l = game.constraints.K, game.constraints.l
     n, D = K.shape
     B = np.zeros((D + n, D + n))
+    B[:D, :D] = game.P
     B[:D, D:] = K.T
     B[D:, :D] = -K
     B[D:, D:] = eps * np.eye(n)
-    c = np.concatenate([np.zeros(D), l])
+    c = np.concatenate([game.q, l])
+    h = game._nonaffine_gradient
+    if h is None:
+        return lambda z: B @ z + c
 
     def F(z: np.ndarray) -> np.ndarray:
         out = B @ z + c
-        out[:D] += game.pseudo_gradient(z[:D])
+        out[:D] += h(z[:D])
         return out
 
     return F
@@ -54,8 +58,8 @@ def extended_pseudo_gradient(game: GameSpec, a, lam, eps: float = 0.0) -> np.nda
     Primal block i is M^i(a) + (K' lam) restricted to block i; the dual block
     is -K a + l + eps * lam, the Tikhonov term acting on the dual block only.
     """
-    if eps < 0:
-        raise ValueError(f"epsilon must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
     a = _as_flat(a, game.D)
     lam = _as_flat(lam, game.constraints.num_constraints, "dual variable")
     return _operator(game, eps)(np.concatenate([a, lam]))

@@ -325,8 +325,9 @@ def main(argv=None) -> int:
         print(f"gnezero {args.command}: error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:
-        # a run writes its CSVs only after every one of its seeds finished
-        print(f"{args.command} diverged, no CSV written: {err}", file=sys.stderr)
+        # a run writes its CSVs after all its seeds finished; reproduce-fig1 sets where
+        print(f"{args.command} diverged{getattr(err, 'where', ', no CSV written')}: {err}",
+              file=sys.stderr)
         return 1
     except SolverError as err:
         print(f"gnezero {args.command}: solver failed: {err}", file=sys.stderr)

@@ -3,10 +3,10 @@
 A game couples N players through a joint action a = [a^1, ..., a^N] in R^D
 and through a shared feasible set C = {a : K a <= l}. Every game belongs to
 one of two families, quadratic costs or quadratic costs plus a sharp softplus
-ridge. Each family writes its batched costs and its exact pseudo-gradient once,
-on arrays of joint actions. The quadratic family also has exact
-strong-monotonicity and Lipschitz constants; the ridge family probes them.
-The learner still sees the costs only as payoff values, through costs_at.
+ridge. A family writes its batched costs once; its exact pseudo-gradient is
+P a + q, plus a non-affine term on the ridge. The quadratic family also has
+exact strong-monotonicity and Lipschitz constants; the ridge family probes
+them. The learner still sees the costs only as payoff values, through costs_at.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ def _as_flat(a, expected: int, what: str = "action") -> np.ndarray:
     if vec.shape[0] != expected:
         raise DimensionMismatchError(what, expected, vec.shape[0])
     return vec
-
-
-def _as_points(points, expected: int) -> np.ndarray:
-    """Coerce a point (D,) or a batch (..., D) to a float array with last axis D."""
-    arr = np.asarray(points, dtype=float)
-    if arr.shape[-1:] != (expected,):
-        raise DimensionMismatchError("points", expected, arr.shape[-1] if arr.ndim else 0)
-    return arr
 
 
 def block_slices(dims: Sequence[int]) -> tuple[slice, ...]:
@@ -156,11 +148,13 @@ class ConstraintSet:
 class GameSpec:
     """The part every game family shares: player blocks, shared constraints, constants.
 
-    Player indices are 0-based. A family defines the batched cost
-    `_costs(points, einsum)` on (P, D) rows, returning (P, N), and the exact
-    `pseudo_gradient(points)` on a point (D,) or a batch (P, D). All state is
-    fixed at construction; instances are safe to share across threads.
+    Player indices are 0-based. A family defines `_costs(points, einsum)` on
+    (P, D) rows, returning (P, N), and its pseudo-gradient P a + q + h(a): P,
+    q, and h as `_nonaffine_gradient(x)` on (..., D) points, or None. All
+    state is fixed at construction; instances are safe to share across threads.
     """
+
+    _nonaffine_gradient = None
 
     def __init__(self, dims: Sequence[int], constraints: ConstraintSet, name: str = "game"):
         self.dims = tuple(int(d) for d in dims)
@@ -201,7 +195,11 @@ class GameSpec:
 
         Takes a point (D,) or a batch (P, D) and returns the same shape.
         """
-        raise NotImplementedError(f"{type(self).__name__} defines no pseudo-gradient")
+        x = np.asarray(points, dtype=float)
+        if x.shape[-1:] != (self.D,):
+            raise DimensionMismatchError("points", self.D, x.shape[-1] if x.ndim else 0)
+        out = x @ self.P.T + self.q
+        return out if self._nonaffine_gradient is None else out + self._nonaffine_gradient(x)
 
     # -- regularity constants ----------------------------------------------
 
@@ -311,9 +309,6 @@ class QuadraticGame(GameSpec):
 
     _costs = _quadratic_costs
 
-    def pseudo_gradient(self, points) -> np.ndarray:
-        return _as_points(points, self.D) @ self.P.T + self.q
-
 
 def _softplus(u, beta: float):
     return np.logaddexp(0.0, beta * u) / beta
@@ -336,22 +331,16 @@ class SoftplusQuadraticGame(GameSpec):
         self.beta = float(beta)
         super().__init__(dims, constraints, name=name)
 
-    def _softplus_prime(self, u):
-        # derivative of softplus_beta(u)^2: 2 * softplus_beta(u) * sigmoid(beta u)
-        sig = 0.5 * (1.0 + np.tanh(0.5 * self.beta * u))
-        return 2.0 * _softplus(u, self.beta) * sig
-
     def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
         ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
         return _quadratic_costs(self, points, einsum) + ridge
 
-    def pseudo_gradient(self, points) -> np.ndarray:
-        x = _as_points(points, self.D)
-        out = x @ self.P.T + self.q
-        hp = self._softplus_prime(x @ self.W.T)  # (..., N)
-        for i, sl in enumerate(self.slices):
-            out[..., sl] += self.delta[i] * hp[..., i:i + 1] * self.W[i, sl]
-        return out
+    def _nonaffine_gradient(self, x: np.ndarray) -> np.ndarray:
+        # coordinate j of player i: delta_i w_ij (softplus_beta^2)'(u_i), u_i = w_i' x
+        u = x @ self.W.T  # (..., N)
+        hp = 2.0 * _softplus(u, self.beta) * (0.5 * (1.0 + np.tanh(0.5 * self.beta * u)))
+        own = np.repeat(np.arange(self.num_players), self.dims)  # each coordinate's player
+        return self.delta[own] * hp[..., own] * self.W[own, np.arange(self.D)]
 
 
 def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:

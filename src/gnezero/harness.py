@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracles
 from .games import GameSpec, QuadraticGame, resolve_game
-from .learner import _seed_list, checkpoints, run
+from .learner import DivergenceError, _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules
 
 __all__ = [
@@ -307,7 +307,8 @@ def reproduce_fig1(
     regularization exponents stay at their standard values), aggregates over
     seeds, writes CSVs, and emits a plot script drawing one curve per s.
     Every schedule and label is checked before the first run, so an invalid
-    s, or two s values whose CSVs would share a label, writes nothing.
+    s, or two s values whose CSVs would share a label, writes nothing. A
+    DivergenceError carries `where`: the s value, and which s wrote CSVs.
     """
     outdir = Path(outdir)
     runs = {}  # label -> (s, schedules)
@@ -329,7 +330,12 @@ def reproduce_fig1(
             seeds=[seed_base + k for k in range(num_seeds)],
             outdir=outdir, label=label, workers=workers,
         )
-        table = run_experiment(cfg)
+        try:
+            table = run_experiment(cfg)
+        except DivergenceError as err:
+            done = ", ".join(t.label for t in tables) or "none"
+            err.where = f" at s={s:g} (CSVs written: {done})"
+            raise
         table.label = f"s={s:g}"
         tables.append(table)
     emit_plot_script(tables, outdir / "convergence_plot.py")

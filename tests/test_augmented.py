@@ -93,7 +93,8 @@ def test_extended_pseudo_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5])
 def test_stacked_operator_matches_the_block_formula(eps):
-    # F(z) = B z + c + [M(a); 0] against (M(a) + K' lam, -(K a - l) + eps lam)
+    # F(z) = B z + c + [h(a); 0], with P and q in B and c, against
+    # (M(a) + K' lam, -(K a - l) + eps lam)
     rng = np.random.default_rng(12)
     for game in (paper_example(), random_quadratic_game(5, dims=[2] * 6, num_constraints=4),
                  softplus_game(0), softplus_game(2)):
@@ -131,6 +132,12 @@ def test_regularized_pseudo_gradient(paper_game):
     assert reg[2] == pytest.approx(base[2] + 0.5 * 1.0)
     with pytest.raises(ValueError):
         extended_pseudo_gradient(paper_game, a, lam, -0.1)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_extended_pseudo_gradient_rejects_non_finite_eps(paper_game, eps):
+    with pytest.raises(ValueError, match="finite"):
+        extended_pseudo_gradient(paper_game, [0.0, 1.0], [1.0], eps)
 
 
 def test_affine_in_dual(paper_game):

@@ -160,7 +160,7 @@ def test_learn_divergence_writes_no_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, start", [
     (["reproduce-fig1", "--s-values", "400", "--T", "10", "--num-seeds", "1"],
-     "reproduce-fig1 diverged, no CSV written: seed 0: non-finite iterate at step"),
+     "reproduce-fig1 diverged at s=400 (CSVs written: none): seed 0: non-finite iterate at step"),
     (["oracle", "--tol", "1e-20"],
      "gnezero oracle: solver failed: optimality residuals at eps=0 exceed tol=1e-20"),
 ], ids=["diverged", "solver-failed"])
@@ -172,6 +172,19 @@ def test_run_failures_print_one_line_and_exit_1(tmp_path, capsys, argv, start):
     assert err.startswith(start)
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_fig1_divergence_names_its_s_and_the_csvs_kept(tmp_path, capsys):
+    # the s values before the one that diverged have written their CSVs
+    rc = main(["reproduce-fig1", "--s-values", "4/7,400", "--T", "10", "--num-seeds", "1",
+               "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("reproduce-fig1 diverged at s=400 (CSVs written: s=0.571429): "
+                          "seed 0: non-finite iterate at step")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s_0p571429_agg.csv",
+                                                         "s_0p571429_raw.csv"]
 
 
 def test_learn_allows_override(tmp_path, capsys):

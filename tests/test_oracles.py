@@ -277,9 +277,10 @@ def test_extragradient_copies_its_blocks_out_of_the_iterate():
     assert not np.may_share_memory(primal, dual)
 
 
-# solve_vi_extragradient's pseudo-gradient calls at its default tol, the same
-# whether the iterate is held as separate (a, lam) blocks or stacked: a change
-# to the step rule or the stopping rule moves a count
+# solve_vi_extragradient's evaluations of the extended operator at its default
+# tol, the same whether the iterate is held as separate (a, lam) blocks or
+# stacked, and whether the operator calls the game's pseudo-gradient or holds
+# its affine part: a change to the step rule or the stopping rule moves a count
 @pytest.mark.parametrize("build, eps, calls", [
     (paper_example, 0.1, 196),
     (lambda: random_quadratic_game(2, dims=[2] * 12, num_constraints=2), 1e-3, 1734),
@@ -287,18 +288,35 @@ def test_extragradient_copies_its_blocks_out_of_the_iterate():
     (lambda: random_quadratic_game(12, dims=[2] * 12, num_constraints=12), 1e-3, 485),
     (lambda: softplus_game(0), 0.1, 145),
 ], ids=["paper-example", "random-n2", "random-n6", "random-n12", "softplus-0"])
-def test_extragradient_pseudo_gradient_calls_are_pinned(build, eps, calls):
+def test_extragradient_pseudo_gradient_calls_are_pinned(monkeypatch, build, eps, calls):
     game = build()
-    game.lipschitz()  # a probed constant would add calls of its own
-    pseudo_gradient, count = game.pseudo_gradient, [0]
+    operator, count = oracles._operator, [0]
 
-    def counted(points):
-        count[0] += 1
-        return pseudo_gradient(points)
+    def counted_operator(game, eps):
+        F = operator(game, eps)
 
-    game.pseudo_gradient = counted
+        def counted(z):
+            count[0] += 1
+            return F(z)
+
+        return counted
+
+    monkeypatch.setattr(oracles, "_operator", counted_operator)
     solve_vi_extragradient(game, eps)
     assert count[0] == calls
+
+
+def test_extragradient_calls_no_pseudo_gradient_on_a_quadratic_game():
+    # the operator holds P and q itself, so a quadratic game is never called
+    game = paper_example()
+    exact = solve_regularized_vi(game, 0.1).primal.flat
+
+    def fail(points):
+        raise AssertionError("pseudo_gradient called")
+
+    game.pseudo_gradient = fail
+    sol = solve_vi_extragradient(game, 0.1)
+    assert np.linalg.norm(sol.primal.flat - exact) <= 1e-5 * (1.0 + np.linalg.norm(exact))
 
 
 _BAD_EPS = [float("nan"), float("inf")]
@@ -353,15 +371,15 @@ def test_extragradient_tolerance_is_the_reference_step_residual(random_games):
 
 
 class _NaNGame(QuadraticGame):
-    def pseudo_gradient(self, points):
-        return np.full(np.shape(points), np.nan)
+    def _nonaffine_gradient(self, x):
+        return np.full(np.shape(x), np.nan)
 
 
 class _JumpGame(QuadraticGame):
     """Pseudo-gradient plus 10 sign(a): monotone, but not Lipschitz at a = 0."""
 
-    def pseudo_gradient(self, points):
-        return super().pseudo_gradient(points) + np.where(np.asarray(points) > 0, 10.0, -10.0)
+    def _nonaffine_gradient(self, x):
+        return np.where(x > 0, 10.0, -10.0)
 
 
 @pytest.mark.parametrize("build, max_iter, match", [
