@@ -25,6 +25,7 @@ from .games import (
     GameSpec,
     InfeasibleConstraintsError,
     JointAction,
+    PayoffEnvironment,
     QuadraticGame,
     SoftplusQuadraticGame,
     builtin_game,
@@ -48,7 +49,6 @@ from .harness import (
 )
 from .learner import (
     DivergenceError,
-    PayoffEnvironment,
     checkpoints,
     run,
     two_point_estimate,

@@ -21,9 +21,11 @@ DEFAULT_OUTDIR = "gnezero-out"
 
 
 def _parse_number(text: str) -> float:
-    """Float parser that also accepts exact fractions like 4/7."""
+    """Float parser that also accepts exact fractions like 4/7, but not a zero denominator."""
     if "/" in text:
         num, den = text.split("/", 1)
+        if float(den) == 0.0:
+            raise ValueError(f"{text!r} has a zero denominator")
         return float(num) / float(den)
     return float(text)
 

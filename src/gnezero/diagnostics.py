@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import DimensionMismatchError, GameSpec, QuadraticGame
-from .learner import PayoffEnvironment, two_point_estimate
+from .games import DimensionMismatchError, GameSpec, PayoffEnvironment, QuadraticGame
+from .learner import two_point_estimate
 from .oracles import solve_regularized_path, solve_vgne
 
 __all__ = [
@@ -132,7 +132,7 @@ def _estimates(game: GameSpec, probes: Sequence[SmoothingProbe]):
     from gemm. One pool of worker threads per pass, at most one per
     available CPU, takes one block per task: for every probe k it builds
     X = mu_k + sigma_k xi, so X is bit-identical to a draw from that probe
-    alone, evaluates the Lagrangian payoffs with the learner's formula and
+    alone, evaluates the Lagrangian payoffs with PayoffEnvironment's formula and
     writes each player's estimates into probe k's chunk buffers. No row's
     arithmetic depends on the other rows of its block (ConstraintSet keeps
     K C-ordered for this), so the buffers equal one evaluation of the whole

@@ -1,12 +1,13 @@
-"""Game definitions: costs, pseudo-gradients, and shared affine constraints.
+"""Games: costs, pseudo-gradients, shared affine constraints, and the payoff boundary.
 
 A game couples N players through a joint action a = [a^1, ..., a^N] in R^D
-and through a shared feasible set C = {a : K a <= l}. Every game belongs to
-one of two families, quadratic costs or quadratic costs plus a sharp softplus
-ridge. A family writes its batched costs once; its exact pseudo-gradient is
-P a + q, plus a non-affine term on the ridge. The quadratic family also has
-exact strong-monotonicity and Lipschitz constants; the ridge family probes
-them. The learner still sees the costs only as payoff values, through costs_at.
+and through a shared feasible set C = {a : K a <= l}. GameSpec owns the
+quadratic part every game has: its batched costs and its exact
+pseudo-gradient P a + q. Of the two families, the quadratic one adds exact
+strong-monotonicity and Lipschitz constants; the other adds a sharp softplus
+ridge to the costs and the pseudo-gradient and probes the constants. A
+learner receives a game only as a PayoffEnvironment, which shows it payoff
+values and constraint values and nothing else.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "GameSpec",
     "QuadraticGame",
     "SoftplusQuadraticGame",
+    "PayoffEnvironment",
     "probe_monotonicity",
     "probe_lipschitz",
     "paper_example",
@@ -146,35 +148,88 @@ class ConstraintSet:
 
 
 class GameSpec:
-    """The part every game family shares: player blocks, shared constraints, constants.
+    """A game with costs J^i(a) = 0.5 a' A_i a + b_i' a + r_i(a) under shared constraints.
 
-    Player indices are 0-based. A family defines `_costs(points, einsum)` on
-    (P, D) rows, returning (P, N), and its pseudo-gradient P a + q + h(a): P,
-    q, and h as `_nonaffine_gradient(x)` on (..., D) points, or None. All
-    state is fixed at construction; instances are safe to share across threads.
+    A must be (N, D, D) and b (N, D); dims None splits D evenly. Player
+    indices are 0-based. The pseudo-gradient is P a + q + h(a): the block-i
+    rows of P are the block-i rows of the symmetrized A_i, q's block i is
+    b_i's block i, and h is `_nonaffine_gradient(x)` on (..., D) points, or
+    None. A family with a term r beyond the quadratic part extends `_costs`
+    and sets h. All state is fixed at construction; instances are safe to
+    share across threads.
     """
 
     _nonaffine_gradient = None
 
-    def __init__(self, dims: Sequence[int], constraints: ConstraintSet, name: str = "game"):
+    def __init__(self, A, b, constraints: ConstraintSet, dims=None, name: str = "game"):
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        for key, arr in (("A", A), ("b", b)):
+            if not np.all(np.isfinite(arr)):
+                raise GameConfigError(f"cost {key} has non-finite entries")
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise GameConfigError(f"A must have shape (N, D, D), got {A.shape}")
+        N, D = A.shape[0], A.shape[1]
+        if b.shape != (N, D):
+            raise GameConfigError(f"b must have shape ({N}, {D}), got {b.shape}")
+        if dims is None:
+            if D % N != 0:
+                raise GameConfigError(
+                    f"cannot infer per-player dims from N={N}, D={D}; pass dims="
+                )
+            dims = [D // N] * N
         self.dims = tuple(int(d) for d in dims)
+        if len(self.dims) != N or sum(self.dims) != D:
+            raise GameConfigError(f"dims {self.dims} inconsistent with A of shape {A.shape}")
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"player dimensions must be positive, got {self.dims}")
-        self.num_players = len(self.dims)
-        self.D = int(sum(self.dims))
-        if constraints.dim != self.D:
-            raise DimensionMismatchError("constraint matrix K columns", self.D, constraints.dim)
+        if constraints.dim != D:
+            raise DimensionMismatchError("constraint matrix K columns", D, constraints.dim)
+        self.num_players, self.D = N, D
         self.constraints = constraints
         self.name = name
         self.slices = block_slices(self.dims)
+        self.P = np.empty((D, D))
+        self.q = np.empty(D)
+        for i, sl in enumerate(self.slices):
+            self.P[sl, :] = 0.5 * (A[i] + A[i].T)[sl, :]
+            self.q[sl] = b[i, sl]
+        self.A, self.b = A, b
+        self._A_flat = A.reshape(N * D, D)  # the stack of multi-point cost evaluation
         self._nu = None
         self._lipschitz = None
+
+    def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
+        """Quadratic part of every player's cost at each row of points; returns (P, N).
+
+        By default a'A_i a is an elementwise (P, N, D) product summed over D, as
+        costs_at and so the learner take it. With einsum (the Monte Carlo pass
+        of the diagnostics) it is contracted in one np.einsum pass, which forms no
+        (P, N, D) temporary. At D = 2 both round the same; at D >= 3 einsum adds
+        in another order, so the results differ in the last bits. Either way a
+        row's value does not depend on the other rows of the batch. einsum does
+        not report overflow or invalid values to np.errstate, so a row whose
+        einsum result is not finite is computed again with the product and sum,
+        which gives the default's values and raises or warns as the caller's
+        errstate says. A floating-point error that leaves a row's einsum result
+        finite, such as an underflow, goes unreported.
+        """
+        AX3 = (points @ self._A_flat.T).reshape(points.shape[0], self.num_players, self.D)
+        if not einsum:
+            quad = (AX3 * points[:, None, :]).sum(axis=2)
+        else:
+            quad = np.einsum("pnd,pd->pn", AX3, points)
+            finite = np.isfinite(quad)
+            if not finite.all():  # all(axis=1) alone would cost a third of the einsum
+                bad = ~finite.all(axis=1)
+                quad[bad] = (AX3[bad] * points[bad, None, :]).sum(axis=2)
+        return 0.5 * quad + points @ self.b.T
 
     def costs_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every player's cost at each row of `points`; returns (P, N).
 
         `points` is a point (D,) or a batch (P, D), evaluated in one call with
-        the elementwise product and sum of _quadratic_costs. A row's result
+        the elementwise product and sum of _costs. A row's result
         does not depend on the other rows of a batch, with one exception: a
         one-row batch (or a point). numpy sends its matrix products to gemv,
         which rounds differently from the gemm of a larger batch, so it is
@@ -222,71 +277,6 @@ class GameSpec:
         )
 
 
-def _set_quadratic_part(game, A, b, dims) -> tuple[int, ...]:
-    """Check and store the costs 0.5 a' A_i a + b_i' a on `game`; returns the dims.
-
-    A must be (N, D, D) and b (N, D); dims None splits D evenly. Sets game.A,
-    game.b, the affine pseudo-gradient P a + q (the block-i rows of P are the
-    block-i rows of the symmetrized A_i, q's block i is b_i's block i) and
-    game._A_flat, the (N*D, D) stack used for multi-point cost evaluation.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for name, arr in (("A", A), ("b", b)):
-        if not np.all(np.isfinite(arr)):
-            raise GameConfigError(f"cost {name} has non-finite entries")
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise GameConfigError(f"A must have shape (N, D, D), got {A.shape}")
-    N, D = A.shape[0], A.shape[1]
-    if b.shape != (N, D):
-        raise GameConfigError(f"b must have shape ({N}, {D}), got {b.shape}")
-    if dims is None:
-        if D % N != 0:
-            raise GameConfigError(
-                f"cannot infer per-player dims from N={N}, D={D}; pass dims="
-            )
-        dims = tuple([D // N] * N)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != N or sum(dims) != D:
-        raise GameConfigError(f"dims {dims} inconsistent with A of shape {A.shape}")
-    P = np.empty((D, D))
-    q = np.empty(D)
-    for i, sl in enumerate(block_slices(dims)):
-        sym = 0.5 * (A[i] + A[i].T)
-        P[sl, :] = sym[sl, :]
-        q[sl] = b[i, sl]
-    game.A, game.b, game.P, game.q = A, b, P, q
-    game._A_flat = A.reshape(N * D, D)
-    return dims
-
-
-def _quadratic_costs(game, points: np.ndarray, einsum: bool = False) -> np.ndarray:
-    """Quadratic part of every player's cost at each row of points; returns (P, N).
-
-    By default a'A_i a is an elementwise (P, N, D) product summed over D, as
-    costs_at and so the learner take it. With einsum (the Monte Carlo pass
-    of the diagnostics) it is contracted in one np.einsum pass, which forms no
-    (P, N, D) temporary. At D = 2 both round the same; at D >= 3 einsum adds
-    in another order, so the results differ in the last bits. Either way a
-    row's value does not depend on the other rows of the batch. einsum does
-    not report overflow or invalid values to np.errstate, so a row whose
-    einsum result is not finite is computed again with the product and sum,
-    which gives the default's values and raises or warns as the caller's
-    errstate says. A floating-point error that leaves a row's einsum result
-    finite, such as an underflow, goes unreported.
-    """
-    AX3 = (points @ game._A_flat.T).reshape(points.shape[0], game.num_players, game.D)
-    if not einsum:
-        quad = (AX3 * points[:, None, :]).sum(axis=2)
-    else:
-        quad = np.einsum("pnd,pd->pn", AX3, points)
-        finite = np.isfinite(quad)
-        if not finite.all():  # all(axis=1) alone would cost a third of the einsum
-            bad = ~finite.all(axis=1)
-            quad[bad] = (AX3[bad] * points[bad, None, :]).sum(axis=2)
-    return 0.5 * quad + points @ game.b.T
-
-
 class QuadraticGame(GameSpec):
     """Game with per-player costs J^i(a) = 0.5 a' A_i a + b_i' a.
 
@@ -297,17 +287,14 @@ class QuadraticGame(GameSpec):
     """
 
     def __init__(self, A, b, constraints: ConstraintSet, dims=None, name: str = "quadratic"):
-        dims = _set_quadratic_part(self, A, b, dims)
+        super().__init__(A, b, constraints, dims, name)
         nu = float(np.linalg.eigvalsh(0.5 * (self.P + self.P.T)).min())
         if nu <= 0:
             raise GameConfigError(
                 f"pseudo-gradient is not strongly monotone (min symmetric eigenvalue {nu:.3e})"
             )
-        super().__init__(dims, constraints, name=name)
         self._nu = nu
         self._lipschitz = float(np.linalg.svd(self.P, compute_uv=False).max())
-
-    _costs = _quadratic_costs
 
 
 def _softplus(u, beta: float):
@@ -324,16 +311,14 @@ class SoftplusQuadraticGame(GameSpec):
     """
 
     def __init__(self, dims, A, b, W, delta, beta, constraints, name="softplus"):
-        dims = _set_quadratic_part(self, A, b, dims)
-        N, D = self.A.shape[:2]
-        self.W = np.asarray(W, dtype=float).reshape(N, D)
-        self.delta = np.asarray(delta, dtype=float).reshape(N)
+        super().__init__(A, b, constraints, dims, name)
+        self.W = np.asarray(W, dtype=float).reshape(self.num_players, self.D)
+        self.delta = np.asarray(delta, dtype=float).reshape(self.num_players)
         self.beta = float(beta)
-        super().__init__(dims, constraints, name=name)
 
     def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
         ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
-        return _quadratic_costs(self, points, einsum) + ridge
+        return super()._costs(points, einsum) + ridge
 
     def _nonaffine_gradient(self, x: np.ndarray) -> np.ndarray:
         # coordinate j of player i: delta_i w_ij (softplus_beta^2)'(u_i), u_i = w_i' x
@@ -341,6 +326,44 @@ class SoftplusQuadraticGame(GameSpec):
         hp = 2.0 * _softplus(u, self.beta) * (0.5 * (1.0 + np.tanh(0.5 * self.beta * u)))
         own = np.repeat(np.arange(self.num_players), self.dims)  # each coordinate's player
         return self.delta[own] * hp[..., own] * self.W[own, np.arange(self.D)]
+
+
+class PayoffEnvironment:
+    """What crosses from a game to its players: Lagrangian payoffs and constraint values.
+
+    A learner sees the game only through this view: the player dims, the
+    constraint count and feedback. feedback evaluates the costs with
+    costs_at. The Monte Carlo pass of the diagnostics evaluates them itself,
+    with the einsum contraction of GameSpec._costs, on worker threads, and
+    adds the multiplier term through _lagrangian, the one copy of the payoff
+    formula.
+    """
+
+    def __init__(self, game: GameSpec):
+        self._game = game
+        self._K = game.constraints.K
+        self._l = game.constraints.l
+        self.dims = game.dims
+        self.num_constraints = game.constraints.num_constraints
+
+    def feedback(self, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every player's Lagrangian payoff and the constraint values at each joint action.
+
+        X holds joint actions along its last axis: a (P, D) batch, or an
+        (R, P, D) stack of such batches with one multiplier row per batch in
+        lam (R, n). Returns U (..., P, N) with U[..., p, i] = J^i(X[..., p]) +
+        lam'g(X[..., p]) and g (..., P, n) with g[..., p] = K X[..., p] - l.
+        These opaque values are the only information that crosses from the
+        game to the players.
+        """
+        costs = self._game.costs_at(X.reshape(-1, X.shape[-1])).reshape(
+            X.shape[:-1] + (self._game.num_players,))
+        return self._lagrangian(costs, X, lam)
+
+    def _lagrangian(self, costs: np.ndarray, X: np.ndarray, lam: np.ndarray):
+        """(U, g) of feedback from the costs J(X) (..., P, N) at the joint actions X."""
+        g = X @ self._K.T - self._l
+        return costs + g @ lam[..., None], g
 
 
 def _sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:

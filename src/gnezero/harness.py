@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .games import GameSpec, QuadraticGame, resolve_game
+from .games import GameSpec, PayoffEnvironment, QuadraticGame, resolve_game
 from .learner import DivergenceError, _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules
 
@@ -171,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
             raise PermissionError(f"output directory {outdir} is not writable")
 
     reference = _reference(game)  # one exact solve serves every seed
-    learn = functools.partial(run, game, cfg.schedules, cfg.T,
+    learn = functools.partial(run, PayoffEnvironment(game), cfg.schedules, cfg.T,
                               record_every=cfg.record_every,
                               allow_invalid_schedules=cfg.allow_invalid_schedules)
     k = min(cfg.workers, len(cfg.seeds))
@@ -308,7 +308,8 @@ def reproduce_fig1(
     seeds, writes CSVs, and emits a plot script drawing one curve per s.
     Every schedule and label is checked before the first run, so an invalid
     s, or two s values whose CSVs would share a label, writes nothing. A
-    DivergenceError carries `where`: the s value, and which s wrote CSVs.
+    DivergenceError carries `where`: the s value, and which s wrote CSVs;
+    the plot script is written for those before the error is raised.
     """
     outdir = Path(outdir)
     runs = {}  # label -> (s, schedules)
@@ -335,6 +336,8 @@ def reproduce_fig1(
         except DivergenceError as err:
             done = ", ".join(t.label for t in tables) or "none"
             err.where = f" at s={s:g} (CSVs written: {done})"
+            if tables:  # the CSVs that were written keep their plot script
+                emit_plot_script(tables, outdir / "convergence_plot.py")
             raise
         table.label = f"s={s:g}"
         tables.append(table)

@@ -25,9 +25,11 @@ def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     - the projector Pi onto a null space in the oracle's minimal-norm
       multiplier: symmetric positive semidefinite.
     For M of these kinds the callers read ray termination as proof that the
-    LCP has no solution. That reading is not taken for other monotone M: a
-    skew-symmetric LCP with a solution has ended on a ray (ROADMAP.md,
-    "Carried over"). SolverError is raised on a ray and at the pivot cap.
+    LCP has no solution. That reading is not taken for other monotone M: the
+    skew-symmetric KKT LCP of a small feasible LP (max t subject to
+    K x + t 1 <= l, t <= 1, in nonnegative parts) has ended on a ray
+    although the LP has an optimum, because of the order of its degenerate
+    pivots. SolverError is raised on a ray and at the pivot cap.
     """
     n = r.shape[0]
     if n == 0 or r.min() >= 0.0:

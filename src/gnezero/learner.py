@@ -5,9 +5,10 @@ centered there, and observes only realized cost values (its Lagrangian cost
 at the sampled and at the mean joint action) plus the realized constraint
 values. A two-point difference of the observed costs yields an unbiased
 estimate of the smoothed pseudo-gradient, which drives a projected
-primal-dual step with a vanishing Tikhonov term on the dual block. No
-gradients and no constraint data cross the feedback boundary. `run` is the
-one implementation of the iteration and steps every seed of an experiment
+primal-dual step with a vanishing Tikhonov term on the dual block. The game
+reaches the learner only as a games.PayoffEnvironment, so no gradients and
+no constraint data cross the feedback boundary. `run` is the one
+implementation of the iteration and steps every seed of an experiment
 together, one payoff batch per step; there is no separate sampling or
 single-step API. It returns iterates only: no reference solution reaches the
 learner, and the harness measures the errors.
@@ -19,12 +20,11 @@ import math
 
 import numpy as np
 
-from .games import GameSpec, _integral
+from .games import PayoffEnvironment, _integral
 from .schedules import ScheduleError, Schedules, validate_schedules
 
 __all__ = [
     "DivergenceError",
-    "PayoffEnvironment",
     "two_point_estimate",
     "run",
     "checkpoints",
@@ -53,40 +53,6 @@ class DivergenceError(ArithmeticError):
 
     def __reduce__(self):
         return DivergenceError, (self.seed, self.step, self.last_finite)
-
-
-class PayoffEnvironment:
-    """Payoff-only view of a game: Lagrangian payoffs and constraint values.
-
-    feedback evaluates the costs with games.costs_at. The Monte Carlo pass
-    of the diagnostics evaluates them itself, with the einsum contraction of
-    games._quadratic_costs, on worker threads, and adds the multiplier term
-    through _lagrangian, the one copy of the payoff formula.
-    """
-
-    def __init__(self, game: GameSpec):
-        self._game = game
-        self._K = game.constraints.K
-        self._l = game.constraints.l
-
-    def feedback(self, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every player's Lagrangian payoff and the constraint values at each joint action.
-
-        X holds joint actions along its last axis: a (P, D) batch, or an
-        (R, P, D) stack of such batches with one multiplier row per batch in
-        lam (R, n). Returns U (..., P, N) with U[..., p, i] = J^i(X[..., p]) +
-        lam'g(X[..., p]) and g (..., P, n) with g[..., p] = K X[..., p] - l.
-        These opaque values are the only information that crosses from the
-        game to the players.
-        """
-        costs = self._game.costs_at(X.reshape(-1, X.shape[-1])).reshape(
-            X.shape[:-1] + (self._game.num_players,))
-        return self._lagrangian(costs, X, lam)
-
-    def _lagrangian(self, costs: np.ndarray, X: np.ndarray, lam: np.ndarray):
-        """(U, g) of feedback from the costs J(X) (..., P, N) at the joint actions X."""
-        g = X @ self._K.T - self._l
-        return costs + g @ lam[..., None], g
 
 
 def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
@@ -148,7 +114,7 @@ def _seed_list(seeds) -> list[int]:
 
 
 def run(
-    game: GameSpec,
+    env: PayoffEnvironment,
     sched: Schedules,
     T: int,
     seeds,
@@ -159,8 +125,8 @@ def run(
 
     Every seed starts at mu = 0, lam = 0 and draws its samples from its own
     default_rng(seed) stream, so a seed's iterates do not depend on which
-    other seeds share the call. The loop touches the game only through a
-    PayoffEnvironment: per step it samples one joint action
+    other seeds share the call. run reads only env's player dims, constraint
+    count and feedback: per step it samples one joint action
     a_r ~ N(mu_r, sigma_t^2 I) per seed, obtains every player's payoff at the
     (R, 2, D) stack of [a_r; mu_r] pairs and the constraint values in one
     call, and applies the projected primal-dual step with the two-point
@@ -184,12 +150,11 @@ def run(
             "schedules violate validity conditions: " + ", ".join(report.failing())
         )
 
-    env = PayoffEnvironment(game)
-    R, D = len(seeds), game.D
-    block_of = np.repeat(np.arange(game.num_players), game.dims)
+    R, D = len(seeds), sum(env.dims)
+    block_of = np.repeat(np.arange(len(env.dims)), env.dims)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     mu = np.zeros((R, D))  # one row per seed
-    lam = np.zeros((R, game.constraints.num_constraints))
+    lam = np.zeros((R, env.num_constraints))
 
     ts = checkpoints(T, record_every).tolist()
     mus = np.empty((R, len(ts), D))

@@ -115,6 +115,9 @@ _BAD_GAME_FILES = {
     ["reproduce-fig1", "--s-values", "4/7,0.3", "--T", "10"],
     ["learn", "--seed-base", "-1", "--T", "10"],
     ["rate-fit", "--csv", "{tmp}/t0_agg.csv", "--t-min", "0", "--t-max", "5"],
+    # a fraction with a zero denominator, in the lists the commands parse
+    ["diagnose", "--eps-grid", "1/0", "--checks", "reg-path"],
+    ["reproduce-fig1", "--s-values", "4/0", "--T", "10"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
@@ -183,8 +186,12 @@ def test_reproduce_fig1_divergence_names_its_s_and_the_csvs_kept(tmp_path, capsy
     assert err.startswith("reproduce-fig1 diverged at s=400 (CSVs written: s=0.571429): "
                           "seed 0: non-finite iterate at step")
     assert err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s_0p571429_agg.csv",
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["convergence_plot.py",
+                                                         "s_0p571429_agg.csv",
                                                          "s_0p571429_raw.csv"]
+    # the plot script draws the s values that finished, and only those
+    assert "[('s=0.571429', 's_0p571429_agg.csv')]" in (
+        tmp_path / "convergence_plot.py").read_text()
 
 
 def test_learn_allows_override(tmp_path, capsys):
@@ -331,6 +338,18 @@ def test_call_after_a_bad_flag_prints_what_a_fresh_process_prints(capsys):
     rc, out = run_cli(capsys, "oracle", "--eps", "0.1")
     assert rc == 0
     assert out == fresh_python("-m", "gnezero.cli", "oracle", "--eps", "0.1")
+
+
+@pytest.mark.parametrize("argv", [["learn", "--G", "1/0"], ["oracle", "--eps", "1/0"]])
+def test_zero_denominator_flag_is_rejected_by_the_parser(capsys, argv):
+    # argparse rejects a flag value its type function refuses with a usage
+    # line, one error line and exit 2, as for any other malformed number
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.endswith(f"error: argument {argv[1]}: invalid _parse_number value: '1/0'\n")
+    assert "Traceback" not in err and "ZeroDivisionError" not in err
 
 
 def test_commands_are_looked_up_when_called(capsys, monkeypatch):

@@ -94,7 +94,7 @@ def test_reference_solved_once_per_experiment(monkeypatch):
 def test_nonquadratic_game_has_nan_errors_and_finite_iterates(tmp_path):
     # no oracle reference exists for softplus-ridge, so every error is NaN,
     # while the learner's own iterates stay finite
-    from gnezero.games import resolve_game
+    from gnezero.games import PayoffEnvironment, resolve_game
     from gnezero.learner import run
 
     game = resolve_game("softplus-ridge")
@@ -105,7 +105,7 @@ def test_nonquadratic_game_has_nan_errors_and_finite_iterates(tmp_path):
         assert np.all(np.isnan(column))
     raw = np.genfromtxt(tmp_path / "sp_raw.csv", delimiter=",", names=True)
     assert np.all(np.isnan(raw["err_primal_sq"])) and np.all(raw["sigma"] > 0)
-    mus, lams = run(game, Schedules(), 20, seeds=[0])
+    mus, lams = run(PayoffEnvironment(game), Schedules(), 20, seeds=[0])
     assert np.all(np.isfinite(mus)) and np.all(np.isfinite(lams))
 
 

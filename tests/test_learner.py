@@ -10,13 +10,14 @@ from conftest import reference_run
 
 from gnezero.games import (
     ConstraintSet,
+    PayoffEnvironment,
     QuadraticGame,
     random_quadratic_game,
+    resolve_game,
 )
 from gnezero.harness import ExperimentConfig, run_experiment
 from gnezero.learner import (
     DivergenceError,
-    PayoffEnvironment,
     checkpoints,
     run,
     two_point_estimate,
@@ -42,10 +43,10 @@ def feedback_log(monkeypatch):
     return calls
 
 
-def scalar_game(K, l):
+def scalar_env(K, l):
     # two scalar players with J^i = (a^i)^2, so M(a) = 2 a
     A = np.stack([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])])
-    return QuadraticGame(A, np.zeros((2, 2)), ConstraintSet(K, l))
+    return PayoffEnvironment(QuadraticGame(A, np.zeros((2, 2)), ConstraintSet(K, l)))
 
 
 # -- schedules ------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_sample_action_moments(feedback_log):
     # G = 0 freezes the mean at its start 0, so every step samples around it
     sigma = 0.1
     M = 100_000
-    run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seeds=[123],
+    run(scalar_env([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seeds=[123],
         record_every=M, allow_invalid_schedules=True)
     draws = np.array([X[0, 0] for X, *_ in feedback_log])
     mean_tol = 4 * sigma / np.sqrt(M)
@@ -102,8 +103,8 @@ def test_sample_action_moments(feedback_log):
 
 
 def test_sample_action_deterministic_stream(paper_game, feedback_log):
-    run(paper_game, Schedules(S=0.3), 10, seeds=[7])
-    run(paper_game, Schedules(S=0.3), 10, seeds=[7])
+    run(PayoffEnvironment(paper_game), Schedules(S=0.3), 10, seeds=[7])
+    run(PayoffEnvironment(paper_game), Schedules(S=0.3), 10, seeds=[7])
     draws = [X[0, 0] for X, *_ in feedback_log]
     assert len(draws) == 20
     assert all(np.array_equal(x, y) for x, y in zip(draws[:10], draws[10:]))
@@ -178,14 +179,14 @@ def test_step_zero_gamma_freezes_point(paper_game):
     # paper-example's constraint a1 + a2 >= 1 is violated at 0 (g = 1), so
     # any nonzero step would raise the dual
     sched = Schedules(G=0.0, g=4 / 7, E=1.0, e=2 / 7, S=1.0, s=4 / 7)
-    mus, lams = run(paper_game, sched, 5, seeds=[0])
+    mus, lams = run(PayoffEnvironment(paper_game), sched, 5, seeds=[0])
     assert np.array_equal(mus[0, -1], [0.0, 0.0])
     assert np.array_equal(lams[0, -1], [0.0])
 
 
 def test_step_interior_zero_dual_is_fixed_point(feedback_log):
     # the constraint a1 + a2 <= 10 is slack at every sampled point
-    _, lams = run(scalar_game([[1.0, 1.0]], [10.0]), Schedules(), 50, seeds=[0])
+    _, lams = run(scalar_env([[1.0, 1.0]], [10.0]), Schedules(), 50, seeds=[0])
     assert all(np.all(g[:, 0] < 0) for *_, g in feedback_log)
     assert lams[0, -1] == pytest.approx([0.0])
 
@@ -194,14 +195,14 @@ def test_step_dual_projection_hand_case():
     # g = 0 a - 2 = -2 everywhere: lam - gamma * (-g + eps lam) = 0 - (2 + 0)
     # projects to 0
     sched = Schedules(G=1.0, g=4 / 7, E=0.1, e=0.0, S=1.0, s=4 / 7)
-    _, lams = run(scalar_game([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0],
+    _, lams = run(scalar_env([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0],
                   allow_invalid_schedules=True)
     assert lams[0, -1] == pytest.approx([0.0])
 
 
 def test_step_uses_two_point_estimate(feedback_log):
     sched = Schedules(G=1.0, g=0.0, E=1.0, e=0.0, S=1.0, s=0.0)  # all params 1 at t=1
-    mus, _ = run(scalar_game([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0],
+    mus, _ = run(scalar_env([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0],
                  allow_invalid_schedules=True)
     [([(a, mu)], lam, [U], g)] = feedback_log  # one seed in the batch
     assert np.array_equal(mu, [0.0, 0.0])
@@ -214,7 +215,7 @@ def test_step_uses_two_point_estimate(feedback_log):
 
 
 def test_run_single_step_trajectory(paper_game):
-    mus, lams = run(paper_game, Schedules(), 1, seeds=[0])
+    mus, lams = run(PayoffEnvironment(paper_game), Schedules(), 1, seeds=[0])
     assert mus.shape == (1, 1, 2)  # one seed, one checkpoint (t = 1)
     assert lams.shape == (1, 1, 1)
 
@@ -225,7 +226,7 @@ def test_run_matches_manual_step_loop(paper_game, feedback_log):
     T = 400
     seeds = [11, 12, 13]
     for game in [paper_game, random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2)]:
-        mus, lams = run(game, sched, T, seeds=seeds, record_every=1)
+        mus, lams = run(PayoffEnvironment(game), sched, T, seeds=seeds, record_every=1)
         assert mus.shape[:2] == lams.shape[:2] == (len(seeds), T)
         for r, seed in enumerate(seeds):  # rows in seed-list order
             mu, lam = reference_run(game, sched, T, seed=seed)
@@ -239,22 +240,49 @@ def test_run_record_does_not_depend_on_batch():
     game = random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2)
     kw = dict(record_every=1)
     s = 21
-    alone = run(game, Schedules(), 300, seeds=[s], **kw)
-    inside = run(game, Schedules(), 300, seeds=[s - 1, s, s + 1], **kw)
+    alone = run(PayoffEnvironment(game), Schedules(), 300, seeds=[s], **kw)
+    inside = run(PayoffEnvironment(game), Schedules(), 300, seeds=[s - 1, s, s + 1], **kw)
     for x, y in zip(alone, inside):
         assert x.dtype == y.dtype and x[0].tobytes() == y[1].tobytes()
     # 8,200 seeds make 16,400 cost rows per step, in one costs_at batch
     many = list(range(s - 1, s + 8199))
-    inside = run(game, Schedules(), 5, seeds=many, **kw)
+    inside = run(PayoffEnvironment(game), Schedules(), 5, seeds=many, **kw)
     for r in (0, 1, 8199):
-        alone = run(game, Schedules(), 5, seeds=[many[r]], **kw)
+        alone = run(PayoffEnvironment(game), Schedules(), 5, seeds=[many[r]], **kw)
         for x, y in zip(alone, inside):
             assert x[0].tobytes() == y[r].tobytes()
 
 
+class _PayoffOnly:
+    """An environment proxy that lets run read dims, num_constraints and feedback only."""
+
+    def __init__(self, env):
+        object.__setattr__(self, "_env", env)
+
+    def __getattribute__(self, name):
+        if name not in ("dims", "num_constraints", "feedback"):
+            # not an AttributeError, which hasattr or a getattr default would swallow
+            raise AssertionError(f"run read env.{name}")
+        return getattr(object.__getattribute__(self, "_env"), name)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: resolve_game("paper-example"),
+    lambda: resolve_game("softplus-ridge"),
+    lambda: random_quadratic_game(3, dims=[2] * 6, num_constraints=4),
+], ids=["paper-example", "softplus-ridge", "D=12"])
+def test_run_reads_only_the_payoff_view(build):
+    env = PayoffEnvironment(build())
+    want = run(env, Schedules(), 300, seeds=[0, 1])
+    # the --workers process pool pickles the environment, through its game
+    for view in (_PayoffOnly(env), pickle.loads(pickle.dumps(env))):
+        got = run(view, Schedules(), 300, seeds=[0, 1])
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(want, got))
+
+
 def test_run_is_deterministic(paper_game):
-    mus1, lams1 = run(paper_game, Schedules(), 300, seeds=[5])
-    mus2, lams2 = run(paper_game, Schedules(), 300, seeds=[5])
+    mus1, lams1 = run(PayoffEnvironment(paper_game), Schedules(), 300, seeds=[5])
+    mus2, lams2 = run(PayoffEnvironment(paper_game), Schedules(), 300, seeds=[5])
     assert np.array_equal(mus1, mus2)
     assert np.array_equal(lams1, lams2)
 
@@ -262,9 +290,9 @@ def test_run_is_deterministic(paper_game):
 def test_run_rejects_invalid_schedules(paper_game):
     bad = Schedules(g=0.5)
     with pytest.raises(ScheduleError) as exc:
-        run(paper_game, bad, 10, seeds=[0])
+        run(PayoffEnvironment(paper_game), bad, 10, seeds=[0])
     assert "g>1/2" in str(exc.value)
-    mus, _ = run(paper_game, bad, 10, seeds=[0], allow_invalid_schedules=True)
+    mus, _ = run(PayoffEnvironment(paper_game), bad, 10, seeds=[0], allow_invalid_schedules=True)
     assert mus.shape[1] > 0
 
 
@@ -302,7 +330,7 @@ def test_update_decomposition_identity(paper_game, feedback_log):
     l = paper_game.constraints.l
     for trial in range(20):
         t = int(rng.integers(1, 50))
-        mus, lams = run(paper_game, sched, t, seeds=[trial])
+        mus, lams = run(PayoffEnvironment(paper_game), sched, t, seeds=[trial])
         [(a, mu)], [lam], [U], _ = feedback_log[-1]  # the last step, taken at t
 
         gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
@@ -355,14 +383,14 @@ def test_payoff_boundary_hides_structure(paper_game):
                               "none"])
 def test_run_rejects_seeds_that_are_not_integers_at_least_zero(paper_game, seeds):
     with pytest.raises(ValueError, match="seed"):
-        run(paper_game, Schedules(), 5, seeds=seeds)
+        run(PayoffEnvironment(paper_game), Schedules(), 5, seeds=seeds)
 
 
 def test_run_accepts_integral_seeds(paper_game):
     # numpy integers and integral floats name the same stream as the int
-    want = run(paper_game, Schedules(), 20, seeds=[3, 4])
+    want = run(PayoffEnvironment(paper_game), Schedules(), 20, seeds=[3, 4])
     for seeds in ([np.int64(3), np.uint8(4)], [3.0, 4.0]):
-        got = run(paper_game, Schedules(), 20, seeds=seeds)
+        got = run(PayoffEnvironment(paper_game), Schedules(), 20, seeds=seeds)
         assert all(np.array_equal(x, y) for x, y in zip(want, got))
 
 
@@ -379,6 +407,28 @@ def _package_imports(module: str) -> set[str]:
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
     return {name.split(".")[1] for name in names if name.startswith("gnezero.")}
+
+
+def _names_imported(module: str, source: str) -> set[str]:
+    """Names that gnezero.<module> imports from its sibling module source."""
+    tree = ast.parse(Path(importlib.util.find_spec(f"gnezero.{module}").origin).read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == source
+            for alias in node.names}
+
+
+def test_learner_sees_a_game_only_through_the_payoff_environment():
+    # games.py owns the payoff boundary; the learner takes from it only the
+    # environment and an integer check, and reads nothing of a game
+    assert _names_imported("learner", "games") == {"PayoffEnvironment", "_integral"}
+    assert "PayoffEnvironment" in _names_imported("diagnostics", "games")
+    assert "PayoffEnvironment" not in _names_imported("diagnostics", "learner")
+    tree = ast.parse(Path(importlib.util.find_spec("gnezero.learner").origin).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"GameSpec", "QuadraticGame", "SoftplusQuadraticGame"}
+    assert not attrs & {"constraints", "P", "q", "A", "b", "K", "l", "pseudo_gradient",
+                        "costs_at", "_costs", "_game"}
 
 
 def test_learner_never_imports_the_oracle():
@@ -398,7 +448,7 @@ def test_learner_never_imports_the_oracle():
 
 def test_divergence_raises_structured_error(paper_game, tmp_path):
     with pytest.raises(DivergenceError) as exc:
-        run(paper_game, Schedules(G=1e300), 50, seeds=[4], record_every=1)
+        run(PayoffEnvironment(paper_game), Schedules(G=1e300), 50, seeds=[4], record_every=1)
     err = exc.value
     assert err.seed == 4
     assert err.last_finite == (err.step - 1 if err.step > 1 else None)  # every step recorded
@@ -419,7 +469,7 @@ def test_divergence_in_a_batch_names_first_seed_in_list_order(paper_game, tmp_pa
     sched = Schedules(G=1e300)
     for seeds in ([4, 5], [5, 4]):
         with pytest.raises(DivergenceError) as exc:
-            run(paper_game, sched, 50, seeds=seeds, record_every=1)
+            run(PayoffEnvironment(paper_game), sched, 50, seeds=seeds, record_every=1)
         assert exc.value.seed == seeds[0]
 
     cfg = ExperimentConfig(game=paper_game, schedules=sched, T=50, seeds=[4, 5],
