@@ -91,8 +91,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_learn(args) -> int:
     sched = Schedules(G=args.G, g=args.g, E=args.E, e=args.e, S=args.S, s=args.s)
-    report = sched.validate()
-    print(report)
+    print(sched.validate())
     cfg = ExperimentConfig(
         game=args.game,
         schedules=sched,
@@ -137,8 +136,7 @@ def cmd_diagnose(args) -> int:
     wanted = CHECK_NAMES if args.checks == "all" else tuple(args.checks.split(","))
     unknown = [w for w in wanted if w not in CHECK_NAMES]
     if unknown:
-        print(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
     game = resolve_game(args.game)
     rng = np.random.default_rng(args.seed)
     # built before any check runs, so a bad --sigma fails before any work
@@ -312,10 +310,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; every failure prints one stderr line.
+    """Run one subcommand; every failure a command raises prints one stderr line.
 
-    Bad input (a flag value, a missing or malformed file) exits 2; a run
-    that diverges or a solver that fails its checks exits 1.
+    Bad input (a flag value, a missing or malformed file) returns 2, a
+    diverging run or a failed solver check 1. A value argparse rejects
+    (`learn --G abc`) prints usage and an error line and raises SystemExit(2).
     """
     args = _parser().parse_args(argv)
     # looked up when called, not bound into the shared parser, so a function

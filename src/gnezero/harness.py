@@ -17,7 +17,7 @@ import numpy as np
 from . import oracles
 from .games import GameSpec, PayoffEnvironment, QuadraticGame, resolve_game
 from .learner import DivergenceError, _seed_list, checkpoints, run
-from .schedules import ScheduleError, Schedules
+from .schedules import ScheduleError, Schedules, validate_schedules
 
 __all__ = [
     "ExperimentConfig",
@@ -38,7 +38,11 @@ AGG_HEADER = ("t,mean_err_primal_sq,sem_err_primal_sq,"
 
 @dataclass
 class ExperimentConfig:
-    """Everything a reproducible experiment depends on."""
+    """Everything a reproducible experiment depends on, checked before any disk access.
+
+    Bad seeds, T, record_every or workers raise ValueError; invalid schedules
+    raise ScheduleError unless allow_invalid_schedules is set.
+    """
 
     game: GameSpec | str
     schedules: Schedules
@@ -51,11 +55,14 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.seeds = _seed_list(self.seeds)  # checked before run_experiment makes outdir
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        self.seeds = _seed_list(self.seeds)
+        checkpoints(self.T, self.record_every)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        report = validate_schedules(self.schedules)
+        if not (report.valid or self.allow_invalid_schedules):
+            raise ScheduleError("schedules violate validity conditions: "
+                                + ", ".join(report.failing()))
 
 
 @dataclass
@@ -172,8 +179,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTable:
 
     reference = _reference(game)  # one exact solve serves every seed
     learn = functools.partial(run, PayoffEnvironment(game), cfg.schedules, cfg.T,
-                              record_every=cfg.record_every,
-                              allow_invalid_schedules=cfg.allow_invalid_schedules)
+                              record_every=cfg.record_every)
     k = min(cfg.workers, len(cfg.seeds))
     if k > 1:
         cuts = [len(cfg.seeds) * j // k for j in range(k + 1)]
@@ -306,40 +312,41 @@ def reproduce_fig1(
     Runs the learning iteration for each spread exponent s (the step-size and
     regularization exponents stay at their standard values), aggregates over
     seeds, writes CSVs, and emits a plot script drawing one curve per s.
-    Every schedule and label is checked before the first run, so an invalid
-    s, or two s values whose CSVs would share a label, writes nothing. A
-    DivergenceError carries `where`: the s value, and which s wrote CSVs;
-    the plot script is written for those before the error is raised.
+    Every config is built before the first run, so bad input, an invalid s
+    (its ScheduleError names it) or two s values whose CSVs would share a
+    label writes nothing. A DivergenceError carries `where`: the s value, and
+    which s wrote CSVs; the plot script is written for those before the
+    error is raised.
     """
+    if not s_values:
+        raise ValueError("need at least one s value")
     outdir = Path(outdir)
-    runs = {}  # label -> (s, schedules)
+    runs = {}  # label -> (s, config)
     for s in s_values:
-        sched = Schedules(s=float(s))
-        report = sched.validate()
-        if not report.valid:
-            raise ScheduleError(f"s={s:g}: schedules violate validity conditions: "
-                                + ", ".join(report.failing()))
         label = f"s_{s:g}".replace(".", "p")
+        try:
+            cfg = ExperimentConfig(
+                game="paper-example", schedules=Schedules(s=float(s)), T=T,
+                seeds=[seed_base + k for k in range(num_seeds)],
+                outdir=outdir, label=label, workers=workers,
+            )
+        except ScheduleError as err:
+            raise ScheduleError(f"s={s:g}: {err}") from None
         if label in runs:
             raise ValueError(f"s values {runs[label][0]!r} and {s!r} would both "
                              f"write {label}_raw.csv")
-        runs[label] = (s, sched)
+        runs[label] = (s, cfg)
     tables = []
-    for label, (s, sched) in runs.items():
-        cfg = ExperimentConfig(
-            game="paper-example", schedules=sched, T=T,
-            seeds=[seed_base + k for k in range(num_seeds)],
-            outdir=outdir, label=label, workers=workers,
-        )
-        try:
+    try:
+        for s, cfg in runs.values():
             table = run_experiment(cfg)
-        except DivergenceError as err:
-            done = ", ".join(t.label for t in tables) or "none"
-            err.where = f" at s={s:g} (CSVs written: {done})"
-            if tables:  # the CSVs that were written keep their plot script
-                emit_plot_script(tables, outdir / "convergence_plot.py")
-            raise
-        table.label = f"s={s:g}"
-        tables.append(table)
-    emit_plot_script(tables, outdir / "convergence_plot.py")
+            table.label = f"s={s:g}"
+            tables.append(table)
+    except DivergenceError as err:
+        done = ", ".join(t.label for t in tables) or "none"
+        err.where = f" at s={s:g} (CSVs written: {done})"
+        raise
+    finally:
+        if tables:  # the CSVs that were written keep their plot script
+            emit_plot_script(tables, outdir / "convergence_plot.py")
     return tables

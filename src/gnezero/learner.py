@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .games import PayoffEnvironment, _integral
-from .schedules import ScheduleError, Schedules, validate_schedules
+from .schedules import Schedules
 
 __all__ = [
     "DivergenceError",
@@ -79,7 +79,7 @@ def checkpoints(T: int, record_every) -> np.ndarray:
 
     An integer k records every k-th step (plus the final one); the default
     "log" cadence uses about 200 log-spaced steps, always including the
-    first step, the powers of ten, and the final step.
+    first step, the powers of ten, and the final step. ValueError unless T, k >= 1.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -119,7 +119,6 @@ def run(
     T: int,
     seeds,
     record_every="log",
-    allow_invalid_schedules: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the payoff-based iteration for T steps, one seeded run per entry of seeds.
 
@@ -135,28 +134,20 @@ def run(
     seeds[r] and column j for the state after step checkpoints(T,
     record_every)[j].
 
-    Raises ValueError unless seeds is a nonempty list of integers >= 0,
-    ScheduleError when the schedule exponents are invalid, unless
-    allow_invalid_schedules is set, and DivergenceError when a checkpoint
-    finds a non-finite mean or multiplier; the error names the first seed in
-    list order that is non-finite at that checkpoint.
+    Raises ValueError for a T or record_every that checkpoints rejects, then
+    unless seeds is a nonempty list of integers >= 0, and DivergenceError
+    when a checkpoint finds a non-finite mean or multiplier, naming the first
+    seed in list order that is non-finite there. Schedules are not checked:
+    that policy is harness.ExperimentConfig's.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    ts = checkpoints(T, record_every).tolist()
     seeds = _seed_list(seeds)
-    report = validate_schedules(sched)
-    if not report.valid and not allow_invalid_schedules:
-        raise ScheduleError(
-            "schedules violate validity conditions: " + ", ".join(report.failing())
-        )
 
     R, D = len(seeds), sum(env.dims)
     block_of = np.repeat(np.arange(len(env.dims)), env.dims)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     mu = np.zeros((R, D))  # one row per seed
     lam = np.zeros((R, env.num_constraints))
-
-    ts = checkpoints(T, record_every).tolist()
     mus = np.empty((R, len(ts), D))
     lams = np.empty((R, len(ts), lam.shape[1]))
     j = 0  # the next checkpoint; the last one is T, so ts[j] exists while t <= T

@@ -1,8 +1,8 @@
 """Power-law parameter schedules for the learning iteration.
 
 Step size gamma_t = G / t^g, regularization eps_t = E / t^e, and sampling
-spread sigma_t = S / t^s, with the exponent conditions s + g > 1, g + e < 1,
-g > 1/2 under which the iteration provably converges, and the derived
+spread sigma_t = S / t^s, with the conditions s + g > 1, g + e < 1, g > 1/2,
+G > 0, E > 0 under which the iteration provably converges, and the derived
 rate exponent for the mean squared distance to the equilibrium.
 """
 
@@ -71,16 +71,18 @@ class ScheduleReport:
 
 
 def validate_schedules(sched: Schedules) -> ScheduleReport:
-    """Check the exponent conditions and derive the predicted rate exponent.
+    """Check the validity conditions and derive the predicted rate exponent.
 
     The balance exponent is h = min(2 - g - e, g + s, 2 g) and the predicted
     decay of the mean squared primal error is t^(-min(2 e, h - g)).
     """
-    g, e, s = sched.g, sched.e, sched.s
+    G, g, E, e, s = sched.G, sched.g, sched.E, sched.e, sched.s
     conditions = (
         (f"s+g>1 (s+g={s + g:.6g})", s + g > 1.0),
         (f"g+e<1 (g+e={g + e:.6g})", g + e < 1.0),
         (f"g>1/2 (g={g:.6g})", g > 0.5),
+        (f"G>0 (G={G:.6g})", G > 0.0),
+        (f"E>0 (E={E:.6g})", E > 0.0),
     )
     h = min(2.0 - g - e, g + s, 2.0 * g)
     exponent = min(2.0 * e, h - g)

@@ -5,6 +5,7 @@ from conftest import fresh_python
 
 import gnezero.cli
 from gnezero.cli import main
+from gnezero.diagnostics import CheckCase, CheckReport
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,10 @@ _BAD_GAME_FILES = {
     "dims_fractions": {**_PAPER_CONFIG, "dims": [1.7, 1.2]},
     "players_bool": {**_PAPER_CONFIG, "players": True, "dims": [2]},
     "dims_bools": {**_PAPER_CONFIG, "dims": [True, True]},
+    "l_two_entries": {**_PAPER_CONFIG, "l": [-1.0, 2.0]},
+    "dims_zero": {**_PAPER_CONFIG, "dims": [0, 2]},
+    "K_three_columns": {**_PAPER_CONFIG, "K": [[-1.0, -1.0, 0.0]]},
+    "players_three": {**_PAPER_CONFIG, "players": 3},
 }
 
 
@@ -107,6 +112,7 @@ _BAD_GAME_FILES = {
     ["learn", "--T", "10", "--workers", "-3"],
     ["reproduce-fig1", "--T", "10", "--workers", "0"],
     *(["oracle", "--game", f"{{tmp}}/{name}.json"] for name in _BAD_GAME_FILES),
+    ["oracle", "--game", "{tmp}/not_json.json"],
     ["rate-fit", "--csv", "{tmp}/empty.csv"],
     # both map to the label s_0p571429
     ["reproduce-fig1", "--s-values", "4/7,0.5714286", "--T", "10"],
@@ -118,6 +124,12 @@ _BAD_GAME_FILES = {
     # a fraction with a zero denominator, in the lists the commands parse
     ["diagnose", "--eps-grid", "1/0", "--checks", "reg-path"],
     ["reproduce-fig1", "--s-values", "4/0", "--T", "10"],
+    # checks the experiment config makes; run no longer repeats them
+    ["learn", "--record-every", "0", "--T", "10"],
+    ["learn", "--g", "0.3", "--T", "10"],
+    ["learn", "--G", "0", "--T", "10"],
+    ["learn", "--E", "0", "--T", "10"],
+    ["diagnose", "--checks", "bogus"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
@@ -127,15 +139,17 @@ def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
         "t,mean_err_primal_sq\n" + "".join(f"{t},{1 / (t + 1)}\n" for t in range(6)))
     for name, cfg in _BAD_GAME_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    (tmp_path / "not_json.json").write_text("{players: 2}")
+    outdir = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv] + (
-        ["--outdir", str(tmp_path)] if argv[0] in ("learn", "reproduce-fig1") else [])
+        ["--outdir", str(outdir)] if argv[0] in ("learn", "reproduce-fig1") else [])
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"gnezero {argv[0]}: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    # bad input is rejected before any run writes its CSVs
-    assert list(tmp_path.glob("*_raw.csv")) == []
+    # bad input is rejected before the output directory is made
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("name, names_key", [
@@ -244,6 +258,19 @@ def test_diagnose_all_on_a_nonquadratic_game_skips_the_quadratic_checks(capsys):
     assert "estimator-mean needs a quadratic game; skipping" in captured.err
     checks = {line.split(",", 1)[0] for line in captured.out.splitlines()[1:]}
     assert checks == {"dual-perturbation", "second-moment-growth", "smoothing-bias-order"}
+
+
+def test_diagnose_failed_case_exits_1_after_the_report(monkeypatch, capsys):
+    def failing_report(game, probe):
+        return CheckReport("dual-perturbation", (CheckCase("forced", 2.0, 1.0, False),))
+
+    monkeypatch.setattr(gnezero.cli.diag, "dual_perturbation_report", failing_report)
+    rc = main(["diagnose", "--checks", "dual-perturbation"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ("check,case,statistic,bound,passed\n"
+                            "dual-perturbation,forced,2.0,1.0,False\n")
+    assert captured.err == "1 check case(s) FAILED\n"
 
 
 def test_diagnose_unknown_check(capsys):

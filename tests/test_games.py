@@ -490,6 +490,10 @@ def test_both_families_check_A_and_b():
             QuadraticGame(bad_A, bad_b, cs, dims=(1, 1))
         with pytest.raises(GameConfigError):
             SoftplusQuadraticGame((1, 1), bad_A, bad_b, np.eye(2), np.ones(2), 10.0, cs)
+    # three coordinates do not split evenly between two players
+    with pytest.raises(GameConfigError, match="cannot infer per-player dims"):
+        QuadraticGame(np.zeros((2, 3, 3)), np.zeros((2, 3)),
+                      ConstraintSet([[1.0, 1.0, 1.0]], [10.0]))
 
 
 def test_random_quadratic_game_rejects_more_constraints_than_dimensions():

@@ -171,13 +171,29 @@ def test_config_validations():
         ExperimentConfig(game="paper-example", schedules=Schedules(), T=0, seeds=[1])
 
 
-@pytest.mark.parametrize("seeds", [[1.5], [True], [-1], ["1"]],
-                         ids=["fraction", "bool", "negative", "string"])
-def test_config_rejects_bad_seeds_before_making_the_outdir(tmp_path, seeds):
+_BAD_SEEDS = "seeds must be integers >= 0"
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"seeds": [1.5]}, _BAD_SEEDS),
+    ({"seeds": [True]}, _BAD_SEEDS),
+    ({"seeds": [-1]}, _BAD_SEEDS),
+    ({"seeds": ["1"]}, _BAD_SEEDS),
+    ({"T": 0}, "T must be >= 1"),
+    ({"record_every": 0}, "record_every must be >= 1"),
+    ({"workers": 0}, "workers must be >= 1"),
+    ({"schedules": Schedules(g=0.3)}, r"validity conditions: s\+g>1 .*, g>1/2"),
+    ({"schedules": Schedules(G=0.0)}, "validity conditions: G>0"),
+    ({"schedules": Schedules(E=0.0)}, "validity conditions: E>0"),
+], ids=["fraction", "bool", "negative", "string", "T-0", "record_every-0", "workers-0",
+        "g-0.3", "G-0", "E-0"])
+def test_config_rejects_bad_seeds_before_making_the_outdir(tmp_path, change, match):
+    # and every other bad input: the config checks all of it when built
     outdir = tmp_path / "out"
-    with pytest.raises(ValueError, match="seeds must be integers >= 0"):
-        run_experiment(ExperimentConfig(game="paper-example", schedules=Schedules(), T=10,
-                                        seeds=seeds, outdir=outdir))
+    with pytest.raises(ValueError, match=match):
+        run_experiment(ExperimentConfig(**{"game": "paper-example", "schedules": Schedules(),
+                                           "T": 10, "seeds": [0], "outdir": outdir,
+                                           **change}))
     assert not outdir.exists()
 
 

@@ -1,6 +1,7 @@
 import ast
 import csv
 import importlib.util
+import inspect
 import pickle
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def test_sample_action_moments(feedback_log):
     sigma = 0.1
     M = 100_000
     run(scalar_env([[1.0, 1.0]], [10.0]), Schedules(G=0.0, S=sigma, s=0.0), M, seeds=[123],
-        record_every=M, allow_invalid_schedules=True)
+        record_every=M)
     draws = np.array([X[0, 0] for X, *_ in feedback_log])
     mean_tol = 4 * sigma / np.sqrt(M)
     assert np.all(np.abs(draws.mean(axis=0)) <= mean_tol)
@@ -195,15 +196,13 @@ def test_step_dual_projection_hand_case():
     # g = 0 a - 2 = -2 everywhere: lam - gamma * (-g + eps lam) = 0 - (2 + 0)
     # projects to 0
     sched = Schedules(G=1.0, g=4 / 7, E=0.1, e=0.0, S=1.0, s=4 / 7)
-    _, lams = run(scalar_env([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0],
-                  allow_invalid_schedules=True)
+    _, lams = run(scalar_env([[0.0, 0.0]], [2.0]), sched, 1, seeds=[0])
     assert lams[0, -1] == pytest.approx([0.0])
 
 
 def test_step_uses_two_point_estimate(feedback_log):
     sched = Schedules(G=1.0, g=0.0, E=1.0, e=0.0, S=1.0, s=0.0)  # all params 1 at t=1
-    mus, _ = run(scalar_env([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0],
-                 allow_invalid_schedules=True)
+    mus, _ = run(scalar_env([[1.0, 1.0]], [10.0]), sched, 1, seeds=[0])
     [([(a, mu)], lam, [U], g)] = feedback_log  # one seed in the batch
     assert np.array_equal(mu, [0.0, 0.0])
     # m = du * (a - mu) / sigma^2, one block per player
@@ -287,12 +286,16 @@ def test_run_is_deterministic(paper_game):
     assert np.array_equal(lams1, lams2)
 
 
-def test_run_rejects_invalid_schedules(paper_game):
+def test_config_rejects_invalid_schedules_that_run_runs(paper_game):
+    # the validity conditions are the experiment's policy; the iteration
+    # itself steps any schedule
     bad = Schedules(g=0.5)
     with pytest.raises(ScheduleError) as exc:
-        run(PayoffEnvironment(paper_game), bad, 10, seeds=[0])
-    assert "g>1/2" in str(exc.value)
-    mus, _ = run(PayoffEnvironment(paper_game), bad, 10, seeds=[0], allow_invalid_schedules=True)
+        ExperimentConfig(game=paper_game, schedules=bad, T=10, seeds=[0])
+    assert str(exc.value) == "schedules violate validity conditions: g>1/2 (g=0.5)"
+    ExperimentConfig(game=paper_game, schedules=bad, T=10, seeds=[0],
+                     allow_invalid_schedules=True)
+    mus, _ = run(PayoffEnvironment(paper_game), bad, 10, seeds=[0])
     assert mus.shape[1] > 0
 
 
@@ -429,6 +432,14 @@ def test_learner_sees_a_game_only_through_the_payoff_environment():
     assert not names & {"GameSpec", "QuadraticGame", "SoftplusQuadraticGame"}
     assert not attrs & {"constraints", "P", "q", "A", "b", "K", "l", "pseudo_gradient",
                         "costs_at", "_costs", "_game"}
+
+
+def test_run_is_the_bare_iteration():
+    # run takes no schedule policy: the learner needs only the Schedules
+    # type, and its one option is the recording cadence
+    assert _names_imported("learner", "schedules") == {"Schedules"}
+    assert list(inspect.signature(run).parameters) == ["env", "sched", "T", "seeds",
+                                                       "record_every"]
 
 
 def test_learner_never_imports_the_oracle():
