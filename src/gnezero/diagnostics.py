@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import DimensionMismatchError, GameSpec, PayoffEnvironment, QuadraticGame
+from .games import (DimensionMismatchError, GameSpec, PayoffEnvironment, QuadraticGame,
+                    _integer, _positive)
 from .learner import two_point_estimate
 from .oracles import solve_regularized_path, solve_vgne
 
@@ -59,7 +60,11 @@ def _available_cpus() -> int:
 
 @dataclass(frozen=True)
 class SmoothingProbe:
-    """Where and how hard to probe: mean point, dual, spread, samples, seed."""
+    """Where and how hard to probe: mean point, dual, spread, samples, seed.
+
+    sigma is a positive finite scale (games._positive), num_samples >= 1 and
+    seed >= 0 are counts (games._integer), stored as ints; else ValueError.
+    """
 
     mu: np.ndarray
     lam: np.ndarray
@@ -70,15 +75,12 @@ class SmoothingProbe:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).reshape(-1))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        _positive("sigma", self.sigma)
         for field in ("mu", "lam"):
             if not np.all(np.isfinite(getattr(self, field))):
                 raise ValueError(f"{field} must be finite")
         for field, low in (("num_samples", 1), ("seed", 0)):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, field, _integer(field, getattr(self, field), low))
 
     def scaled(self, factor: float) -> "SmoothingProbe":
         return SmoothingProbe(self.mu * factor, self.lam * factor, self.sigma,

@@ -5,14 +5,16 @@ and through a shared feasible set C = {a : K a <= l}. GameSpec owns the
 quadratic part every game has: its batched costs and its exact
 pseudo-gradient P a + q. Of the two families, the quadratic one adds exact
 strong-monotonicity and Lipschitz constants; the other adds a sharp softplus
-ridge to the costs and the pseudo-gradient and probes the constants. A
-learner receives a game only as a PayoffEnvironment, which shows it payoff
-values and constraint values and nothing else.
+ridge to the costs and the pseudo-gradient and probes the Lipschitz constant.
+A learner receives a game only as a PayoffEnvironment, which shows it payoff
+values and constraint values and nothing else. Every count in the package is
+checked by _integer and every positive scale by _positive, both defined here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,6 +67,30 @@ class GameConfigError(ValueError):
     """A game definition file or config dict is malformed."""
 
 
+def _integer(what: str, value, low: int) -> int:
+    """value as an int >= low, or ValueError; integral floats count, bools and strings do not."""
+    integral = (isinstance(value, (int, np.integer))
+                or isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _positive(what: str, value: float) -> float:
+    """value as a float, or ValueError when it is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return float(value)
+
+
+def _finite_entries(what: str, value) -> np.ndarray:
+    """value as a float array, or GameConfigError when an entry is not finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise GameConfigError(f"{what} has non-finite entries")
+    return arr
+
+
 def _as_flat(a, expected: int, what: str = "action") -> np.ndarray:
     """Coerce an action (sequence or ndarray) to a flat float vector."""
     vec = np.asarray(a, dtype=float).reshape(-1)
@@ -115,9 +141,8 @@ class ConstraintSet:
         self.l = np.array(l, dtype=float).reshape(-1)
         if self.K.shape[0] != self.l.shape[0]:
             raise DimensionMismatchError("constraint offset l", self.K.shape[0], self.l.shape[0])
-        for name, arr in (("K", self.K), ("l", self.l)):
-            if not np.all(np.isfinite(arr)):
-                raise GameConfigError(f"constraint {name} has non-finite entries")
+        _finite_entries("constraint K", self.K)
+        _finite_entries("constraint l", self.l)
         self.K.flags.writeable = False
         self.l.flags.writeable = False
         scale = 1.0 + float(np.linalg.norm(self.l))
@@ -162,11 +187,7 @@ class GameSpec:
     _nonaffine_gradient = None
 
     def __init__(self, A, b, constraints: ConstraintSet, dims=None, name: str = "game"):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        for key, arr in (("A", A), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise GameConfigError(f"cost {key} has non-finite entries")
+        A, b = _finite_entries("cost A", A), _finite_entries("cost b", b)
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise GameConfigError(f"A must have shape (N, D, D), got {A.shape}")
         N, D = A.shape[0], A.shape[1]
@@ -178,11 +199,9 @@ class GameSpec:
                     f"cannot infer per-player dims from N={N}, D={D}; pass dims="
                 )
             dims = [D // N] * N
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(_integer("player dimension", d, 1) for d in dims)
         if len(self.dims) != N or sum(self.dims) != D:
             raise GameConfigError(f"dims {self.dims} inconsistent with A of shape {A.shape}")
-        if any(d <= 0 for d in self.dims):
-            raise ValueError(f"player dimensions must be positive, got {self.dims}")
         if constraints.dim != D:
             raise DimensionMismatchError("constraint matrix K columns", D, constraints.dim)
         self.num_players, self.D = N, D
@@ -196,7 +215,6 @@ class GameSpec:
             self.q[sl] = b[i, sl]
         self.A, self.b = A, b
         self._A_flat = A.reshape(N * D, D)  # the stack of multi-point cost evaluation
-        self._nu = None
         self._lipschitz = None
 
     def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
@@ -258,12 +276,6 @@ class GameSpec:
 
     # -- regularity constants ----------------------------------------------
 
-    def nu(self) -> float:
-        """Strong-monotonicity constant: a family's exact value, else probed once."""
-        if self._nu is None:
-            self._nu = probe_monotonicity(self, 20000, 3.0, seed=0)
-        return self._nu
-
     def lipschitz(self) -> float:
         """Lipschitz constant of the pseudo-gradient: a family's exact value, else probed once."""
         if self._lipschitz is None:
@@ -296,6 +308,10 @@ class QuadraticGame(GameSpec):
         self._nu = nu
         self._lipschitz = float(np.linalg.svd(self.P, compute_uv=False).max())
 
+    def nu(self) -> float:
+        """Strong-monotonicity constant: the smallest eigenvalue of the symmetric part of P."""
+        return self._nu
+
 
 def _softplus(u, beta: float):
     return np.logaddexp(0.0, beta * u) / beta
@@ -306,15 +322,18 @@ class SoftplusQuadraticGame(GameSpec):
 
     Player i's cost is the quadratic 0.5 a' A_i a + b_i' a plus
     delta_i * softplus_beta(w_i' a)^2, a convex one-sided penalty whose
-    curvature concentrates near the hyperplane w_i' a = 0. Pseudo-gradients
-    are exact; nu and the Lipschitz constant are probed (no closed form).
+    curvature concentrates near the hyperplane w_i' a = 0; W, delta >= 0 and
+    beta > 0 must be finite. Pseudo-gradients are exact; the Lipschitz
+    constant is probed (no closed form).
     """
 
     def __init__(self, dims, A, b, W, delta, beta, constraints, name="softplus"):
         super().__init__(A, b, constraints, dims, name)
-        self.W = np.asarray(W, dtype=float).reshape(self.num_players, self.D)
-        self.delta = np.asarray(delta, dtype=float).reshape(self.num_players)
-        self.beta = float(beta)
+        self.W = _finite_entries("cost W", W).reshape(self.num_players, self.D)
+        self.delta = _finite_entries("cost delta", delta).reshape(self.num_players)
+        if np.any(self.delta < 0):
+            raise GameConfigError(f"cost delta must be >= 0 for a convex ridge, got {self.delta}")
+        self.beta = _positive("beta", beta)
 
     def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
         ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
@@ -379,8 +398,7 @@ def _probe_pairs(game: GameSpec, num_pairs: int, radius: float, seed: int):
     Draws num_pairs pairs uniformly from the ball of the given radius and
     skips degenerate pairs, those with ||a1 - a2|| <= 1e-12.
     """
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
+    num_pairs = _integer("num_pairs", num_pairs, 1)
     rng = np.random.default_rng(seed)
     x1 = _sample_ball(rng, num_pairs, game.D, radius)
     x2 = _sample_ball(rng, num_pairs, game.D, radius)
@@ -442,11 +460,11 @@ def random_quadratic_game(
     rng = np.random.default_rng(seed)
     if dims is None:
         dims = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(2, 4)))]
-    dims = tuple(int(d) for d in dims)
-    N, D = len(dims), int(sum(dims))
+    dims = tuple(_integer("player dimension", d, 1) for d in dims)
+    N, D = len(dims), sum(dims)
     if num_constraints is None:
         num_constraints = int(rng.integers(1, min(3, D) + 1))
-    n = int(num_constraints)
+    n = _integer("num_constraints", num_constraints, 0)
     if n > D:
         raise GameConfigError(
             f"num_constraints={n} exceeds D={D}: K has orthonormal rows, so at most D"
@@ -542,14 +560,6 @@ def _config_field(cfg: dict, key: str, convert):
             f"game config key {key!r} has the wrong type or shape ({err})") from None
 
 
-def _integral(value) -> int:
-    """value as an int: a JSON integer or an integral float, not a bool; else TypeError."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or
-                                       isinstance(value, float) and value.is_integer()):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def game_from_config(cfg: dict) -> GameSpec:
     """Build a game from a config dict.
 
@@ -561,8 +571,8 @@ def game_from_config(cfg: dict) -> GameSpec:
         raise GameConfigError(f"game config must be a JSON object, got {type(cfg).__name__}")
     if "builtin" in cfg:
         return builtin_game(cfg["builtin"])
-    players = _config_field(cfg, "players", _integral)
-    dims = _config_field(cfg, "dims", lambda value: [_integral(d) for d in value])
+    players = _config_field(cfg, "players", lambda value: _integer("players", value, 1))
+    dims = _config_field(cfg, "dims", lambda value: [_integer("dims", d, 1) for d in value])
     A, b, K, l = (_config_field(cfg, key, lambda v: np.asarray(v, dtype=float))
                   for key in ("A", "b", "K", "l"))
     if players != len(dims):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .games import GameSpec, PayoffEnvironment, QuadraticGame, resolve_game
+from .games import GameSpec, PayoffEnvironment, QuadraticGame, _integer, resolve_game
 from .learner import DivergenceError, _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules, validate_schedules
 
@@ -40,8 +40,9 @@ AGG_HEADER = ("t,mean_err_primal_sq,sem_err_primal_sq,"
 class ExperimentConfig:
     """Everything a reproducible experiment depends on, checked before any disk access.
 
-    Bad seeds, T, record_every or workers raise ValueError; invalid schedules
-    raise ScheduleError unless allow_invalid_schedules is set.
+    seeds, T, record_every and workers are counts (games._integer), stored as
+    ints but for record_every; invalid schedules raise ScheduleError unless
+    allow_invalid_schedules is set.
     """
 
     game: GameSpec | str
@@ -56,9 +57,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.seeds = _seed_list(self.seeds)
+        self.T = _integer("T", self.T, 1)
         checkpoints(self.T, self.record_every)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        self.workers = _integer("workers", self.workers, 1)
         report = validate_schedules(self.schedules)
         if not (report.valid or self.allow_invalid_schedules):
             raise ScheduleError("schedules violate validity conditions: "
@@ -320,6 +321,7 @@ def reproduce_fig1(
     """
     if not s_values:
         raise ValueError("need at least one s value")
+    num_seeds = _integer("num_seeds", num_seeds, 1)
     outdir = Path(outdir)
     runs = {}  # label -> (s, config)
     for s in s_values:

@@ -16,11 +16,9 @@ learner, and the harness measures the errors.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .games import PayoffEnvironment, _integral
+from .games import PayoffEnvironment, _integer, _positive
 from .schedules import Schedules
 
 __all__ = [
@@ -61,11 +59,10 @@ def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
     a_i is one action (d,) or a batch of actions (P, d); mu_i is the one
     mean (d,) they were drawn around, or one mean per action (P, d). The
     cost values broadcast against a_i - mu_i (a scalar, one value per
-    coordinate, or a (P, 1) column for a batch).
+    coordinate, or a (P, 1) column for a batch). ValueError unless sigma is
+    positive and finite.
     """
-    # one scalar comparison per learner step; NaN fails it too
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    sigma = _positive("sigma", sigma)
     a_i = np.asarray(a_i, dtype=float)
     mu_i = np.asarray(mu_i, dtype=float)
     if mu_i.shape not in (a_i.shape, a_i.shape[-1:]):
@@ -75,14 +72,14 @@ def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
 
 
 def checkpoints(T: int, record_every) -> np.ndarray:
-    """Iterations at which metrics are recorded.
+    """Iterations at which metrics are recorded; the last one is T.
 
     An integer k records every k-th step (plus the final one); the default
     "log" cadence uses about 200 log-spaced steps, always including the
-    first step, the powers of ten, and the final step. ValueError unless T, k >= 1.
+    first step, the powers of ten, and the final step. T and k are counts
+    >= 1 (games._integer), else ValueError.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _integer("T", T, 1)
     if record_every == "log":
         pts = np.geomspace(1, T, num=min(T, 200))
         decades = 10 ** np.arange(0, int(np.floor(np.log10(T))) + 1)
@@ -92,24 +89,17 @@ def checkpoints(T: int, record_every) -> np.ndarray:
             [1, T],
         ]))
     else:
-        k = int(record_every)
-        if k < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
+        k = _integer("record_every", record_every, 1)
         ts = np.unique(np.concatenate([np.arange(k, T + 1, k, dtype=np.int64),
                                        [T]]))
     return ts[(ts >= 1) & (ts <= T)]
 
 
 def _seed_list(seeds) -> list[int]:
-    """seeds as a nonempty list of ints; ValueError for a bool, a fraction or a negative seed."""
-    try:
-        seeds = [_integral(seed) for seed in seeds]
-    except TypeError as err:
-        raise ValueError(f"seeds must be integers >= 0: {err}") from None
+    """seeds as a nonempty list of ints; ValueError for a seed that is not an integer >= 0."""
+    seeds = [_integer("seed", seed, 0) for seed in seeds]
     if not seeds:
         raise ValueError("seed list must be nonempty")
-    if min(seeds) < 0:
-        raise ValueError(f"seeds must be integers >= 0, got {min(seeds)}")
     return seeds
 
 
@@ -134,13 +124,15 @@ def run(
     seeds[r] and column j for the state after step checkpoints(T,
     record_every)[j].
 
-    Raises ValueError for a T or record_every that checkpoints rejects, then
-    unless seeds is a nonempty list of integers >= 0, and DivergenceError
-    when a checkpoint finds a non-finite mean or multiplier, naming the first
-    seed in list order that is non-finite there. Schedules are not checked:
-    that policy is harness.ExperimentConfig's.
+    T = 10.0 runs exactly as T = 10. Raises ValueError for a T or
+    record_every that checkpoints rejects, then unless seeds is a nonempty
+    list of integers >= 0, and DivergenceError when a checkpoint finds a
+    non-finite mean or multiplier, naming the first seed in list order that
+    is non-finite there. Schedules are not checked: that policy is
+    harness.ExperimentConfig's.
     """
     ts = checkpoints(T, record_every).tolist()
+    T = ts[-1]  # the checked int: checkpoints ends at T
     seeds = _seed_list(seeds)
 
     R, D = len(seeds), sum(env.dims)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .augmented import _operator
-from .games import GameSpec, JointAction, QuadraticGame
+from .games import GameSpec, JointAction, QuadraticGame, _positive
 from .lcp import SolverError, _lemke
 
 __all__ = [
@@ -59,13 +59,6 @@ def _require_quadratic(game: GameSpec, who: str) -> QuadraticGame:
             "iteration tolerance"
         )
     return game
-
-
-def _positive(what: str, value: float) -> float:
-    """value as a float, or ValueError when it is not positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return float(value)
 
 
 def _min_norm_multiplier(K_T: np.ndarray, c: np.ndarray, check_tol: float) -> np.ndarray:

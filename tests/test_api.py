@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,23 @@ def test_star_import():
     exec("from gnezero import *", namespace)
     for name in ("solve_vgne", "OracleSolution", "extended_pseudo_gradient", "run"):
         assert name in namespace
+
+
+def test_games_owns_the_count_and_scale_checks():
+    # one definition of "a valid count" and of "a positive finite scale":
+    # only games.py defines _integer and _positive, and no other module
+    # writes its own bool test
+    sources = sorted(Path(gnezero.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    definers, bool_checks = set(), set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_positive"):
+                definers.add((path.name, node.name))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and "bool" in {n.id for n in ast.walk(node.args[1])
+                                   if isinstance(n, ast.Name)}):
+                bool_checks.add(path.name)
+    assert definers == {("games.py", "_integer"), ("games.py", "_positive")}
+    assert bool_checks == {"games.py"}

@@ -51,6 +51,10 @@ def test_probe_accepts_numpy_integers():
     probe = SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.1,
                            num_samples=np.int64(5), seed=np.uint32(0))
     assert probe.num_samples == 5 and probe.seed == 0
+    # integral floats count as well, as they do for seeds and game files
+    probe = SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.1, num_samples=1000.0, seed=2.0)
+    assert (probe.num_samples, probe.seed) == (1000, 2)
+    assert type(probe.num_samples) is int and type(probe.seed) is int
 
 
 @pytest.mark.parametrize("fields, what, expected, given", [

@@ -490,6 +490,17 @@ def test_both_families_check_A_and_b():
             QuadraticGame(bad_A, bad_b, cs, dims=(1, 1))
         with pytest.raises(GameConfigError):
             SoftplusQuadraticGame((1, 1), bad_A, bad_b, np.eye(2), np.ones(2), 10.0, cs)
+    # the ridge: W and delta finite, delta >= 0 (a convex ridge), beta positive and finite
+    W, delta = np.eye(2), np.ones(2)
+    for bad, match in ((dict(W=[[np.nan, 0.0], [0.0, 1.0]]), "cost W has non-finite"),
+                       (dict(delta=[1.0, np.inf]), "cost delta has non-finite"),
+                       (dict(delta=[1.0, -5.0]), "cost delta must be >= 0")):
+        with pytest.raises(GameConfigError, match=match):
+            SoftplusQuadraticGame(**{"dims": (1, 1), "A": A, "b": b, "W": W, "delta": delta,
+                                     "beta": 10.0, "constraints": cs, **bad})
+    for beta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            SoftplusQuadraticGame((1, 1), A, b, W, delta, beta, cs)
     # three coordinates do not split evenly between two players
     with pytest.raises(GameConfigError, match="cannot infer per-player dims"):
         QuadraticGame(np.zeros((2, 3, 3)), np.zeros((2, 3)),
@@ -500,6 +511,18 @@ def test_random_quadratic_game_rejects_more_constraints_than_dimensions():
     with pytest.raises(GameConfigError, match="exceeds D=2"):
         random_quadratic_game(0, dims=[1, 1], num_constraints=3)
     assert random_quadratic_game(0, dims=[1, 1], num_constraints=2).constraints.num_constraints == 2
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(dims=[1.5, 1.5]), "player dimension must be an integer >= 1, got 1.5"),
+    (dict(dims=[1, 0]), "player dimension must be an integer >= 1, got 0"),
+    (dict(dims=[1, 1], num_constraints=1.7), "num_constraints must be an integer >= 0"),
+    (dict(dims=[1, 1], num_constraints=True), "num_constraints must be an integer >= 0"),
+], ids=["fractional-dims", "zero-dim", "fractional-constraints", "bool-constraints"])
+def test_random_quadratic_game_rejects_counts_that_are_not_integers(kwargs, match):
+    # a fraction is not truncated to a smaller game
+    with pytest.raises(ValueError, match=match):
+        random_quadratic_game(0, **kwargs)
 
 
 def test_random_quadratic_game_properties(random_games):

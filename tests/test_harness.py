@@ -7,6 +7,7 @@ from gnezero.harness import (
     MetricsTable,
     emit_plot_script,
     fit_rate,
+    reproduce_fig1,
     run_experiment,
 )
 from gnezero.schedules import Schedules
@@ -171,7 +172,7 @@ def test_config_validations():
         ExperimentConfig(game="paper-example", schedules=Schedules(), T=0, seeds=[1])
 
 
-_BAD_SEEDS = "seeds must be integers >= 0"
+_BAD_SEEDS = "seed must be an integer >= 0"
 
 
 @pytest.mark.parametrize("change, match", [
@@ -179,13 +180,19 @@ _BAD_SEEDS = "seeds must be integers >= 0"
     ({"seeds": [True]}, _BAD_SEEDS),
     ({"seeds": [-1]}, _BAD_SEEDS),
     ({"seeds": ["1"]}, _BAD_SEEDS),
-    ({"T": 0}, "T must be >= 1"),
-    ({"record_every": 0}, "record_every must be >= 1"),
-    ({"workers": 0}, "workers must be >= 1"),
+    ({"T": 0}, "T must be an integer >= 1"),
+    ({"T": 10.5}, "T must be an integer >= 1"),
+    ({"T": True}, "T must be an integer >= 1"),
+    ({"record_every": 0}, "record_every must be an integer >= 1"),
+    ({"record_every": 2.7}, "record_every must be an integer >= 1"),
+    ({"workers": 0}, "workers must be an integer >= 1"),
+    ({"workers": 1.5, "seeds": [0, 1, 2, 3]}, "workers must be an integer >= 1"),
+    ({"workers": True}, "workers must be an integer >= 1"),
     ({"schedules": Schedules(g=0.3)}, r"validity conditions: s\+g>1 .*, g>1/2"),
     ({"schedules": Schedules(G=0.0)}, "validity conditions: G>0"),
     ({"schedules": Schedules(E=0.0)}, "validity conditions: E>0"),
-], ids=["fraction", "bool", "negative", "string", "T-0", "record_every-0", "workers-0",
+], ids=["fraction", "bool", "negative", "string", "T-0", "T-10.5", "T-bool",
+        "record_every-0", "record_every-2.7", "workers-0", "workers-1.5", "workers-bool",
         "g-0.3", "G-0", "E-0"])
 def test_config_rejects_bad_seeds_before_making_the_outdir(tmp_path, change, match):
     # and every other bad input: the config checks all of it when built
@@ -194,6 +201,14 @@ def test_config_rejects_bad_seeds_before_making_the_outdir(tmp_path, change, mat
         run_experiment(ExperimentConfig(**{"game": "paper-example", "schedules": Schedules(),
                                            "T": 10, "seeds": [0], "outdir": outdir,
                                            **change}))
+    assert not outdir.exists()
+
+
+def test_reproduce_fig1_rejects_a_fractional_seed_count_before_writing(tmp_path):
+    outdir = tmp_path / "out"
+    for num_seeds in (1.5, 0, True):
+        with pytest.raises(ValueError, match="num_seeds must be an integer >= 1"):
+            reproduce_fig1(outdir, T=10, num_seeds=num_seeds)
     assert not outdir.exists()
 
 

@@ -118,7 +118,7 @@ def test_sample_action_rejects_bad_sigma():
     with pytest.raises(ValueError):
         Schedules(S=-1.0)
     for sigma in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
             two_point_estimate(1.0, 0.0, [0.1], [0.0], sigma)
 
 
@@ -322,6 +322,11 @@ def test_checkpoints_grids():
         assert t in log_grid
     assert log_grid.shape[0] <= 210
     assert checkpoints(1, "log").tolist() == [1]
+    assert checkpoints(10.0, 4.0).tolist() == [4, 8, 10]
+    # the cadence is a count: a fraction is not truncated, a string is not parsed
+    for T, record_every in ((10, 2.7), (10, "5"), (10.5, 1), (True, 1), (10, False)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            checkpoints(T, record_every)
 
 
 def test_update_decomposition_identity(paper_game, feedback_log):
@@ -392,8 +397,8 @@ def test_run_rejects_seeds_that_are_not_integers_at_least_zero(paper_game, seeds
 def test_run_accepts_integral_seeds(paper_game):
     # numpy integers and integral floats name the same stream as the int
     want = run(PayoffEnvironment(paper_game), Schedules(), 20, seeds=[3, 4])
-    for seeds in ([np.int64(3), np.uint8(4)], [3.0, 4.0]):
-        got = run(PayoffEnvironment(paper_game), Schedules(), 20, seeds=seeds)
+    for T, seeds in ((20, [np.int64(3), np.uint8(4)]), (20, [3.0, 4.0]), (20.0, [3, 4])):
+        got = run(PayoffEnvironment(paper_game), Schedules(), T, seeds=seeds)
         assert all(np.array_equal(x, y) for x, y in zip(want, got))
 
 
@@ -422,8 +427,9 @@ def _names_imported(module: str, source: str) -> set[str]:
 
 def test_learner_sees_a_game_only_through_the_payoff_environment():
     # games.py owns the payoff boundary; the learner takes from it only the
-    # environment and an integer check, and reads nothing of a game
-    assert _names_imported("learner", "games") == {"PayoffEnvironment", "_integral"}
+    # environment and the count and scale checks, and reads nothing of a game
+    assert _names_imported("learner", "games") == {"PayoffEnvironment", "_integer",
+                                                   "_positive"}
     assert "PayoffEnvironment" in _names_imported("diagnostics", "games")
     assert "PayoffEnvironment" not in _names_imported("diagnostics", "learner")
     tree = ast.parse(Path(importlib.util.find_spec("gnezero.learner").origin).read_text())
