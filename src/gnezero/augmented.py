@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import GameSpec, _as_flat
+from .games import GameSpec, _as_flat, _nonnegative
 
 __all__ = [
     "extended_pseudo_gradient",
@@ -58,8 +58,7 @@ def extended_pseudo_gradient(game: GameSpec, a, lam, eps: float = 0.0) -> np.nda
     Primal block i is M^i(a) + (K' lam) restricted to block i; the dual block
     is -K a + l + eps * lam, the Tikhonov term acting on the dual block only.
     """
-    if not 0 <= eps < np.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
+    eps = _nonnegative("epsilon", eps)
     a = _as_flat(a, game.D)
     lam = _as_flat(lam, game.constraints.num_constraints, "dual variable")
     return _operator(game, eps)(np.concatenate([a, lam]))

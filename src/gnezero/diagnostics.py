@@ -10,8 +10,11 @@ chunks (_draws). Probes that share a seed share that stream (common random
 numbers): the sigma sweep of smoothing_bias_order_report and the scale sweep
 of second_moment_growth_report draw each chunk once for all their probes,
 and every probe's figures are bit-identical to a separate
-smoothing_bias_stats or estimator_second_moment call. The reports' bounds
-and sweeps are fixed; their case strings name them.
+smoothing_bias_stats or estimator_second_moment call. Both statistics come
+from one _moments pass, which sums the estimates and their squares per row
+block and adds the block sums in order, so no figure depends on the number
+of worker threads. The reports' bounds and sweeps are fixed; their case
+strings name them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 _CHUNK = 100_000
-# _estimates cuts each chunk into row blocks of this size, one worker task
+# _moments cuts each chunk into row blocks of this size, one worker task
 # per block: a block's temporaries stay in cache, and the blocks run on all CPUs
 _BLOCK = 8192
 
@@ -125,23 +128,20 @@ class SmoothingBias:
     norm_sq_debiased: float
 
 
-def _estimates(game: GameSpec, probes: Sequence[SmoothingProbe]):
-    """Two-point estimates of every player's gradient block at each probe point, in chunks.
+def _moments(game: GameSpec,
+             probes: Sequence[SmoothingProbe]) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_m, sumsq_m): sums of every two-point estimate coordinate and of its square.
 
-    Each chunk xi of the probes' shared stream is drawn once and cut into
-    row blocks of _BLOCK rows; the last block takes the remainder, since
-    numpy sends a one-row matrix product to gemv, which rounds differently
-    from gemm. One pool of worker threads per pass, at most one per
-    available CPU, takes one block per task: for every probe k it builds
-    X = mu_k + sigma_k xi, so X is bit-identical to a draw from that probe
-    alone, evaluates the Lagrangian payoffs with PayoffEnvironment's formula and
-    writes each player's estimates into probe k's chunk buffers. No row's
-    arithmetic depends on the other rows of its block (ConstraintSet keeps
-    K C-ordered for this), so the buffers equal one evaluation of the whole
-    chunk. Yields (k, blocks) per chunk and probe: one row-major (size, d_i)
-    array per player, all from the same draws around probes[k].mu; separate
-    blocks keep each player's column sums rounding as over that player's
-    estimates alone.
+    Each is a (len(probes), D) array: row k sums m and m^2 over the shared
+    draws, where m is every player's estimate at X = mu_k + sigma_k xi, so X
+    is bit-identical to a draw from probe k alone. Each chunk xi of the
+    stream is drawn once and cut into row blocks of _BLOCK rows; the last
+    block takes the remainder, since numpy sends a one-row matrix product to
+    gemv, which rounds differently from gemm. One pool of worker threads per
+    pass, at most one per available CPU, takes one block per task: for every
+    probe it evaluates the Lagrangian payoffs with PayoffEnvironment's
+    formula and returns the block's own (2, len(probes), D) sums. The caller
+    adds them in block order, so no figure depends on the thread count.
 
     Each task runs in a copy of the caller's context, so np.errstate
     carries over (numpy >= 2 keeps it in a context variable). The workers
@@ -160,28 +160,29 @@ def _estimates(game: GameSpec, probes: Sequence[SmoothingProbe]):
     # of a larger batch, so only this keeps each probe's results as alone
     u_mu = [payoffs(p.mu[None], p.lam)[0] for p in probes]
 
-    def block(xi, out, rows):
-        for p, u, blocks in zip(probes, u_mu, out):
-            X = p.mu + p.sigma * xi[rows]
+    def block_sums(xi):
+        sums = np.empty((2, len(probes), game.D))
+        for k, (p, u) in enumerate(zip(probes, u_mu)):
+            X = p.mu + p.sigma * xi
             U = payoffs(X, p.lam)
             for i, sl in enumerate(game.slices):
-                blocks[i][rows] = two_point_estimate(U[:, i, None], u[i], X[:, sl],
-                                                     p.mu[sl], p.sigma)
+                m = two_point_estimate(U[:, i, None], u[i], X[:, sl], p.mu[sl], p.sigma)
+                sums[0, k, sl] = m.sum(axis=0)
+                sums[1, k, sl] = np.einsum("kj,kj->j", m, m)
+        return sums
 
     # imported here so that commands which draw no samples do not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
+    total = np.zeros((2, len(probes), game.D))
     most = max(1, min(_CHUNK, num_samples) // _BLOCK)  # blocks in the first chunk
     with ThreadPoolExecutor(min(_available_cpus(), most)) as pool:
         for xi in _draws(seed, num_samples, dim):
-            size = xi.shape[0]
-            edges = [i * _BLOCK for i in range(max(1, size // _BLOCK))] + [size]
-            out = [[np.empty((size, d)) for d in game.dims] for _ in probes]
-            for future in [pool.submit(contextvars.copy_context().run, block, xi, out,
-                                       slice(a, b)) for a, b in zip(edges, edges[1:])]:
-                future.result()
-            yield from enumerate(out)
-            del out  # free this chunk's buffers before the next is drawn
+            edges = [i * _BLOCK for i in range(max(1, len(xi) // _BLOCK))] + [len(xi)]
+            for future in [pool.submit(contextvars.copy_context().run, block_sums, xi[a:b])
+                           for a, b in zip(edges, edges[1:])]:
+                total += future.result()
+    return total[0], total[1]
 
 
 def _bias_stats(game: GameSpec,
@@ -190,14 +191,8 @@ def _bias_stats(game: GameSpec,
     M = _shared_stream(game, probes)[1]
     if M < 2:
         raise ValueError(f"the standard error needs num_samples >= 2, got {M}")
-    sum_m = np.zeros((len(probes), game.D))
-    sumsq_m = np.zeros((len(probes), game.D))
-    for k, blocks in _estimates(game, probes):
-        for sl, m in zip(game.slices, blocks):
-            sum_m[k, sl] += m.sum(axis=0)
-            sumsq_m[k, sl] += np.einsum("kj,kj->j", m, m)
     out = []
-    for probe, total, total_sq in zip(probes, sum_m, sumsq_m):
+    for probe, total, total_sq in zip(probes, *_moments(game, probes)):
         mean_m = total / M
         se = np.sqrt(np.maximum(total_sq / M - mean_m**2, 0.0) / M)
         exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
@@ -235,9 +230,8 @@ def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[floa
 
 def _second_moments(game: GameSpec, probes: Sequence[SmoothingProbe]) -> np.ndarray:
     """estimator_second_moment for probes that share one draw stream: (len(probes), N)."""
-    total = np.zeros((len(probes), game.num_players))
-    for k, blocks in _estimates(game, probes):
-        total[k] += [np.einsum("kj,kj->", m, m) for m in blocks]
+    sumsq_m = _moments(game, probes)[1]
+    total = np.stack([sumsq_m[:, sl].sum(axis=1) for sl in game.slices], axis=1)
     return total / probes[0].num_samples
 
 

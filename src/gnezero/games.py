@@ -8,7 +8,8 @@ strong-monotonicity and Lipschitz constants; the other adds a sharp softplus
 ridge to the costs and the pseudo-gradient and probes the Lipschitz constant.
 A learner receives a game only as a PayoffEnvironment, which shows it payoff
 values and constraint values and nothing else. Every count in the package is
-checked by _integer and every positive scale by _positive, both defined here.
+checked by _integer, every positive scale by _positive and every scale that
+may be zero by _nonnegative, all defined here.
 """
 
 from __future__ import annotations
@@ -76,10 +77,21 @@ def _integer(what: str, value, low: int) -> int:
     return int(value)
 
 
+# the scalar types a scale may have; bools, strings and arrays are not scales
+_REAL = (int, float, np.integer, np.floating)
+
+
 def _positive(what: str, value: float) -> float:
-    """value as a float, or ValueError when it is not positive and finite."""
-    if not 0 < value < math.inf:
+    """value as a float, or ValueError when it is not a positive finite number."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not 0 < value < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {value}")
+    return float(value)
+
+
+def _nonnegative(what: str, value: float) -> float:
+    """value as a float, or ValueError when it is not a finite number >= 0."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
     return float(value)
 
 

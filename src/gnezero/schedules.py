@@ -8,8 +8,9 @@ rate exponent for the mean squared distance to the equilibrium.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .games import _nonnegative, _positive
 
 __all__ = ["Schedules", "ScheduleReport", "validate_schedules", "ScheduleError"]
 
@@ -20,7 +21,11 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class Schedules:
-    """Coefficients and exponents of the three decaying parameter families."""
+    """Coefficients and exponents of the three decaying parameter families.
+
+    Each is a finite number >= 0 (games._nonnegative) and S is positive
+    (games._positive), else ValueError; the values are stored as given.
+    """
 
     G: float = 1.0
     g: float = 4.0 / 7.0
@@ -31,11 +36,8 @@ class Schedules:
 
     def __post_init__(self):
         for field in ("G", "g", "E", "e", "S", "s"):
-            value = getattr(self, field)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{field} must be finite and >= 0, got {value}")
-        if self.S == 0:
-            raise ValueError("S must be positive: the sampling spread cannot vanish")
+            _nonnegative(field, getattr(self, field))
+        _positive("S", self.S)  # the sampling spread cannot vanish
 
     def gamma(self, t: int) -> float:
         return self.G / t**self.g

@@ -27,20 +27,21 @@ def test_star_import():
 
 
 def test_games_owns_the_count_and_scale_checks():
-    # one definition of "a valid count" and of "a positive finite scale":
-    # only games.py defines _integer and _positive, and no other module
-    # writes its own bool test
+    # one definition of "a valid count", of "a positive finite scale" and
+    # of "a finite scale >= 0": only games.py defines _integer, _positive
+    # and _nonnegative, and no other module writes its own bool test
+    checks = ("_integer", "_positive", "_nonnegative")
     sources = sorted(Path(gnezero.__file__).parent.glob("*.py"))
     assert len(sources) >= 10
     definers, bool_checks = set(), set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_positive"):
+            if isinstance(node, ast.FunctionDef) and node.name in checks:
                 definers.add((path.name, node.name))
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2
                     and "bool" in {n.id for n in ast.walk(node.args[1])
                                    if isinstance(n, ast.Name)}):
                 bool_checks.add(path.name)
-    assert definers == {("games.py", "_integer"), ("games.py", "_positive")}
+    assert definers == {("games.py", name) for name in checks}
     assert bool_checks == {"games.py"}

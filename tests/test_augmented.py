@@ -134,7 +134,7 @@ def test_regularized_pseudo_gradient(paper_game):
         extended_pseudo_gradient(paper_game, a, lam, -0.1)
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), True, "0.1"])
 def test_extended_pseudo_gradient_rejects_non_finite_eps(paper_game, eps):
     with pytest.raises(ValueError, match="finite"):
         extended_pseudo_gradient(paper_game, [0.0, 1.0], [1.0], eps)

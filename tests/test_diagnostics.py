@@ -31,7 +31,8 @@ def test_probe_validation():
         SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.0)
     with pytest.raises(ValueError):
         SmoothingProbe(mu=[0.0], lam=[0.0], sigma=0.1, num_samples=0)
-    for bad in [dict(sigma=np.inf), dict(mu=[np.nan]), dict(lam=[-np.inf])]:
+    for bad in [dict(sigma=np.inf), dict(sigma=True), dict(sigma="0.1"), dict(mu=[np.nan]),
+                dict(lam=[-np.inf])]:
         with pytest.raises(ValueError, match="finite"):
             SmoothingProbe(**{"mu": [0.0], "lam": [0.0], "sigma": 0.1, **bad})
 
@@ -107,12 +108,16 @@ def test_all_player_pass_matches_per_player_reference(make_game, rel):
     M = probe.num_samples
     exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
     for i, sl in enumerate(game.slices):
-        # the reductions of a one-player pass, chunk by chunk
-        total, total_sq, second = 0.0, 0.0, 0.0
+        # the reductions of a one-player pass, chunk by chunk, each chunk
+        # over the pass's row blocks in order
+        total, total_sq = 0.0, 0.0
         for m in reference_estimates(game, probe, i):
-            total = total + m.sum(axis=0)
-            total_sq = total_sq + np.einsum("kj,kj->j", m, m)
-            second += float(np.einsum("kj,kj->", m, m))
+            blocks = max(1, len(m) // diag._BLOCK)
+            edges = [j * diag._BLOCK for j in range(blocks)] + [len(m)]
+            for a, b in zip(edges, edges[1:]):
+                total = total + m[a:b].sum(axis=0)
+                total_sq = total_sq + np.einsum("kj,kj->j", m[a:b], m[a:b])
+        second = total_sq.sum()
         mean = total / M
         stderr = np.sqrt(np.maximum(total_sq / M - mean**2, 0.0) / M)
         bias = mean - exact[sl]

@@ -98,8 +98,23 @@ def two_probes(game, num_samples):
             SmoothingProbe(2.0 * mu, 2.0 * lam, 0.1, num_samples, seed=7)]
 
 
+@pytest.mark.parametrize("name", ["paper", "softplus", "random-D5"])
+def test_thread_count_does_not_change_the_sums(monkeypatch, name):
+    # a full chunk in twelve blocks, then a short one in four; the caller
+    # adds the block sums in block order, whichever thread made them
+    game = BLOCK_TEST_GAMES[name]()
+    probes = two_probes(game, diag._CHUNK + 3 * _BLOCK + 17)
+    sums = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(diag, "_available_cpus", lambda: cpus)
+        sums.append(diag._moments(game, probes))
+    for got, want in zip(*sums, strict=True):
+        assert np.array_equal(got, want)
+
+
 def one_block_estimates(game, probes):
-    """The pass's (k, blocks) from the same draws, each chunk evaluated in one piece."""
+    """Every player's estimates from the pass's draws, (k, blocks) per chunk and probe,
+    each chunk evaluated in one piece."""
     K, l = game.constraints.K, game.constraints.l
 
     def payoffs(X, lam):
@@ -115,12 +130,19 @@ def one_block_estimates(game, probes):
 
 
 def assert_pass_equals_one_block(game, probes):
-    pairs = zip(diag._estimates(game, probes), one_block_estimates(game, probes), strict=True)
-    for (k, blocks), (k_ref, expected) in pairs:
-        assert k == k_ref
-        for got, want in zip(blocks, expected, strict=True):
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, want)
+    """_moments equals the one-piece estimates reduced over the pass's row blocks, in order."""
+    sum_m = np.zeros((len(probes), game.D))
+    sumsq_m = np.zeros((len(probes), game.D))
+    for k, blocks in one_block_estimates(game, probes):
+        size = blocks[0].shape[0]
+        edges = [i * _BLOCK for i in range(max(1, size // _BLOCK))] + [size]
+        for a, b in zip(edges, edges[1:]):
+            for sl, m in zip(game.slices, blocks, strict=True):
+                sum_m[k, sl] += m[a:b].sum(axis=0)
+                sumsq_m[k, sl] += np.einsum("kj,kj->j", m[a:b], m[a:b])
+    got_sum, got_sumsq = diag._moments(game, probes)
+    assert np.array_equal(got_sum, sum_m)
+    assert np.array_equal(got_sumsq, sumsq_m)
 
 
 @pytest.mark.parametrize("rows", [2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 17])

@@ -76,7 +76,7 @@ def test_validate_schedules_boundaries_excluded():
 
 @pytest.mark.parametrize("field", ["G", "g", "E", "e", "S", "s"])
 def test_schedules_reject_non_finite_values(field):
-    for value in (float("nan"), float("inf")):
+    for value in (float("nan"), float("inf"), True, "1"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Schedules(**{field: value})
 
@@ -117,7 +117,7 @@ def test_sample_action_rejects_bad_sigma():
         Schedules(S=0.0)
     with pytest.raises(ValueError):
         Schedules(S=-1.0)
-    for sigma in (-1.0, 0.0, float("nan"), float("inf")):
+    for sigma in (-1.0, 0.0, float("nan"), float("inf"), True, "1"):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             two_point_estimate(1.0, 0.0, [0.1], [0.0], sigma)
 

@@ -320,7 +320,7 @@ def test_extragradient_calls_no_pseudo_gradient_on_a_quadratic_game():
 
 
 _BAD_EPS = [float("nan"), float("inf")]
-_BAD_TOL = [0.0, -1.0, float("nan"), float("inf")]
+_BAD_TOL = [0.0, -1.0, float("nan"), float("inf"), True, "1e-3"]
 
 
 @pytest.mark.parametrize("solve, kw", [
