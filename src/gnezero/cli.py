@@ -148,6 +148,7 @@ def cmd_diagnose(args) -> int:
         seed=args.seed,
     )
     reports = []
+    growth = None
     if "reg-path" in wanted:
         if not isinstance(game, QuadraticGame):
             print("reg-path needs a quadratic game; skipping", file=sys.stderr)
@@ -160,12 +161,16 @@ def cmd_diagnose(args) -> int:
             # smoothing shifts the estimator's mean off the exact gradient
             # unless the costs are quadratic
             print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
+        elif "second-moment-growth" in wanted:
+            # one Monte Carlo pass: estimator-mean reads its scale-1.0 row
+            mean, growth = diag._mean_and_growth_reports(game, probe)
+            reports.append(mean)
         else:
             reports.append(diag.estimator_mean_report(game, probe))
     if "dual-perturbation" in wanted:
         reports.append(diag.dual_perturbation_report(game, probe))
     if "second-moment-growth" in wanted:
-        reports.append(diag.second_moment_growth_report(game, probe))
+        reports.append(growth or diag.second_moment_growth_report(game, probe))
     if "smoothing-bias-order" in wanted:
         # needs costs with a nonvanishing smoothing bias; the quadratic
         # families have none, so this check runs on the softplus builtin

@@ -13,8 +13,14 @@ and every probe's figures are bit-identical to a separate
 smoothing_bias_stats or estimator_second_moment call. Both statistics come
 from one _moments pass, which sums the estimates and their squares per row
 block and adds the block sums in order, so no figure depends on the number
-of worker threads. The reports' bounds and sweeps are fixed; their case
-strings name them.
+of worker threads. Each report is built from the pass's (sum_m, sumsq_m) by
+one function, whichever pass feeds it: _mean_and_growth_reports builds
+estimator-mean and second-moment-growth from the scale sweep's one pass,
+estimator-mean reading its scale-1.0 row, as `gnezero diagnose` does when it
+runs both on a quadratic game. A diagnose run with every check still draws
+its seed's stream again for dual_perturbation_stats and for the first chunk
+of the sigma sweep (on another game, with at least 400,000 samples). The
+reports' bounds and sweeps are fixed; their case strings name them.
 """
 
 from __future__ import annotations
@@ -185,14 +191,26 @@ def _moments(game: GameSpec,
     return total[0], total[1]
 
 
-def _bias_stats(game: GameSpec,
-                probes: Sequence[SmoothingProbe]) -> list[tuple[SmoothingBias, ...]]:
-    """smoothing_bias_stats for probes that share one draw stream, one pass for all."""
+def _check_stderr(game: GameSpec, probes: Sequence[SmoothingProbe]) -> None:
+    """_shared_stream, then ValueError if num_samples is too few for a standard error."""
     M = _shared_stream(game, probes)[1]
     if M < 2:
         raise ValueError(f"the standard error needs num_samples >= 2, got {M}")
+
+
+def _bias_stats(game: GameSpec,
+                probes: Sequence[SmoothingProbe]) -> list[tuple[SmoothingBias, ...]]:
+    """smoothing_bias_stats for probes that share one draw stream, one pass for all."""
+    _check_stderr(game, probes)  # before any draw
+    return _bias_stats_from(game, probes, _moments(game, probes))
+
+
+def _bias_stats_from(game: GameSpec, probes: Sequence[SmoothingProbe],
+                     moments: tuple[np.ndarray, np.ndarray]) -> list[tuple[SmoothingBias, ...]]:
+    """smoothing_bias_stats of each probe from the (sum_m, sumsq_m) of its _moments row."""
+    M = probes[0].num_samples
     out = []
-    for probe, total, total_sq in zip(probes, *_moments(game, probes)):
+    for probe, total, total_sq in zip(probes, *moments):
         mean_m = total / M
         se = np.sqrt(np.maximum(total_sq / M - mean_m**2, 0.0) / M)
         exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
@@ -230,7 +248,13 @@ def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[floa
 
 def _second_moments(game: GameSpec, probes: Sequence[SmoothingProbe]) -> np.ndarray:
     """estimator_second_moment for probes that share one draw stream: (len(probes), N)."""
-    sumsq_m = _moments(game, probes)[1]
+    return _second_moments_from(game, probes, _moments(game, probes))
+
+
+def _second_moments_from(game: GameSpec, probes: Sequence[SmoothingProbe],
+                         moments: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """estimator_second_moment of each probe, (len(probes), N), from its _moments row."""
+    sumsq_m = moments[1]
     total = np.stack([sumsq_m[:, sl].sum(axis=1) for sl in game.slices], axis=1)
     return total / probes[0].num_samples
 
@@ -356,8 +380,13 @@ def estimator_mean_report(game: GameSpec, probe: SmoothingProbe) -> CheckReport:
     Meaningful as an exactness check only for quadratic costs, where Gaussian
     smoothing does not shift the gradient.
     """
+    return _mean_report(smoothing_bias_stats(game, probe))
+
+
+def _mean_report(per_player: tuple[SmoothingBias, ...]) -> CheckReport:
+    """estimator_mean_report from the probe's smoothing_bias_stats."""
     cases = []
-    for i, stats in enumerate(smoothing_bias_stats(game, probe)):
+    for i, stats in enumerate(per_player):
         for k, (b, se) in enumerate(zip(stats.bias, stats.stderr)):
             cases.append(CheckCase(
                 case=f"player{i}[{k}] |mean - exact| <= 4 se",
@@ -411,6 +440,9 @@ def smoothing_bias_order_report(game: GameSpec, probe: SmoothingProbe) -> CheckR
     return CheckReport(check="smoothing-bias-order", cases=(case,))
 
 
+_GROWTH_SCALES = (1.0, 2.0, 4.0, 8.0)
+
+
 def second_moment_growth_report(game: GameSpec, probe: SmoothingProbe) -> CheckReport:
     """Check that E||m^i||^2 grows at most quadratically with the point scale.
 
@@ -418,11 +450,17 @@ def second_moment_growth_report(game: GameSpec, probe: SmoothingProbe) -> CheckR
     log-log slope of each player's second moment against the scale must not
     exceed 2.2. All scales share the probe's draws, in one pass.
     """
-    scales = (1.0, 2.0, 4.0, 8.0)
-    per_scale = _second_moments(game, [probe.scaled(c) for c in scales])
+    probes = [probe.scaled(c) for c in _GROWTH_SCALES]
+    return _growth_report(game, probes, _moments(game, probes))
+
+
+def _growth_report(game: GameSpec, probes: Sequence[SmoothingProbe],
+                   moments: tuple[np.ndarray, np.ndarray]) -> CheckReport:
+    """second_moment_growth_report from the _moments of its scaled probes."""
+    per_scale = _second_moments_from(game, probes, moments)
     cases = []
     for i in range(game.num_players):
-        slope = _loglog_slope(scales, per_scale[:, i].tolist())
+        slope = _loglog_slope(_GROWTH_SCALES, per_scale[:, i].tolist())
         cases.append(CheckCase(
             case=f"player{i} loglog growth slope <= 2.2",
             statistic=slope,
@@ -430,3 +468,20 @@ def second_moment_growth_report(game: GameSpec, probe: SmoothingProbe) -> CheckR
             passed=slope <= 2.2,
         ))
     return CheckReport(check="second-moment-growth", cases=tuple(cases))
+
+
+def _mean_and_growth_reports(game: GameSpec,
+                             probe: SmoothingProbe) -> tuple[CheckReport, CheckReport]:
+    """estimator_mean_report and second_moment_growth_report from one pass.
+
+    The growth sweep's scale-1.0 probe is bit-identical to probe, and each
+    _moments row is computed as if its probe were alone, so estimator-mean
+    reads that row, and both reports equal those of separate calls. Needs
+    num_samples >= 2, checked before any draw, as estimator_mean_report does.
+    """
+    probes = [probe.scaled(c) for c in _GROWTH_SCALES]
+    _check_stderr(game, probes)
+    moments = _moments(game, probes)
+    # zip in _bias_stats_from stops at the first probe: only the scale-1.0 row is read
+    mean = _mean_report(_bias_stats_from(game, probes[:1], moments)[0])
+    return mean, _growth_report(game, probes, moments)

@@ -45,3 +45,16 @@ def test_games_owns_the_count_and_scale_checks():
                 bool_checks.add(path.name)
     assert definers == {("games.py", name) for name in checks}
     assert bool_checks == {"games.py"}
+
+
+def test_softplus_has_one_implementation():
+    # games._softplus is the one softplus kernel, serving the costs, the
+    # pseudo-gradient and through it the extragradient oracle: no module
+    # names the scalar-looping np.logaddexp in its code
+    sources = sorted(Path(gnezero.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    users = {path.name for path in sources for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "logaddexp")
+             or (isinstance(node, ast.Name) and node.id == "logaddexp")
+             or (isinstance(node, ast.alias) and node.name == "logaddexp")}
+    assert users == set()

@@ -88,13 +88,14 @@ def test_traced_learn_makes_one_payoff_call_per_step_for_all_seeds(tmp_path, cap
 
 
 def test_traced_diagnose_all_counts(capsys):
-    # every check of the diagnose-all workload, at 2,000 samples: estimator-mean
-    # and dual-perturbation sample the probe once each; the two sweeps call no
-    # traced sampling function, and smoothing-bias-order samples at least
-    # 400,000 rows for each of its four sigmas; no check makes a traced payoff
+    # every check of the diagnose-all workload, at 2,000 samples: only
+    # dual-perturbation samples through a traced function; estimator-mean reads
+    # the scale-1.0 row of second-moment-growth's sweep, and neither that sweep
+    # nor smoothing-bias-order's (at least 400,000 rows for each of its four
+    # sigmas) calls a traced sampling function; no check makes a traced payoff
     # or cost call
     m = _traced_round(["diagnose", "--checks", "all", "--num-samples", "2000"])
-    assert m["diagnostics.mc_samples"] == 4_000
+    assert m["diagnostics.mc_samples"] == 2_000
     assert m["games.payoff_calls"] == 0
     assert m["games.costs_at_rows"] == 0
     # both eps grids go through solve_regularized_path, which is no traced

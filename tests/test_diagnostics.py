@@ -1,3 +1,4 @@
+import json
 import types
 
 import numpy as np
@@ -235,6 +236,74 @@ def test_bias_order_check_draws_each_chunk_once(monkeypatch, capsys):
     assert main(["diagnose", "--checks", "smoothing-bias-order"]) == 0
     capsys.readouterr()
     assert shapes == [(100_000, 2)] * 4
+
+
+def _counting_draws(monkeypatch):
+    """Wrap diag._draws; the returned list collects the shape of every chunk drawn."""
+    shapes, draws = [], diag._draws
+
+    def counting(seed, num_samples, dim):
+        for xi in draws(seed, num_samples, dim):
+            shapes.append(xi.shape)
+            yield xi
+
+    monkeypatch.setattr(diag, "_draws", counting)
+    return shapes
+
+
+def _check_rows(capsys, argv, check):
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(check + ",")]
+
+
+@pytest.fixture
+def d5_game_file(tmp_path):
+    game = random_quadratic_game(4, dims=(2, 1, 2), num_constraints=2)
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps({"players": 3, "dims": [2, 1, 2], "A": game.A.tolist(),
+                                "b": game.b.tolist(), "K": game.constraints.K.tolist(),
+                                "l": game.constraints.l.tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("game", ["paper-example", "d5"])
+def test_all_checks_share_the_estimator_pass_byte_for_byte(capsys, d5_game_file, game):
+    # with --checks all, estimator-mean reads the scale-1.0 row of
+    # second-moment-growth's pass; both reports equal the checks run alone
+    flags = ["--game", d5_game_file if game == "d5" else game, "--seed", "3",
+             "--num-samples", "20000"]
+    assert main(["diagnose", "--checks", "all", *flags]) == 0
+    together = capsys.readouterr().out.splitlines()
+    for check in ("estimator-mean", "second-moment-growth"):
+        alone = _check_rows(capsys, ["diagnose", "--checks", check, *flags], check)
+        assert alone
+        assert [line for line in together if line.startswith(check + ",")] == alone
+
+
+def test_all_checks_draw_one_chunk_fewer_than_the_checks_alone(monkeypatch, capsys):
+    shapes = _counting_draws(monkeypatch)
+    alone = 0
+    for check in ("estimator-mean", "dual-perturbation", "second-moment-growth",
+                  "smoothing-bias-order"):
+        _check_rows(capsys, ["diagnose", "--checks", check], check)
+        alone += len(shapes)
+        shapes.clear()
+    assert alone == 7  # one 1e5-row chunk each, four for the sigma sweep
+    assert main(["diagnose", "--checks", "all"]) == 0
+    capsys.readouterr()
+    # estimator-mean draws no pass of its own
+    assert shapes == [(100_000, 2)] * (alone - 1)
+
+
+def test_all_checks_reject_one_sample_before_any_draw(monkeypatch, capsys):
+    shapes = _counting_draws(monkeypatch)
+    assert main(["diagnose", "--num-samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("gnezero diagnose: error: the standard error needs "
+                            "num_samples >= 2, got 1\n")
+    assert shapes == []
 
 
 def test_dual_perturbation_second_moment(paper_game):

@@ -343,6 +343,54 @@ def test_softplus_pseudo_gradient_keeps_the_per_block_formula(seed):
         assert np.array_equal(game.pseudo_gradient(x), expected)
 
 
+def _ulps(a, b):
+    """Distance in units in the last place between same-signed finite doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0, 400.0])
+def test_softplus_is_within_4_ulp_of_logaddexp(beta):
+    z = np.concatenate([np.linspace(-800.0, 800.0, 400_001)]
+                       + [np.linspace(c - 1e-3, c + 1e-3, 2_001) for c in (0.0, -37.0, 37.0)]
+                       + [np.linspace(c - 1.0, c + 1.0, 2_001) for c in (-745.0, 745.0)])
+    u = z / beta
+    with np.errstate(under="ignore"):
+        got = games._softplus(u, beta)
+        reference = np.logaddexp(0.0, beta * u) / beta
+    assert got.shape == u.shape
+    assert _ulps(got, reference).max() <= 4
+
+
+def test_softplus_special_values():
+    beta = 400.0
+    u = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    with np.errstate(all="raise"):
+        got = games._softplus(u, beta)
+    assert got[0] == np.inf
+    assert got[1] == 0.0
+    assert np.isnan(got[2])
+    assert got[3] == got[4] == np.log(2.0) / beta
+
+
+@pytest.mark.parametrize("build", [paper_example, lambda: softplus_game(0)],
+                         ids=["quadratic", "softplus"])
+def test_costs_of_a_nan_row_are_nan_without_a_signal(build):
+    # a NaN entry gives NaN costs on its row and raises nothing, in both
+    # families; an infinite entry still raises through the quadratic part
+    game = build()
+    X = np.random.default_rng(0).normal(size=(4, game.D))
+    expected = game.costs_at(X)
+    X[1, 0] = np.nan
+    with np.errstate(invalid="raise"):
+        got = game.costs_at(X)
+    assert np.isnan(got[1]).all()
+    assert np.array_equal(np.delete(got, 1, axis=0), np.delete(expected, 1, axis=0))
+    for value in (np.inf, -np.inf):
+        X[1, 0] = value
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            game.costs_at(X)
+
+
 # -- constraints --------------------------------------------------------------
 
 
