@@ -91,9 +91,9 @@ def test_traced_diagnose_all_counts(capsys):
     # every check of the diagnose-all workload, at 2,000 samples: only
     # dual-perturbation samples through a traced function; estimator-mean reads
     # the scale-1.0 row of second-moment-growth's sweep, and neither that sweep
-    # nor smoothing-bias-order's (at least 400,000 rows for each of its four
-    # sigmas) calls a traced sampling function; no check makes a traced payoff
-    # or cost call
+    # nor smoothing-bias-order's (24,576 antithetic pairs for each of its four
+    # sigmas, whatever --num-samples says) calls a traced sampling function; no
+    # check makes a traced payoff or cost call
     m = _traced_round(["diagnose", "--checks", "all", "--num-samples", "2000"])
     assert m["diagnostics.mc_samples"] == 2_000
     assert m["games.payoff_calls"] == 0

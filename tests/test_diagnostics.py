@@ -20,11 +20,13 @@ from gnezero.diagnostics import (
 )
 from gnezero.games import (
     DimensionMismatchError,
+    PayoffEnvironment,
     paper_example,
     random_quadratic_game,
     resolve_game,
     softplus_game,
 )
+from gnezero.learner import two_point_estimate
 
 
 def test_probe_validation():
@@ -161,25 +163,100 @@ def _random_probe(game, num_samples, seed):
                           sigma=0.3, num_samples=num_samples, seed=seed)
 
 
-def test_sigma_sweep_equals_separate_calls_bit_for_bit():
-    game = resolve_game("softplus-ridge")
-    sigmas = [0.2, 0.1, 0.05, 0.025]
-    # three chunks, the last one short
-    base = _random_probe(game, 250_000, 21)
-    probes = [SmoothingProbe(base.mu, base.lam, s, base.num_samples, base.seed) for s in sigmas]
-    swept = diag._bias_stats(game, probes)
-    assert len(swept) == len(sigmas)
+_SIGMAS = [0.2, 0.1, 0.05, 0.025]
+
+
+def _antithetic_stats(game, probes):
+    return diag._bias_stats_from(game, probes, diag._moments(game, probes, antithetic=True))
+
+
+def _sweep_norms(game, base, antithetic):
+    """The sigma sweep's squared bias norms; asserts each row equals a one-sigma pass."""
+    probes = [SmoothingProbe(base.mu, base.lam, s, base.num_samples, base.seed) for s in _SIGMAS]
+    swept = _antithetic_stats(game, probes) if antithetic else diag._bias_stats(game, probes)
+    assert len(swept) == len(_SIGMAS)
     norms_sq = []
     for probe, per_player in zip(probes, swept):
-        alone = smoothing_bias_stats(game, probe)
+        alone = (_antithetic_stats(game, [probe])[0] if antithetic
+                 else smoothing_bias_stats(game, probe))
         assert len(per_player) == len(alone) == game.num_players
         for got, want in zip(per_player, alone):
             for name in ("bias", "stderr"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert got.norm_sq_debiased == want.norm_sq_debiased
         norms_sq.append(max(sum(stats.norm_sq_debiased for stats in alone), 1e-30))
+    return norms_sq
+
+
+def test_sigma_sweep_equals_separate_calls_bit_for_bit():
+    game = resolve_game("softplus-ridge")
+    # three chunks, the last one short
+    base = _random_probe(game, 250_000, 21)
+    _sweep_norms(game, base, antithetic=False)
+    # the report is the antithetic sweep at its own pair count, whatever the
+    # probe's sigma and num_samples
+    pairs = SmoothingProbe(base.mu, base.lam, base.sigma, diag._BIAS_PAIRS, base.seed)
     report = smoothing_bias_order_report(game, base)
-    assert report.cases[0].statistic == diag._loglog_slope(sigmas, norms_sq)
+    assert report.cases[0].statistic == diag._loglog_slope(
+        _SIGMAS, _sweep_norms(game, pairs, antithetic=True))
+
+
+def test_antithetic_sigma_sweep_equals_separate_calls_bit_for_bit():
+    game = resolve_game("softplus-ridge")
+    # three chunks of pairs, the last one short
+    _sweep_norms(game, _random_probe(game, 250_000, 21), antithetic=True)
+
+
+def _halves(game, probe):
+    """Test-local reference: the two-point estimates at xi and at -xi, row by row.
+
+    xi is one (num_samples, D) chunk of the probe's default_rng(seed)
+    stream; each half is the learner's estimate around mu.
+    """
+    env = PayoffEnvironment(game)
+    xi = np.random.default_rng(probe.seed).standard_normal((probe.num_samples, game.D))
+    u_mu = env.feedback(probe.mu[None], probe.lam)[0][0]
+    halves = []
+    for sign in (1.0, -1.0):
+        X = probe.mu + sign * probe.sigma * xi
+        U = env.feedback(X, probe.lam)[0]
+        halves.append(np.concatenate(
+            [two_point_estimate(U[:, i, None], u_mu[i], X[:, sl], probe.mu[sl], probe.sigma)
+             for i, sl in enumerate(game.slices)], axis=1))
+    return halves
+
+
+def test_antithetic_pair_estimate_is_the_mean_of_the_two_point_estimates():
+    game = resolve_game("softplus-ridge")
+    base = _random_probe(game, diag._BLOCK, 23)  # one block of pairs
+    for sigma in _SIGMAS:
+        probe = SmoothingProbe(base.mu, base.lam, sigma, base.num_samples, base.seed)
+        plus, minus = _halves(game, probe)
+        m = (plus + minus) / 2
+        sum_m, sumsq_m = diag._moments(game, [probe], antithetic=True)
+        assert np.allclose(sum_m[0], m.sum(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(sumsq_m[0], (m * m).sum(axis=0), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("point", ["report", "random"])
+def test_antithetic_stderr_is_the_spread_of_the_pair_means(point):
+    game = resolve_game("softplus-ridge")
+    M = diag._BIAS_PAIRS
+    base = (_random_probe(game, M, 24) if point == "random" else
+            SmoothingProbe(mu=np.zeros(2), lam=np.zeros(1), sigma=0.1, num_samples=M, seed=24))
+    for sigma in _SIGMAS:
+        probe = SmoothingProbe(base.mu, base.lam, sigma, M, base.seed)
+        plus, minus = _halves(game, probe)
+        stats = _antithetic_stats(game, [probe])[0]
+        stderr = np.concatenate([s.stderr for s in stats])
+        assert np.allclose(stderr, ((plus + minus) / 2).std(axis=0) / np.sqrt(M),
+                           rtol=1e-8, atol=0.0)
+        if point == "report":
+            # at the report's point, mu = 0, the halves of a pair are
+            # negatively correlated, so the 2M single estimates, read as
+            # independent, would overstate the error many times over
+            naive = np.concatenate([plus, minus]).std(axis=0) / np.sqrt(2 * M)
+            assert np.all(naive > 5 * stderr)
 
 
 @pytest.mark.parametrize("make_game", [
@@ -214,8 +291,8 @@ def test_sweep_rejects_probes_with_different_streams(paper_game, change):
 
 
 def test_bias_order_check_draws_each_chunk_once(monkeypatch, capsys):
-    # diagnose runs the sigma sweep at 400,000 samples: four 1e5-row chunks
-    # drawn once for all four sigmas, not once per sigma
+    # diagnose runs the sigma sweep on 24,576 antithetic pairs: one chunk of
+    # three whole row blocks, drawn once for all four sigmas, not once per sigma
     shapes = []
 
     class CountingGenerator:
@@ -235,7 +312,7 @@ def test_bias_order_check_draws_each_chunk_once(monkeypatch, capsys):
     monkeypatch.setattr(diag, "np", NumpyWithCountingGenerator())
     assert main(["diagnose", "--checks", "smoothing-bias-order"]) == 0
     capsys.readouterr()
-    assert shapes == [(100_000, 2)] * 4
+    assert shapes == [(24_576, 2)]
 
 
 def _counting_draws(monkeypatch):
@@ -289,11 +366,31 @@ def test_all_checks_draw_one_chunk_fewer_than_the_checks_alone(monkeypatch, caps
         _check_rows(capsys, ["diagnose", "--checks", check], check)
         alone += len(shapes)
         shapes.clear()
-    assert alone == 7  # one 1e5-row chunk each, four for the sigma sweep
+    assert alone == 4  # one chunk each
     assert main(["diagnose", "--checks", "all"]) == 0
     capsys.readouterr()
-    # estimator-mean draws no pass of its own
-    assert shapes == [(100_000, 2)] * (alone - 1)
+    # estimator-mean draws no pass of its own: the shared estimator pass,
+    # dual-perturbation's, then the sigma sweep's pairs
+    assert shapes == [(100_000, 2)] * 2 + [(24_576, 2)]
+
+
+def test_bias_order_check_passes_on_64_seeds(capsys):
+    for seed in range(64):
+        assert main(["diagnose", "--checks", "smoothing-bias-order", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+
+
+def test_bias_order_case_names_its_pair_count(capsys):
+    argv = ["diagnose", "--checks", "smoothing-bias-order"]
+    rows = _check_rows(capsys, argv, "smoothing-bias-order")
+    # the check ignores --num-samples and --sigma
+    assert _check_rows(capsys, argv + ["--num-samples", "1", "--sigma", "3"],
+                       "smoothing-bias-order") == rows
+    case = smoothing_bias_order_report(
+        softplus_game(0), SmoothingProbe(mu=np.zeros(2), lam=np.zeros(1), sigma=3.0,
+                                         num_samples=1)).cases[0].case
+    assert "24576 antithetic pairs" in case and "," not in case
+    assert len(rows) == 1 and rows[0].split(",")[1] == case
 
 
 def test_all_checks_reject_one_sample_before_any_draw(monkeypatch, capsys):

@@ -329,15 +329,15 @@ def test_pseudo_gradient_batch_rows_match_single_points(build):
 @pytest.mark.parametrize("seed", range(4))
 def test_softplus_pseudo_gradient_keeps_the_per_block_formula(seed):
     # the reference formula, bit for bit: P x + q, then block i's ridge
-    # term delta_i (softplus_beta^2)'(w_i' x) w_i added in place
+    # term delta_i (softplus_beta^2)'(w_i' x) w_i added in place, on the
+    # package's one softplus kernel
     game = softplus_game(seed)
     X = np.random.default_rng(seed).normal(scale=2.0, size=(1000, game.D))
     X[:10] *= 1e-3  # near the ridge, where its curvature sits
     for x in (X, X[0], X[500]):
         expected = x @ game.P.T + game.q
         u = x @ game.W.T
-        hp = 2.0 * (np.logaddexp(0.0, game.beta * u) / game.beta) \
-            * (0.5 * (1.0 + np.tanh(0.5 * game.beta * u)))
+        hp = 2.0 * games._softplus(u, game.beta) * (0.5 * (1.0 + np.tanh(0.5 * game.beta * u)))
         for i, sl in enumerate(game.slices):
             expected[..., sl] += game.delta[i] * hp[..., i:i + 1] * game.W[i, sl]
         assert np.array_equal(game.pseudo_gradient(x), expected)
