@@ -139,7 +139,8 @@ def cmd_diagnose(args) -> int:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
     game = resolve_game(args.game)
     rng = np.random.default_rng(args.seed)
-    # built before any check runs, so a bad --sigma fails before any work
+    # both built before any check runs, so a bad --sigma or --eps-grid fails
+    # before any work, whichever checks use it
     probe = diag.SmoothingProbe(
         mu=rng.normal(scale=0.5, size=game.D),
         lam=np.abs(rng.normal(scale=0.5, size=game.constraints.num_constraints)),
@@ -147,30 +148,21 @@ def cmd_diagnose(args) -> int:
         num_samples=args.num_samples,
         seed=args.seed,
     )
+    grid = [_parse_number(x) for x in args.eps_grid.split(",")]
     reports = []
-    growth = None
     if "reg-path" in wanted:
         if not isinstance(game, QuadraticGame):
             print("reg-path needs a quadratic game; skipping", file=sys.stderr)
         else:
-            grid = [_parse_number(x) for x in args.eps_grid.split(",")]
             reports.append(diag.regularization_path_report(game, grid))
             reports.append(diag.drift_spread_report(game))
-    if "estimator-mean" in wanted:
-        if not isinstance(game, QuadraticGame):
-            # smoothing shifts the estimator's mean off the exact gradient
-            # unless the costs are quadratic
-            print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
-        elif "second-moment-growth" in wanted:
-            # one Monte Carlo pass: estimator-mean reads its scale-1.0 row
-            mean, growth = diag._mean_and_growth_reports(game, probe)
-            reports.append(mean)
-        else:
-            reports.append(diag.estimator_mean_report(game, probe))
-    if "dual-perturbation" in wanted:
-        reports.append(diag.dual_perturbation_report(game, probe))
-    if "second-moment-growth" in wanted:
-        reports.append(growth or diag.second_moment_growth_report(game, probe))
+    if "estimator-mean" in wanted and not isinstance(game, QuadraticGame):
+        # smoothing shifts the estimator's mean off the exact gradient
+        # unless the costs are quadratic
+        print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
+        wanted = tuple(w for w in wanted if w != "estimator-mean")
+    # one Monte Carlo pass for estimator-mean, dual-perturbation and second-moment-growth
+    reports.extend(diag._probe_reports(game, probe, wanted))
     if "smoothing-bias-order" in wanted:
         # needs costs with a nonvanishing smoothing bias; the quadratic
         # families have none, so this check runs on the softplus builtin

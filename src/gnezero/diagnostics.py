@@ -2,29 +2,32 @@
 
 Monte Carlo probes of the two-point gradient estimator (its mean, its bias
 relative to the exact pseudo-gradient, the second moments of its noise
-terms), plus exact-oracle checks of the regularization path: the gap bound
-to the unregularized solution and the drift between consecutive solutions.
+terms and of the dual player's sampling term), plus exact-oracle checks of
+the regularization path: the gap bound to the unregularized solution and
+the drift between consecutive solutions.
 
 Every Monte Carlo figure comes from one seeded stream of standard-normal
-chunks (_draws). Probes that share a seed share that stream (common random
-numbers): the sigma sweep of smoothing_bias_order_report and the scale sweep
-of second_moment_growth_report draw each chunk once for all their probes,
-and every probe's figures are bit-identical to a pass over that probe
-alone. Both statistics come from one _moments pass, which sums the estimates and their
-squares per row block and adds the block sums in order, so no figure depends
-on the number of worker threads. Each report is built from the pass's
-(sum_m, sumsq_m) by one function, whichever pass feeds it:
-_mean_and_growth_reports builds estimator-mean and second-moment-growth from
-the scale sweep's one pass, estimator-mean reading its scale-1.0 row, as
-`gnezero diagnose` does when it runs both on a quadratic game. Those checks
-test the learner's own two-point estimate, with u(mu) as its base point. The
-sigma sweep measures the smoothing bias of the costs instead, which any
-unbiased estimate of the smoothed gradient shows, so it takes _moments'
-antithetic pairs mu +- sigma xi: a fixed _BIAS_PAIRS of them per sigma,
-whatever the probe's num_samples. A diagnose run with every check still
-draws its seed's stream again for dual_perturbation_stats and for the sigma
-sweep's pairs (on another game). The reports' bounds and sweeps are fixed;
-their case strings name them.
+chunks (_draws), read only by _moments. Probes that share a seed share that
+stream (common random numbers): the sigma sweep of
+smoothing_bias_order_report and the scale sweep of
+second_moment_growth_report draw each chunk once for all their probes, and
+every probe's figures are bit-identical to a pass over that probe alone.
+_moments sums the sampled terms of the extended game, the D primal estimate
+coordinates and the n dual columns -sigma K xi, and their squares, per row
+block, and adds the block sums in order, so no figure depends on the number
+of worker threads. Each statistic is read from the pass's (sum, sumsq) by
+one function, whichever pass feeds it. _probe_reports builds the
+estimator-mean, dual-perturbation and second-moment-growth reports from one
+pass, the growth check's scale sweep when it runs (estimator-mean and
+dual-perturbation read its scale-1.0 row) and the probe alone otherwise; it
+serves `gnezero diagnose` and every public stats and report function of
+those checks. They test the learner's own two-point estimate, with u(mu) as
+its base point. The sigma sweep measures the smoothing bias of the costs
+instead, which any unbiased estimate of the smoothed gradient shows, so it
+takes _moments' antithetic pairs mu +- sigma xi: a fixed _BIAS_PAIRS of them
+per sigma, whatever the probe's num_samples. So a diagnose run with every
+check draws its seed's stream once per game. The reports' bounds and sweeps
+are fixed; their case strings name them.
 """
 
 from __future__ import annotations
@@ -143,11 +146,13 @@ class SmoothingBias:
 
 def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
              antithetic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_m, sumsq_m): sums of every two-point estimate coordinate and of its square.
+    """(sum_m, sumsq_m): sums of every sampled term of the extended game and of its square.
 
-    Each is a (len(probes), D) array: row k sums m and m^2 over the shared
-    draws, where m is every player's estimate at X = mu_k + sigma_k xi, so X
-    is bit-identical to a draw from probe k alone. With antithetic, m is
+    Each is a (len(probes), D + n) array: row k sums m and m^2 over the
+    shared draws, where m is every player's estimate at
+    X = mu_k + sigma_k xi, so X is bit-identical to a draw from probe k
+    alone, followed by the dual player's sampling term
+    K (mu_k - X) = -sigma_k K xi, in either mode. With antithetic, m is
     instead the estimate of the pair X, Y = mu_k - sigma_k xi, which lie
     2 sigma_k xi apart: the two-point estimate from Y to X at spread
     2 sigma_k, (u(X) - u(Y)) xi / (2 sigma_k), the mean of the estimates at
@@ -157,7 +162,7 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     gemv, which rounds differently from gemm. One pool of worker threads per
     pass, at most one per available CPU, takes one block per task: for every
     probe it evaluates the Lagrangian payoffs with PayoffEnvironment's
-    formula and returns the block's own (2, len(probes), D) sums. The caller
+    formula and returns the block's own (2, len(probes), D + n) sums. The caller
     adds them in block order, so no figure depends on the thread count.
 
     Each task runs in a copy of the caller's context, so np.errstate
@@ -177,9 +182,15 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     # of a larger batch, so only this keeps each probe's results as alone
     u_mu = [None if antithetic else payoffs(p.mu[None], p.lam)[0] for p in probes]
 
+    K = game.constraints.K
+    width = game.D + K.shape[0]
+
     def block_sums(xi):
-        sums = np.empty((2, len(probes), game.D))
+        sums = np.empty((2, len(probes), width))
         for k, (p, u) in enumerate(zip(probes, u_mu)):
+            S = -p.sigma * xi @ K.T
+            sums[0, k, game.D:] = S.sum(axis=0)
+            sums[1, k, game.D:] = np.einsum("kj,kj->j", S, S)
             X = p.mu + p.sigma * xi
             U = payoffs(X, p.lam)
             if antithetic:
@@ -198,7 +209,7 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     # imported here so that commands which draw no samples do not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    total = np.zeros((2, len(probes), game.D))
+    total = np.zeros((2, len(probes), width))
     most = max(1, min(_CHUNK, num_samples) // _BLOCK)  # blocks in the first chunk
     with ThreadPoolExecutor(min(_available_cpus(), most)) as pool:
         for xi in _draws(seed, num_samples, dim):
@@ -209,18 +220,24 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     return total[0], total[1]
 
 
-def _check_stderr(game: GameSpec, probes: Sequence[SmoothingProbe]) -> None:
-    """_shared_stream, then ValueError if num_samples is too few for a standard error."""
-    M = _shared_stream(game, probes)[1]
-    if M < 2:
-        raise ValueError(f"the standard error needs num_samples >= 2, got {M}")
+_GROWTH_SCALES = (1.0, 2.0, 4.0, 8.0)
+# the checks that _probe_reports builds from one pass at the probe, in report order
+_PROBE_CHECKS = ("estimator-mean", "dual-perturbation", "second-moment-growth")
 
 
-def _bias_stats(game: GameSpec,
-                probes: Sequence[SmoothingProbe]) -> list[tuple[SmoothingBias, ...]]:
-    """smoothing_bias_stats for probes that share one draw stream, one pass for all."""
-    _check_stderr(game, probes)  # before any draw
-    return _bias_stats_from(game, probes, _moments(game, probes))
+def _probe_pass(game: GameSpec, probe: SmoothingProbe, checks: Sequence[str]):
+    """(probes, moments): the one _moments pass that checks need at probe.
+
+    probes is second-moment-growth's scale sweep if it is in checks, else
+    [probe]; its first row is probe's either way, as probe.scaled(1.0) is
+    bit-identical to probe. estimator-mean's standard error needs
+    num_samples >= 2, checked before any draw.
+    """
+    probes = ([probe.scaled(c) for c in _GROWTH_SCALES]
+              if "second-moment-growth" in checks else [probe])
+    if "estimator-mean" in checks and _shared_stream(game, probes)[1] < 2:
+        raise ValueError(f"the standard error needs num_samples >= 2, got {probe.num_samples}")
+    return probes, _moments(game, probes)
 
 
 def _bias_stats_from(game: GameSpec, probes: Sequence[SmoothingProbe],
@@ -233,8 +250,8 @@ def _bias_stats_from(game: GameSpec, probes: Sequence[SmoothingProbe],
     M = probes[0].num_samples
     out = []
     for probe, total, total_sq in zip(probes, *moments):
-        mean_m = total / M
-        se = np.sqrt(np.maximum(total_sq / M - mean_m**2, 0.0) / M)
+        mean_m = total[:game.D] / M
+        se = np.sqrt(np.maximum(total_sq[:game.D] / M - mean_m**2, 0.0) / M)
         exact = game.pseudo_gradient(probe.mu) + game.constraints.K.T @ probe.lam
         bias = mean_m - exact
         out.append(tuple(
@@ -250,7 +267,16 @@ def smoothing_bias_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[Smoothi
 
     Needs num_samples >= 2 for a standard error (ValueError otherwise).
     """
-    return _bias_stats(game, [probe])[0]
+    return _bias_stats_from(game, *_probe_pass(game, probe, ["estimator-mean"]))[0]
+
+
+def _dual_stats_from(game: GameSpec, probes: Sequence[SmoothingProbe],
+                     moments: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, float]]:
+    """dual_perturbation_stats of each probe from the dual columns of its _moments row."""
+    K = game.constraints.K
+    return [(float(total_sq[game.D:].sum()) / p.num_samples,
+             p.sigma * p.sigma * float(np.sum(K * K)))  # inf, not OverflowError, at huge sigma
+            for p, total_sq in zip(probes, moments[1])]
 
 
 def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[float, float]:
@@ -259,18 +285,7 @@ def dual_perturbation_stats(game: GameSpec, probe: SmoothingProbe) -> tuple[floa
     The term is K (mu - a) with a ~ N(mu, sigma^2 I); its exact second moment
     is sigma^2 times the sum of squared entries of K.
     """
-    K = game.constraints.K
-    total = 0.0
-    for xi in _draws(*_shared_stream(game, [probe])):
-        S = -probe.sigma * xi @ K.T
-        total += float(np.einsum("kj,kj->", S, S))
-    exact = probe.sigma**2 * float(np.sum(K * K))
-    return total / probe.num_samples, exact
-
-
-def _second_moments(game: GameSpec, probes: Sequence[SmoothingProbe]) -> np.ndarray:
-    """estimator_second_moment for probes that share one draw stream: (len(probes), N)."""
-    return _second_moments_from(game, probes, _moments(game, probes))
+    return _dual_stats_from(game, *_probe_pass(game, probe, ["dual-perturbation"]))[0]
 
 
 def _second_moments_from(game: GameSpec, probes: Sequence[SmoothingProbe],
@@ -283,7 +298,7 @@ def _second_moments_from(game: GameSpec, probes: Sequence[SmoothingProbe],
 
 def estimator_second_moment(game: GameSpec, probe: SmoothingProbe) -> np.ndarray:
     """Empirical E||m^i||^2 of the two-point estimate at the probe point, one per player."""
-    return _second_moments(game, [probe])[0]
+    return _second_moments_from(game, *_probe_pass(game, probe, []))[0]
 
 
 # -- reports -----------------------------------------------------------------
@@ -396,40 +411,54 @@ def drift_spread_report(game: QuadraticGame) -> CheckReport:
     return CheckReport(check="drift-spread", cases=tuple(cases))
 
 
+def _probe_reports(game: GameSpec, probe: SmoothingProbe,
+                   checks: Sequence[str]) -> list[CheckReport]:
+    """The estimator-mean, dual-perturbation and second-moment-growth reports in checks.
+
+    In that order, from one _probe_pass; other names in checks are ignored.
+    The estimator mean and the dual term are read at the probe's own row,
+    the growth slopes over the scale sweep.
+    """
+    checks = [c for c in _PROBE_CHECKS if c in checks]
+    if not checks:
+        return []
+    probes, moments = _probe_pass(game, probe, checks)
+    reports = []
+    if "estimator-mean" in checks:
+        cases = []
+        for i, stats in enumerate(_bias_stats_from(game, probes[:1], moments)[0]):
+            for k, (b, se) in enumerate(zip(stats.bias, stats.stderr)):
+                gap, bound = abs(float(b)), 4.0 * float(se)
+                cases.append(CheckCase(f"player{i}[{k}] |mean - exact| <= 4 se", gap, bound,
+                                       gap <= bound))
+        reports.append(CheckReport("estimator-mean", tuple(cases)))
+    if "dual-perturbation" in checks:
+        est, exact = _dual_stats_from(game, probes[:1], moments)[0]
+        rel = abs(est - exact) / exact if exact > 0 else abs(est)
+        reports.append(CheckReport("dual-perturbation", (CheckCase(
+            "E||S||^2 within 5% of sigma^2 sum(K^2)", rel, 0.05, rel <= 0.05),)))
+    if "second-moment-growth" in checks:
+        per_scale = _second_moments_from(game, probes, moments)
+        slopes = [_loglog_slope(_GROWTH_SCALES, per_scale[:, i].tolist())
+                  for i in range(game.num_players)]
+        reports.append(CheckReport("second-moment-growth", tuple(
+            CheckCase(f"player{i} loglog growth slope <= 2.2", slope, 2.2, slope <= 2.2)
+            for i, slope in enumerate(slopes))))
+    return reports
+
+
 def estimator_mean_report(game: GameSpec, probe: SmoothingProbe) -> CheckReport:
     """Per-coordinate check that the estimator mean is within 4 se of the exact gradient.
 
     Meaningful as an exactness check only for quadratic costs, where Gaussian
     smoothing does not shift the gradient.
     """
-    return _mean_report(smoothing_bias_stats(game, probe))
-
-
-def _mean_report(per_player: tuple[SmoothingBias, ...]) -> CheckReport:
-    """estimator_mean_report from the probe's smoothing_bias_stats."""
-    cases = []
-    for i, stats in enumerate(per_player):
-        for k, (b, se) in enumerate(zip(stats.bias, stats.stderr)):
-            cases.append(CheckCase(
-                case=f"player{i}[{k}] |mean - exact| <= 4 se",
-                statistic=abs(float(b)),
-                bound=4.0 * float(se),
-                passed=abs(float(b)) <= 4.0 * float(se),
-            ))
-    return CheckReport(check="estimator-mean", cases=tuple(cases))
+    return _probe_reports(game, probe, ["estimator-mean"])[0]
 
 
 def dual_perturbation_report(game: GameSpec, probe: SmoothingProbe) -> CheckReport:
     """Empirical second moment of the dual sampling term within 5% of its exact value."""
-    est, exact = dual_perturbation_stats(game, probe)
-    rel = abs(est - exact) / exact if exact > 0 else abs(est)
-    case = CheckCase(
-        case="E||S||^2 within 5% of sigma^2 sum(K^2)",
-        statistic=rel,
-        bound=0.05,
-        passed=rel <= 0.05,
-    )
-    return CheckReport(check="dual-perturbation", cases=(case,))
+    return _probe_reports(game, probe, ["dual-perturbation"])[0]
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -469,9 +498,6 @@ def smoothing_bias_order_report(game: GameSpec, probe: SmoothingProbe) -> CheckR
     return CheckReport(check="smoothing-bias-order", cases=(case,))
 
 
-_GROWTH_SCALES = (1.0, 2.0, 4.0, 8.0)
-
-
 def second_moment_growth_report(game: GameSpec, probe: SmoothingProbe) -> CheckReport:
     """Check that E||m^i||^2 grows at most quadratically with the point scale.
 
@@ -479,38 +505,4 @@ def second_moment_growth_report(game: GameSpec, probe: SmoothingProbe) -> CheckR
     log-log slope of each player's second moment against the scale must not
     exceed 2.2. All scales share the probe's draws, in one pass.
     """
-    probes = [probe.scaled(c) for c in _GROWTH_SCALES]
-    return _growth_report(game, probes, _moments(game, probes))
-
-
-def _growth_report(game: GameSpec, probes: Sequence[SmoothingProbe],
-                   moments: tuple[np.ndarray, np.ndarray]) -> CheckReport:
-    """second_moment_growth_report from the _moments of its scaled probes."""
-    per_scale = _second_moments_from(game, probes, moments)
-    cases = []
-    for i in range(game.num_players):
-        slope = _loglog_slope(_GROWTH_SCALES, per_scale[:, i].tolist())
-        cases.append(CheckCase(
-            case=f"player{i} loglog growth slope <= 2.2",
-            statistic=slope,
-            bound=2.2,
-            passed=slope <= 2.2,
-        ))
-    return CheckReport(check="second-moment-growth", cases=tuple(cases))
-
-
-def _mean_and_growth_reports(game: GameSpec,
-                             probe: SmoothingProbe) -> tuple[CheckReport, CheckReport]:
-    """estimator_mean_report and second_moment_growth_report from one pass.
-
-    The growth sweep's scale-1.0 probe is bit-identical to probe, and each
-    _moments row is computed as if its probe were alone, so estimator-mean
-    reads that row, and both reports equal those of separate calls. Needs
-    num_samples >= 2, checked before any draw, as estimator_mean_report does.
-    """
-    probes = [probe.scaled(c) for c in _GROWTH_SCALES]
-    _check_stderr(game, probes)
-    moments = _moments(game, probes)
-    # zip in _bias_stats_from stops at the first probe: only the scale-1.0 row is read
-    mean = _mean_report(_bias_stats_from(game, probes[:1], moments)[0])
-    return mean, _growth_report(game, probes, moments)
+    return _probe_reports(game, probe, ["second-moment-growth"])[0]

@@ -58,3 +58,20 @@ def test_softplus_has_one_implementation():
              or (isinstance(node, ast.Name) and node.id == "logaddexp")
              or (isinstance(node, ast.alias) and node.name == "logaddexp")}
     assert users == set()
+
+
+def test_only_the_monte_carlo_pass_draws():
+    # diagnostics._moments is the one reader of the seeded draw stream:
+    # every Monte Carlo figure comes from its pass, so no function in the
+    # package calls _draws but it
+    sources = sorted(Path(gnezero.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    callers = set()
+    for path in sources:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, ast.Call)
+                       and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_draws"
+                       for node in ast.walk(func)):
+                    callers.add((path.name, func.name))
+    assert callers == {("diagnostics.py", "_moments")}

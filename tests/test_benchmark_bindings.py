@@ -8,7 +8,10 @@ counts that the payoff boundary feeds: every learner payoff goes through
 GameSpec.costs_at, one row per evaluated joint action, and a learner step
 makes one payoff call for all seeds. The Monte Carlo pass of the
 diagnostics evaluates its costs on worker threads, through no traced
-function, so diagnose counts no payoff call and no cost row.
+function, so diagnose counts no payoff call and no cost row. diagnose
+reaches the pass through the untraced diagnostics._probe_reports, not
+through the traced per-statistic functions, so it counts no Monte Carlo
+sample either.
 """
 
 import importlib.util
@@ -57,7 +60,9 @@ def _traced_round(argv) -> dict:
 
 def test_traced_diagnose_counts_one_pass_for_all_players(capsys):
     m = _traced_round(["diagnose", "--checks", "estimator-mean", "--num-samples", "2000"])
-    assert m["diagnostics.mc_samples"] == 2000
+    # the pass runs under the untraced _probe_reports: mc_samples counts the
+    # traced per-statistic calls only, and diagnose makes none
+    assert m["diagnostics.mc_samples"] == 0
     # the sampled actions and the probe's mean point go through the pass's
     # untraced cost evaluation
     assert m["games.payoff_calls"] == 0
@@ -69,7 +74,7 @@ def test_traced_diagnose_records_one_span_per_blocked_cost_batch(capsys):
     # one span stack, so those threads must run no wrapped function, and a
     # wrapped payoff or cost call on a worker would show in these counts
     m = _traced_round(["diagnose", "--checks", "estimator-mean", "--num-samples", "20000"])
-    assert m["diagnostics.mc_samples"] == 20000
+    assert m["diagnostics.mc_samples"] == 0
     assert m["games.payoff_calls"] == 0
     assert m["games.costs_at_rows"] == 0
 
@@ -88,14 +93,15 @@ def test_traced_learn_makes_one_payoff_call_per_step_for_all_seeds(tmp_path, cap
 
 
 def test_traced_diagnose_all_counts(capsys):
-    # every check of the diagnose-all workload, at 2,000 samples: only
-    # dual-perturbation samples through a traced function; estimator-mean reads
-    # the scale-1.0 row of second-moment-growth's sweep, and neither that sweep
-    # nor smoothing-bias-order's (24,576 antithetic pairs for each of its four
-    # sigmas, whatever --num-samples says) calls a traced sampling function; no
-    # check makes a traced payoff or cost call
+    # every check of the diagnose-all workload, at 2,000 samples: no check
+    # samples through a traced function; estimator-mean and dual-perturbation
+    # read the scale-1.0 row of second-moment-growth's sweep, in one pass
+    # under the untraced _probe_reports, and smoothing-bias-order's pass
+    # (24,576 antithetic pairs for each of its four sigmas, whatever
+    # --num-samples says) calls no traced sampling function either; no check
+    # makes a traced payoff or cost call
     m = _traced_round(["diagnose", "--checks", "all", "--num-samples", "2000"])
-    assert m["diagnostics.mc_samples"] == 2_000
+    assert m["diagnostics.mc_samples"] == 0
     assert m["games.payoff_calls"] == 0
     assert m["games.costs_at_rows"] == 0
     # both eps grids go through solve_regularized_path, which is no traced

@@ -107,6 +107,9 @@ _BAD_GAME_FILES = {
     ["diagnose", "--eps-grid", "0.1,-1", "--checks", "reg-path"],
     ["diagnose", "--eps-grid", "0.1,nan", "--checks", "reg-path"],
     ["diagnose", "--eps-grid", "0.1,inf", "--checks", "reg-path"],
+    # a malformed grid, even where no check uses it
+    ["diagnose", "--eps-grid", "abc", "--game", "softplus-ridge"],
+    ["diagnose", "--eps-grid", "abc", "--checks", "dual-perturbation"],
     ["learn", "--S", "nan", "--T", "50"],
     ["learn", "--G", "inf", "--T", "50"],
     ["learn", "--T", "10", "--workers", "-3"],
@@ -261,16 +264,34 @@ def test_diagnose_all_on_a_nonquadratic_game_skips_the_quadratic_checks(capsys):
 
 
 def test_diagnose_failed_case_exits_1_after_the_report(monkeypatch, capsys):
-    def failing_report(game, probe):
-        return CheckReport("dual-perturbation", (CheckCase("forced", 2.0, 1.0, False),))
+    def failing_reports(game, probe, checks):
+        return [CheckReport("dual-perturbation", (CheckCase("forced", 2.0, 1.0, False),))]
 
-    monkeypatch.setattr(gnezero.cli.diag, "dual_perturbation_report", failing_report)
+    monkeypatch.setattr(gnezero.cli.diag, "_probe_reports", failing_reports)
     rc = main(["diagnose", "--checks", "dual-perturbation"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ("check,case,statistic,bound,passed\n"
                             "dual-perturbation,forced,2.0,1.0,False\n")
     assert captured.err == "1 check case(s) FAILED\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, failed", [
+    (["--checks", "dual-perturbation", "--sigma", "1e155"], ["dual-perturbation"]),
+    (["--sigma", "1e200"], ["estimator-mean", "dual-perturbation", "second-moment-growth"]),
+], ids=["dual-perturbation", "all"])
+def test_diagnose_at_an_overflowing_sigma_reports_failed_rows(capsys, argv, failed):
+    # sigma^2 overflows a float: the probe checks report nan rows and fail,
+    # as a failed case does, with no traceback
+    rc = main(["diagnose", *argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert sorted({row[0] for row in rows if row[-1] == "False"}) == sorted(failed)
+    assert all(row[2] == "nan" for row in rows if row[-1] == "False")
+    assert "Traceback" not in captured.err
+    assert captured.err.endswith("check case(s) FAILED\n")
 
 
 def test_diagnose_unknown_check(capsys):

@@ -1,5 +1,6 @@
 import json
 import types
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -166,18 +167,19 @@ def _random_probe(game, num_samples, seed):
 _SIGMAS = [0.2, 0.1, 0.05, 0.025]
 
 
-def _antithetic_stats(game, probes):
-    return diag._bias_stats_from(game, probes, diag._moments(game, probes, antithetic=True))
+def _bias_stats(game, probes, antithetic=False):
+    """The probes' smoothing_bias_stats from one _moments pass over them all."""
+    return diag._bias_stats_from(game, probes, diag._moments(game, probes, antithetic=antithetic))
 
 
 def _sweep_norms(game, base, antithetic):
     """The sigma sweep's squared bias norms; asserts each row equals a one-sigma pass."""
     probes = [SmoothingProbe(base.mu, base.lam, s, base.num_samples, base.seed) for s in _SIGMAS]
-    swept = _antithetic_stats(game, probes) if antithetic else diag._bias_stats(game, probes)
+    swept = _bias_stats(game, probes, antithetic)
     assert len(swept) == len(_SIGMAS)
     norms_sq = []
     for probe, per_player in zip(probes, swept):
-        alone = (_antithetic_stats(game, [probe])[0] if antithetic
+        alone = (_bias_stats(game, [probe], antithetic=True)[0] if antithetic
                  else smoothing_bias_stats(game, probe))
         assert len(per_player) == len(alone) == game.num_players
         for got, want in zip(per_player, alone):
@@ -234,8 +236,9 @@ def test_antithetic_pair_estimate_is_the_mean_of_the_two_point_estimates():
         plus, minus = _halves(game, probe)
         m = (plus + minus) / 2
         sum_m, sumsq_m = diag._moments(game, [probe], antithetic=True)
-        assert np.allclose(sum_m[0], m.sum(axis=0), rtol=1e-12, atol=0.0)
-        assert np.allclose(sumsq_m[0], (m * m).sum(axis=0), rtol=1e-12, atol=0.0)
+        # the estimate columns; the dual columns -sigma K xi follow them
+        assert np.allclose(sum_m[0, :game.D], m.sum(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(sumsq_m[0, :game.D], (m * m).sum(axis=0), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("point", ["report", "random"])
@@ -247,7 +250,7 @@ def test_antithetic_stderr_is_the_spread_of_the_pair_means(point):
     for sigma in _SIGMAS:
         probe = SmoothingProbe(base.mu, base.lam, sigma, M, base.seed)
         plus, minus = _halves(game, probe)
-        stats = _antithetic_stats(game, [probe])[0]
+        stats = _bias_stats(game, [probe], antithetic=True)[0]
         stderr = np.concatenate([s.stderr for s in stats])
         assert np.allclose(stderr, ((plus + minus) / 2).std(axis=0) / np.sqrt(M),
                            rtol=1e-8, atol=0.0)
@@ -267,7 +270,8 @@ def test_scale_sweep_equals_separate_calls_bit_for_bit(make_game):
     game = make_game()
     probe = _random_probe(game, 250_000, 22)
     scales = (1.0, 2.0, 4.0, 8.0)
-    swept = diag._second_moments(game, [probe.scaled(c) for c in scales])
+    probes = [probe.scaled(c) for c in scales]
+    swept = diag._second_moments_from(game, probes, diag._moments(game, probes))
     alone = np.array([estimator_second_moment(game, probe.scaled(c)) for c in scales])
     assert swept.shape == (len(scales), game.num_players)
     assert np.array_equal(swept, alone)
@@ -284,10 +288,9 @@ def test_sweep_rejects_probes_with_different_streams(paper_game, change):
     fields = dict(mu=first.mu, lam=first.lam, sigma=0.1,
                   num_samples=first.num_samples, seed=first.seed)
     other = SmoothingProbe(**{**fields, **change})
-    with pytest.raises(ValueError, match="share one seed, num_samples and dimension"):
-        diag._bias_stats(paper_game, [first, other])
-    with pytest.raises(ValueError, match="share one seed, num_samples and dimension"):
-        diag._second_moments(paper_game, [first, other])
+    for antithetic in (False, True):
+        with pytest.raises(ValueError, match="share one seed, num_samples and dimension"):
+            diag._moments(paper_game, [first, other], antithetic=antithetic)
 
 
 def test_bias_order_check_draws_each_chunk_once(monkeypatch, capsys):
@@ -346,16 +349,20 @@ def d5_game_file(tmp_path):
 
 @pytest.mark.parametrize("game", ["paper-example", "d5"])
 def test_all_checks_share_the_estimator_pass_byte_for_byte(capsys, d5_game_file, game):
-    # with --checks all, estimator-mean reads the scale-1.0 row of
-    # second-moment-growth's pass; both reports equal the checks run alone
+    # the probe checks share one pass, at the scale sweep when
+    # second-moment-growth runs; every check's rows, under every nonempty
+    # subset of them and under --checks all, equal the check run alone
     flags = ["--game", d5_game_file if game == "d5" else game, "--seed", "3",
              "--num-samples", "20000"]
-    assert main(["diagnose", "--checks", "all", *flags]) == 0
-    together = capsys.readouterr().out.splitlines()
-    for check in ("estimator-mean", "second-moment-growth"):
-        alone = _check_rows(capsys, ["diagnose", "--checks", check, *flags], check)
-        assert alone
-        assert [line for line in together if line.startswith(check + ",")] == alone
+    alone = {check: _check_rows(capsys, ["diagnose", "--checks", check, *flags], check)
+             for check in diag._PROBE_CHECKS}
+    assert all(alone.values())
+    subsets = [list(c) for r in (1, 2, 3) for c in combinations(diag._PROBE_CHECKS, r)]
+    for checks in [*subsets, ["all"]]:
+        assert main(["diagnose", "--checks", ",".join(checks), *flags]) == 0
+        together = capsys.readouterr().out.splitlines()
+        for check in (diag._PROBE_CHECKS if checks == ["all"] else checks):
+            assert [line for line in together if line.startswith(check + ",")] == alone[check]
 
 
 def test_all_checks_draw_one_chunk_fewer_than_the_checks_alone(monkeypatch, capsys):
@@ -369,9 +376,10 @@ def test_all_checks_draw_one_chunk_fewer_than_the_checks_alone(monkeypatch, caps
     assert alone == 4  # one chunk each
     assert main(["diagnose", "--checks", "all"]) == 0
     capsys.readouterr()
-    # estimator-mean draws no pass of its own: the shared estimator pass,
-    # dual-perturbation's, then the sigma sweep's pairs
-    assert shapes == [(100_000, 2)] * 2 + [(24_576, 2)]
+    # one stream per game: the estimator pass that estimator-mean,
+    # dual-perturbation and second-moment-growth share, then the sigma
+    # sweep's pairs on softplus-ridge
+    assert shapes == [(100_000, 2), (24_576, 2)]
 
 
 def test_bias_order_check_passes_on_64_seeds(capsys):
@@ -411,17 +419,21 @@ def test_dual_perturbation_second_moment(paper_game):
     assert abs(est - exact) / exact <= 0.05
 
     # the estimate folds the probe's own default_rng(seed) stream chunk by
-    # chunk; three chunks, the last one short
+    # chunk, each chunk over the pass's row blocks in order, column by
+    # column; three chunks, the last one short
     probe = SmoothingProbe(mu=[0.1, 0.9], lam=[0.5], sigma=0.3,
                            num_samples=250_001, seed=9)
     K = paper_game.constraints.K
     rng = np.random.default_rng(probe.seed)
-    total = 0.0
+    total = np.zeros(K.shape[0])
     for start in range(0, probe.num_samples, 100_000):
         size = min(100_000, probe.num_samples - start)
-        S = -probe.sigma * rng.standard_normal((size, paper_game.D)) @ K.T
-        total += float(np.einsum("kj,kj->", S, S))
-    assert dual_perturbation_stats(paper_game, probe)[0] == total / probe.num_samples
+        xi = rng.standard_normal((size, paper_game.D))
+        edges = [j * diag._BLOCK for j in range(max(1, size // diag._BLOCK))] + [size]
+        for a, b in zip(edges, edges[1:]):
+            S = -probe.sigma * xi[a:b] @ K.T
+            total = total + np.einsum("kj,kj->j", S, S)
+    assert dual_perturbation_stats(paper_game, probe)[0] == float(total.sum()) / probe.num_samples
 
 
 # -- regularization path --------------------------------------------------------------

@@ -113,8 +113,8 @@ def test_thread_count_does_not_change_the_sums(monkeypatch, name):
 
 
 def one_block_estimates(game, probes):
-    """Every player's estimates from the pass's draws, (k, blocks) per chunk and probe,
-    each chunk evaluated in one piece."""
+    """Every player's estimates, then the dual term -sigma K xi, from the pass's draws:
+    (k, blocks) per chunk and probe, each chunk evaluated in one piece."""
     K, l = game.constraints.K, game.constraints.l
 
     def payoffs(X, lam):
@@ -126,18 +126,21 @@ def one_block_estimates(game, probes):
             X = p.mu + p.sigma * xi
             U = payoffs(X, p.lam)
             yield k, [(U[:, i, None] - u_mu[k][i]) * (X[:, sl] - p.mu[sl]) / (p.sigma * p.sigma)
-                      for i, sl in enumerate(game.slices)]
+                      for i, sl in enumerate(game.slices)] + [-p.sigma * xi @ K.T]
 
 
 def assert_pass_equals_one_block(game, probes):
-    """_moments equals the one-piece estimates reduced over the pass's row blocks, in order."""
-    sum_m = np.zeros((len(probes), game.D))
-    sumsq_m = np.zeros((len(probes), game.D))
+    """_moments equals the one-piece estimates and dual terms reduced over the pass's
+    row blocks, in order."""
+    width = game.D + game.constraints.num_constraints
+    columns = [*game.slices, slice(game.D, width)]
+    sum_m = np.zeros((len(probes), width))
+    sumsq_m = np.zeros((len(probes), width))
     for k, blocks in one_block_estimates(game, probes):
         size = blocks[0].shape[0]
         edges = [i * _BLOCK for i in range(max(1, size // _BLOCK))] + [size]
         for a, b in zip(edges, edges[1:]):
-            for sl, m in zip(game.slices, blocks, strict=True):
+            for sl, m in zip(columns, blocks, strict=True):
                 sum_m[k, sl] += m[a:b].sum(axis=0)
                 sumsq_m[k, sl] += np.einsum("kj,kj->j", m[a:b], m[a:b])
     got_sum, got_sumsq = diag._moments(game, probes)
