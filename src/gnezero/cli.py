@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .games import QuadraticGame, resolve_game
+from .games import QuadraticGame, _positive, resolve_game
 from .harness import ExperimentConfig, _fmt, fit_rate, reproduce_fig1, run_experiment
 from .learner import DivergenceError
 from .oracles import SolverError, solve_regularized_vi, solve_vgne
@@ -148,33 +148,36 @@ def cmd_diagnose(args) -> int:
         num_samples=args.num_samples,
         seed=args.seed,
     )
-    grid = [_parse_number(x) for x in args.eps_grid.split(",")]
+    grid = [_positive("eps", _parse_number(x)) for x in args.eps_grid.split(",")]
     reports = []
-    if "reg-path" in wanted:
-        if not isinstance(game, QuadraticGame):
-            print("reg-path needs a quadratic game; skipping", file=sys.stderr)
-        else:
-            reports.append(diag.regularization_path_report(game, grid))
-            reports.append(diag.drift_spread_report(game))
-    if "estimator-mean" in wanted and not isinstance(game, QuadraticGame):
-        # smoothing shifts the estimator's mean off the exact gradient
-        # unless the costs are quadratic
-        print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
-        wanted = tuple(w for w in wanted if w != "estimator-mean")
-    # one Monte Carlo pass for estimator-mean, dual-perturbation and second-moment-growth
-    reports.extend(diag._probe_reports(game, probe, wanted))
-    if "smoothing-bias-order" in wanted:
-        # needs costs with a nonvanishing smoothing bias; the quadratic
-        # families have none, so this check runs on the softplus builtin
-        ridge = resolve_game("softplus-ridge")
-        ridge_probe = diag.SmoothingProbe(
-            mu=np.zeros(ridge.D),
-            lam=np.zeros(ridge.constraints.num_constraints),
-            sigma=args.sigma,
-            num_samples=args.num_samples,
-            seed=args.seed,
-        )
-        reports.append(diag.smoothing_bias_order_report(ridge, ridge_probe))
+    # an overflowing --sigma makes the probe checks report failed nan rows;
+    # numpy's warnings on the way there would only add lines to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "reg-path" in wanted:
+            if not isinstance(game, QuadraticGame):
+                print("reg-path needs a quadratic game; skipping", file=sys.stderr)
+            else:
+                reports.append(diag.regularization_path_report(game, grid))
+                reports.append(diag.drift_spread_report(game))
+        if "estimator-mean" in wanted and not isinstance(game, QuadraticGame):
+            # smoothing shifts the estimator's mean off the exact gradient
+            # unless the costs are quadratic
+            print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
+            wanted = tuple(w for w in wanted if w != "estimator-mean")
+        # one Monte Carlo pass for estimator-mean, dual-perturbation and second-moment-growth
+        reports.extend(diag._probe_reports(game, probe, wanted))
+        if "smoothing-bias-order" in wanted:
+            # needs costs with a nonvanishing smoothing bias; the quadratic
+            # families have none, so this check runs on the softplus builtin
+            ridge = resolve_game("softplus-ridge")
+            ridge_probe = diag.SmoothingProbe(
+                mu=np.zeros(ridge.D),
+                lam=np.zeros(ridge.constraints.num_constraints),
+                sigma=args.sigma,
+                num_samples=args.num_samples,
+                seed=args.seed,
+            )
+            reports.append(diag.smoothing_bias_order_report(ridge, ridge_probe))
 
     lines = _report_csv_lines(reports)
     print("\n".join(lines))

@@ -13,8 +13,12 @@ stacked vector z = [a; lam] with the operator of gnezero.augmented, and its
 projection keeps the dual block >= 0. Every solver rejects a non-finite or
 non-positive tolerance, and the regularized ones a non-finite eps, with
 ValueError. solve_regularized_path solves an eps grid in groups of
-consecutive eps sharing an active set, one Lemke call and one stacked solve
-each, bit-equal to single solves where Lemke's method finds the group's set.
+consecutive eps sharing an active set, one Lemke call, one stacked solve and
+one stacked verification each, bit-equal to single solves where Lemke's
+method finds the group's set. The verification (_verified) checks a stack
+of solutions at once, the group's or solve_vgne's one row, with one BLAS
+call per row for each product, so a row's residuals are bit-equal to those
+computed on it alone.
 """
 
 from __future__ import annotations
@@ -108,18 +112,36 @@ def _saddle(game: QuadraticGame, M0: np.ndarray, r: np.ndarray, eps: float, coun
     return idx, sys, np.concatenate([-game.q, game.constraints.l[idx]])[:, None]
 
 
-def _verified(game, a, lam, lam_A, eps, active, tol, check_tol) -> OracleSolution | None:
-    """The solution with its residuals; None when the sign or feasibility check fails."""
+def _verified(game, A, LAM, LAM_A, eps, tol, check_tol):
+    """How many leading rows of a stack pass the checks, and every row's residuals.
+
+    Row i is the primal A[i] (D,), the multipliers LAM[i] (n,), their raw
+    active-set block LAM_A[i] and eps[i]. A row fails the sign or
+    feasibility check when LAM_A[i] < -check_tol or the shifted constraint
+    value K a - l - eps lam exceeds check_tol somewhere; the first failing
+    row ends the stack. SolverError when row 0 fails, or when a residual of
+    a row before the first failing one exceeds tol. Stacked matmuls make
+    one gemv or dot call per row, so each residual is bit-equal to K @ a
+    and np.linalg.norm on that row alone.
+    """
     K, l = game.constraints.K, game.constraints.l
-    if np.any(lam_A < -check_tol) or np.any(K @ a - l - eps * lam > check_tol):
-        return None
-    stat = float(np.linalg.norm(game.P @ a + game.q + K.T @ lam))
     # complementarity against the shifted constraint value (K a - l) - eps lam
-    comp = float(np.max(np.abs(lam * (K @ a - l - eps * lam)), initial=0.0))
-    if stat > tol or comp > tol:
-        raise SolverError(f"optimality residuals at eps={eps:g} exceed tol={tol:g}: "
-                          f"stationarity {stat:.3e}, complementarity {comp:.3e}")
-    return OracleSolution(JointAction(a), lam, eps, tuple(int(j) for j in active), stat, comp)
+    shifted = np.matmul(K, A[:, :, None])[:, :, 0] - l - eps[:, None] * LAM
+    fails = (LAM_A < -check_tol).any(axis=1) | (shifted > check_tol).any(axis=1)
+    V = (np.matmul(game.P, A[:, :, None])[:, :, 0] + game.q
+         + np.matmul(K.T, LAM[:, :, None])[:, :, 0])
+    stat = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+    comp = np.abs(LAM * shifted).max(axis=1, initial=0.0)
+    passed = int(fails.argmax()) if fails.any() else len(fails)
+    if passed == 0:
+        raise SolverError("the identified active set fails the optimality checks")
+    # fmax ignores a nan: a row is over tol when either residual is
+    over = np.fmax(stat[:passed], comp[:passed]) > tol
+    if over.any():
+        i = over.argmax()
+        raise SolverError(f"optimality residuals at eps={eps[i]:g} exceed tol={tol:g}: "
+                          f"stationarity {stat[i]:.3e}, complementarity {comp[i]:.3e}")
+    return passed, stat, comp
 
 
 def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
@@ -142,10 +164,10 @@ def solve_vgne(game: QuadraticGame, tol: float = 1e-10) -> OracleSolution:
     active = np.flatnonzero(np.abs(K @ sol[:D] - l) <= check_tol)
     lam = np.zeros(K.shape[0])
     lam[active] = _min_norm_multiplier(K[active], -(game.P @ sol[:D] + game.q), check_tol)
-    solution = _verified(game, sol[:D], lam, sol[D:], 0.0, active, tol, check_tol)
-    if solution is None:
-        raise SolverError("the identified active set fails the optimality checks")
-    return solution
+    _, stat, comp = _verified(game, sol[None, :D], lam[None], sol[None, D:], np.zeros(1),
+                              tol, check_tol)
+    return OracleSolution(JointAction(sol[:D]), lam, 0.0, tuple(active.tolist()),
+                          float(stat[0]), float(comp[0]))
 
 
 def solve_regularized_path(game: QuadraticGame, eps_values: Sequence[float],
@@ -154,10 +176,12 @@ def solve_regularized_path(game: QuadraticGame, eps_values: Sequence[float],
 
     Solved like solve_vgne with eps * lam on the dual block, which makes the
     multipliers unique, and one refinement step of the polish. Lemke's method
-    runs at the first eps of a group, whose saddle systems are solved as one
-    stack; the first eps where its active set fails the sign or feasibility
-    check starts the next group. Each solution is bit-equal to a one-element
-    call whenever Lemke's method at its eps finds the group's set.
+    runs at the first eps of a group, whose saddle systems are solved and
+    verified as one stack; the first eps where its active set fails the sign
+    or feasibility check starts the next group, and a residual above tol
+    before it raises SolverError naming that eps. Each solution is bit-equal
+    to a one-element call whenever Lemke's method at its eps finds the
+    group's set.
     """
     eps_values = [_positive("eps", eps) for eps in eps_values]  # before any work
     tol, game = _positive("tol", tol), _require_quadratic(game, "solve_regularized_path")
@@ -166,19 +190,19 @@ def solve_regularized_path(game: QuadraticGame, eps_values: Sequence[float],
     sols: list[OracleSolution] = []
     while len(sols) < len(eps_values):
         group = eps_values[len(sols):]
+        eps = np.array(group)
         idx, sys, rhs = _saddle(game, M0, r, group[0], len(group))
-        sys[:, D:, D:] = -np.array(group)[:, None, None] * np.eye(len(idx))
+        sys[:, D:, D:] = -eps[:, None, None] * np.eye(len(idx))
         sol = np.linalg.solve(sys, rhs)  # one LAPACK gesv per matrix of the stack
         sol += np.linalg.solve(sys, rhs - sys @ sol)  # refinement
-        for i, (eps, s) in enumerate(zip(group, sol[:, :, 0])):
-            lam = np.zeros(n)
-            lam[idx] = np.maximum(s[D:], 0.0)
-            solution = _verified(game, s[:D], lam, s[D:], eps, idx, tol, check_tol)
-            if solution is None and i == 0:
-                raise SolverError("the identified active set fails the optimality checks")
-            if solution is None:
-                break  # the active set changed: the next group starts at eps
-            sols.append(solution)
+        S = sol[:, :, 0]
+        lam = np.zeros((len(group), n))
+        lam[:, idx] = np.maximum(S[:, D:], 0.0)
+        # the first row failing the checks has a new active set and starts the next group
+        passed, stat, comp = _verified(game, S[:, :D], lam, S[:, D:], eps, tol, check_tol)
+        active = tuple(idx.tolist())
+        sols += [OracleSolution(JointAction(a), dual, e, active, st, co) for a, dual, e, st, co
+                 in zip(S[:passed, :D], lam, group, stat.tolist(), comp.tolist())]
     return sols
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from conftest import fresh_python
@@ -110,6 +111,8 @@ _BAD_GAME_FILES = {
     # a malformed grid, even where no check uses it
     ["diagnose", "--eps-grid", "abc", "--game", "softplus-ridge"],
     ["diagnose", "--eps-grid", "abc", "--checks", "dual-perturbation"],
+    ["diagnose", "--game", "softplus-ridge", "--eps-grid", "0.1,-1",
+     "--checks", "dual-perturbation"],
     ["learn", "--S", "nan", "--T", "50"],
     ["learn", "--G", "inf", "--T", "50"],
     ["learn", "--T", "10", "--workers", "-3"],
@@ -276,22 +279,23 @@ def test_diagnose_failed_case_exits_1_after_the_report(monkeypatch, capsys):
     assert captured.err == "1 check case(s) FAILED\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv, failed", [
     (["--checks", "dual-perturbation", "--sigma", "1e155"], ["dual-perturbation"]),
     (["--sigma", "1e200"], ["estimator-mean", "dual-perturbation", "second-moment-growth"]),
 ], ids=["dual-perturbation", "all"])
 def test_diagnose_at_an_overflowing_sigma_reports_failed_rows(capsys, argv, failed):
     # sigma^2 overflows a float: the probe checks report nan rows and fail,
-    # as a failed case does, with no traceback
-    rc = main(["diagnose", *argv])
+    # as a failed case does, with no traceback and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["diagnose", *argv])
     captured = capsys.readouterr()
     assert rc == 1
     rows = [line.split(",") for line in captured.out.splitlines()[1:]]
     assert sorted({row[0] for row in rows if row[-1] == "False"}) == sorted(failed)
     assert all(row[2] == "nan" for row in rows if row[-1] == "False")
-    assert "Traceback" not in captured.err
-    assert captured.err.endswith("check case(s) FAILED\n")
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == f"{sum(row[-1] == 'False' for row in rows)} check case(s) FAILED\n"
 
 
 def test_diagnose_unknown_check(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import enumerate_kkt
@@ -435,6 +437,53 @@ def test_regularized_path_starts_a_group_where_the_active_set_changes():
     for sol in path:
         assert sol.stationarity_residual <= 1e-10
         assert sol.complementarity_residual <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_GAMES))
+def test_path_residuals_equal_the_per_solution_norms(name):
+    # the verifier checks a group as one stack, with one gemv or dot call per
+    # row, so every residual is bit-equal to the one computed on its
+    # solution alone; a product like A @ K.T rounds differently
+    game = _PATH_GAMES[name]()
+    P, q, K, l = game.P, game.q, game.constraints.K, game.constraints.l
+    for sol in [*solve_regularized_path(game, _SCHEDULE_EPS), solve_vgne(game)]:
+        a, lam, eps = sol.primal.flat, sol.dual, sol.epsilon
+        assert sol.stationarity_residual == np.linalg.norm(P @ a + q + K.T @ lam)
+        assert sol.complementarity_residual == np.max(np.abs(lam * (K @ a - l - eps * lam)))
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_GAMES))
+def test_regularized_path_names_the_first_eps_over_tol(name):
+    game = _PATH_GAMES[name]()
+    path = solve_regularized_path(game, _SCHEDULE_EPS)
+    # the largest residual up to each eps, and its positive values
+    worst = np.maximum.accumulate([max(s.stationarity_residual, s.complementarity_residual)
+                                   for s in path])
+    levels = np.unique(worst[worst > 0.0])
+    assert len(levels) >= 2
+    for tol in (levels[0] / 2, levels[0]):
+        eps = path[int(np.argmax(worst > tol))].epsilon  # the first eps over tol
+        with pytest.raises(SolverError, match=re.escape(f"at eps={eps:g} exceed tol={tol:g}")):
+            solve_regularized_path(game, _SCHEDULE_EPS, tol=tol)
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_GAMES))
+def test_drift_ratios_equal_the_per_pair_loop(name):
+    from gnezero.diagnostics import _drift_ratios
+
+    eps = [float(e) for e in _SCHEDULE_EPS]
+    eps.insert(5, eps[5])  # one equal pair: zero drift by convention
+    sols = solve_regularized_path(_PATH_GAMES[name](), eps)
+    ref_primal, ref_dual = [], []
+    for prev, cur, e_prev, e_cur in zip(sols, sols[1:], eps, eps[1:]):
+        de = e_cur - e_prev
+        da = float(np.sum((cur.primal.flat - prev.primal.flat) ** 2))
+        dl = float(np.sum((cur.dual - prev.dual) ** 2))
+        ref_primal.append(da * e_cur / de**2 if de else 0.0)
+        ref_dual.append(dl * e_cur**2 / de**2 if de else 0.0)
+    r_primal, r_dual = _drift_ratios(sols, eps)
+    assert r_primal.tolist() == ref_primal
+    assert r_dual.tolist() == ref_dual
 
 
 @pytest.mark.parametrize("grid", [[0.1, 0.1], [1e-4, 1e-3, 1e-2, 1e-1, 1.0]])
