@@ -114,10 +114,6 @@ def cmd_learn(args) -> int:
 
 # -- diagnose -------------------------------------------------------------------
 
-CHECK_NAMES = ("reg-path", "estimator-mean", "dual-perturbation",
-               "smoothing-bias-order", "second-moment-growth")
-
-
 def _report_csv_lines(reports) -> list[str]:
     lines = ["check,case,statistic,bound,passed"]
     for rep in reports:
@@ -133,10 +129,6 @@ def _report_csv_lines(reports) -> list[str]:
 
 
 def cmd_diagnose(args) -> int:
-    wanted = CHECK_NAMES if args.checks == "all" else tuple(args.checks.split(","))
-    unknown = [w for w in wanted if w not in CHECK_NAMES]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
     game = resolve_game(args.game)
     rng = np.random.default_rng(args.seed)
     # both built before any check runs, so a bad --sigma or --eps-grid fails
@@ -149,35 +141,10 @@ def cmd_diagnose(args) -> int:
         seed=args.seed,
     )
     grid = [_positive("eps", _parse_number(x)) for x in args.eps_grid.split(",")]
-    reports = []
-    # an overflowing --sigma makes the probe checks report failed nan rows;
-    # numpy's warnings on the way there would only add lines to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        if "reg-path" in wanted:
-            if not isinstance(game, QuadraticGame):
-                print("reg-path needs a quadratic game; skipping", file=sys.stderr)
-            else:
-                reports.append(diag.regularization_path_report(game, grid))
-                reports.append(diag.drift_spread_report(game))
-        if "estimator-mean" in wanted and not isinstance(game, QuadraticGame):
-            # smoothing shifts the estimator's mean off the exact gradient
-            # unless the costs are quadratic
-            print("estimator-mean needs a quadratic game; skipping", file=sys.stderr)
-            wanted = tuple(w for w in wanted if w != "estimator-mean")
-        # one Monte Carlo pass for estimator-mean, dual-perturbation and second-moment-growth
-        reports.extend(diag._probe_reports(game, probe, wanted))
-        if "smoothing-bias-order" in wanted:
-            # needs costs with a nonvanishing smoothing bias; the quadratic
-            # families have none, so this check runs on the softplus builtin
-            ridge = resolve_game("softplus-ridge")
-            ridge_probe = diag.SmoothingProbe(
-                mu=np.zeros(ridge.D),
-                lam=np.zeros(ridge.constraints.num_constraints),
-                sigma=args.sigma,
-                num_samples=args.num_samples,
-                seed=args.seed,
-            )
-            reports.append(diag.smoothing_bias_order_report(ridge, ridge_probe))
+    checks = diag.CHECKS if args.checks == "all" else args.checks.split(",")
+    reports, skipped = diag.run_checks(game, probe, grid, checks)
+    for check in skipped:
+        print(f"{check} needs a quadratic game; skipping", file=sys.stderr)
 
     lines = _report_csv_lines(reports)
     print("\n".join(lines))
@@ -271,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="statistical and oracle-based checks")
     p.add_argument("--game", default="paper-example")
     p.add_argument("--checks", default="all",
-                   help="comma list of " + ",".join(CHECK_NAMES))
+                   help="comma list of " + ",".join(diag.CHECKS))
     p.add_argument("--eps-grid", default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--sigma", type=_parse_number, default=0.5,
                    help="sampling spread of the estimator probes; smoothing-bias-order "

@@ -6,6 +6,12 @@ terms and of the dual player's sampling term), plus exact-oracle checks of
 the regularization path: the gap bound to the unregularized solution and
 the drift between consecutive solutions.
 
+run_checks is what `gnezero diagnose` runs: the checks named in CHECKS, in
+that report order. It rejects an unknown name before any check runs, skips
+reg-path and estimator-mean on a game that is not quadratic, runs
+smoothing-bias-order on the softplus-ridge builtin and keeps numpy's
+overflow warnings of an overflowing sigma off stderr.
+
 Every Monte Carlo figure comes from one seeded stream of standard-normal
 chunks (_draws), read only by _moments. Probes that share a seed share that
 stream (common random numbers): the sigma sweep of
@@ -20,8 +26,8 @@ one function, whichever pass feeds it. _probe_reports builds the
 estimator-mean, dual-perturbation and second-moment-growth reports from one
 pass, the growth check's scale sweep when it runs (estimator-mean and
 dual-perturbation read its scale-1.0 row) and the probe alone otherwise; it
-serves `gnezero diagnose` and every public stats and report function of
-those checks. They test the learner's own two-point estimate, with u(mu) as
+serves run_checks and every public stats and report function of those
+checks. They test the learner's own two-point estimate, with u(mu) as
 its base point. The sigma sweep measures the smoothing bias of the costs
 instead, which any unbiased estimate of the smoothed gradient shows, so it
 takes _moments' antithetic pairs mu +- sigma xi: a fixed _BIAS_PAIRS of them
@@ -40,11 +46,13 @@ from typing import Sequence
 import numpy as np
 
 from .games import (DimensionMismatchError, GameSpec, PayoffEnvironment, QuadraticGame,
-                    _integer, _positive)
+                    _integer, _positive, resolve_game)
 from .learner import two_point_estimate
 from .oracles import solve_regularized_path, solve_vgne
 
 __all__ = [
+    "CHECKS",
+    "run_checks",
     "SmoothingProbe",
     "SmoothingBias",
     "CheckCase",
@@ -221,8 +229,15 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
 
 
 _GROWTH_SCALES = (1.0, 2.0, 4.0, 8.0)
+# the checks of run_checks, in report order
+CHECKS = ("reg-path", "estimator-mean", "dual-perturbation", "second-moment-growth",
+          "smoothing-bias-order")
 # the checks that _probe_reports builds from one pass at the probe, in report order
-_PROBE_CHECKS = ("estimator-mean", "dual-perturbation", "second-moment-growth")
+_PROBE_CHECKS = CHECKS[1:4]
+# the checks whose bound holds on quadratic costs only: reg-path needs the
+# exact oracle, and smoothing shifts the estimator's mean off the exact
+# gradient unless the costs are quadratic
+_QUADRATIC_CHECKS = CHECKS[:2]
 
 
 def _probe_pass(game: GameSpec, probe: SmoothingProbe, checks: Sequence[str]):
@@ -358,7 +373,8 @@ def regularization_path_report(
     """Check the regularization path against its exact-oracle properties.
 
     For every eps on the grid the distance of the regularized primal solution
-    to the unregularized one must stay below eps * ||lam*|| * L / (||K|| nu).
+    to the unregularized one must stay below eps * ||lam*|| * L / (||K|| nu),
+    which is 0 when lam* = 0 (then ||K|| may be 0 as well).
     Consecutive-pair drift ratios are reported as well, checked only for
     finiteness; drift_spread_report bounds their spread along a schedule path.
     """
@@ -367,7 +383,8 @@ def regularization_path_report(
     base = solve_vgne(game)
     lam_norm = float(np.linalg.norm(base.dual))
     norm_K = float(np.linalg.norm(game.constraints.K, 2))
-    gap_coeff = lam_norm * game.lipschitz() / (norm_K * game.nu())
+    # with lam* = 0 every regularized solution is the v-GNE
+    gap_coeff = lam_norm * game.lipschitz() / (norm_K * game.nu()) if lam_norm > 0 else 0.0
 
     cases = []
     for eps, sol in zip(eps_grid, sols):
@@ -380,16 +397,14 @@ def regularization_path_report(
             passed=gap <= bound * (1.0 + 1e-9) + 1e-14,
         ))
 
-    if len(eps_grid) >= 2:
-        r_primal, r_dual = _drift_ratios(sols, eps_grid)
-        for name, ratios in (("primal", r_primal), ("dual", r_dual)):
-            for (e_prev, e_cur), r in zip(zip(eps_grid, eps_grid[1:]), ratios):
-                cases.append(CheckCase(
-                    case=f"{name}-drift eps={e_prev:g}->{e_cur:g}",
-                    statistic=float(r),
-                    bound=float("inf"),
-                    passed=bool(np.isfinite(r)),
-                ))
+    for name, ratios in zip(("primal", "dual"), _drift_ratios(sols, eps_grid)):
+        for (e_prev, e_cur), r in zip(zip(eps_grid, eps_grid[1:]), ratios):
+            cases.append(CheckCase(
+                case=f"{name}-drift eps={e_prev:g}->{e_cur:g}",
+                statistic=float(r),
+                bound=float("inf"),
+                passed=bool(np.isfinite(r)),
+            ))
 
     return CheckReport(check="regularization-path", cases=tuple(cases))
 
@@ -509,3 +524,37 @@ def second_moment_growth_report(game: GameSpec, probe: SmoothingProbe) -> CheckR
     exceed 2.2. All scales share the probe's draws, in one pass.
     """
     return _probe_reports(game, probe, ["second-moment-growth"])[0]
+
+
+def run_checks(game: GameSpec, probe: SmoothingProbe, eps_grid: Sequence[float],
+               checks: Sequence[str]) -> tuple[list[CheckReport], list[str]]:
+    """(reports, skipped): the reports of checks on game in CHECKS order, and the checks skipped.
+
+    An unknown name raises ValueError before any check runs. On a game that
+    is not quadratic the _QUADRATIC_CHECKS are skipped. reg-path reports
+    regularization_path_report over eps_grid and drift_spread_report; the
+    probe checks share one pass at probe (_probe_reports). smoothing-bias-order
+    needs costs with a nonvanishing smoothing bias, which the quadratic
+    families lack, so it runs on the softplus-ridge builtin at mu = 0,
+    lam = 0 with the probe's seed. An overflowing probe sigma makes the
+    probe checks report failed nan rows, without numpy's warnings.
+    """
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECKS)}")
+    quadratic = isinstance(game, QuadraticGame)
+    skipped = [c for c in _QUADRATIC_CHECKS if c in checks and not quadratic]
+    checks = [c for c in checks if c not in skipped]
+    reports = []
+    # the report functions are looked up as module globals when called, so
+    # a wrapper that replaces one on this module sees the call
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "reg-path" in checks:
+            reports += [regularization_path_report(game, eps_grid), drift_spread_report(game)]
+        reports += _probe_reports(game, probe, checks)
+        if "smoothing-bias-order" in checks:
+            ridge = resolve_game("softplus-ridge")
+            reports.append(smoothing_bias_order_report(ridge, SmoothingProbe(
+                np.zeros(ridge.D), np.zeros(ridge.constraints.num_constraints),
+                probe.sigma, probe.num_samples, probe.seed)))
+    return reports, skipped

@@ -41,7 +41,8 @@ class ExperimentConfig:
     """Everything a reproducible experiment depends on, checked before any disk access.
 
     seeds, T, record_every and workers are counts (games._integer), stored as
-    ints but for record_every; invalid schedules raise ScheduleError unless
+    ints but for record_every; a label with a path separator raises
+    ValueError; invalid schedules raise ScheduleError unless
     allow_invalid_schedules is set.
     """
 
@@ -60,6 +61,8 @@ class ExperimentConfig:
         self.T = _integer("T", self.T, 1)
         checkpoints(self.T, self.record_every)
         self.workers = _integer("workers", self.workers, 1)
+        if {os.sep, os.altsep} & set(self.label):  # the CSVs are named <outdir>/<label>_*.csv
+            raise ValueError(f"label {self.label!r} contains a path separator")
         report = validate_schedules(self.schedules)
         if not (report.valid or self.allow_invalid_schedules):
             raise ScheduleError("schedules violate validity conditions: "

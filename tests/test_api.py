@@ -60,6 +60,21 @@ def test_softplus_has_one_implementation():
     assert users == set()
 
 
+def test_diagnose_policy_lives_in_diagnostics():
+    # cli.cmd_diagnose parses flags, calls diagnostics.run_checks and prints:
+    # no game-type test, no errstate and no private diagnostics name in it
+    tree = ast.parse((Path(gnezero.__file__).parent / "cli.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "cmd_diagnose")
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(func)}
+    private = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "diag"
+               and node.attr.startswith("_")}
+    assert "run_checks" in names
+    assert {"isinstance", "errstate"} & names == set()
+    assert private == set()
+
+
 def test_only_the_monte_carlo_pass_draws():
     # diagnostics._moments is the one reader of the seeded draw stream:
     # every Monte Carlo figure comes from its pass, so no function in the

@@ -136,6 +136,8 @@ _BAD_GAME_FILES = {
     ["learn", "--G", "0", "--T", "10"],
     ["learn", "--E", "0", "--T", "10"],
     ["diagnose", "--checks", "bogus"],
+    # a label names the CSV files in outdir, so it cannot name a subdirectory
+    ["learn", "--label", "a/b", "--T", "10"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
@@ -264,6 +266,21 @@ def test_diagnose_all_on_a_nonquadratic_game_skips_the_quadratic_checks(capsys):
     assert "estimator-mean needs a quadratic game; skipping" in captured.err
     checks = {line.split(",", 1)[0] for line in captured.out.splitlines()[1:]}
     assert checks == {"dual-perturbation", "second-moment-growth", "smoothing-bias-order"}
+
+
+def test_diagnose_on_a_constraint_that_never_binds(tmp_path, capsys):
+    # K = 0 and l > 0: lam* = 0, so every regularized solution is the v-GNE
+    path = tmp_path / "zero_row.json"
+    path.write_text(json.dumps({"players": 2, "dims": [1, 1],
+                                "A": [[[2, 0], [0, 0]], [[0, 0], [0, 2]]],
+                                "b": [[0, 0], [0, 0]], "K": [[0, 0]], "l": [1]}))
+    rc = main(["diagnose", "--game", str(path), "--checks", "all", "--num-samples", "20000"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert {row[0] for row in rows} >= {"regularization-path", "drift-spread"}
+    assert all(row[-1] == "True" for row in rows)
+    assert [row[2:4] for row in rows if row[1].startswith("gap-bound")] == [["0.0", "0.0"]] * 4
 
 
 def test_diagnose_failed_case_exits_1_after_the_report(monkeypatch, capsys):

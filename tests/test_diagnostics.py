@@ -1,4 +1,5 @@
 import json
+import re
 import types
 from itertools import combinations
 
@@ -461,6 +462,11 @@ def test_degenerate_grid_reports_zero_drift(paper_game):
     assert all(c.statistic == 0.0 for c in drift)
 
 
+def test_one_eps_grid_reports_the_gap_only(paper_game):
+    report = regularization_path_report(paper_game, [0.1])
+    assert [c.case for c in report.cases] == ["gap-bound eps=0.1"]
+
+
 def test_drift_spread_report_schedule_path(paper_game):
     report = drift_spread_report(paper_game)
     assert all(c.passed for c in report.cases)
@@ -480,3 +486,30 @@ def test_reports_deterministic(paper_game):
                       smoothing_bias_stats(paper_game, probe)):
         assert np.array_equal(s1.bias, s2.bias)
         assert s1.norm_sq_debiased == s2.norm_sq_debiased
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("a check ran")
+
+
+def test_run_checks_rejects_an_unknown_name_before_any_check(monkeypatch, paper_game):
+    for name in ("_moments", "regularization_path_report", "drift_spread_report"):
+        monkeypatch.setattr(diag, name, _fail)
+    probe = SmoothingProbe(mu=[0.2, 0.1], lam=[0.4], sigma=0.3, num_samples=100)
+    with pytest.raises(ValueError, match=r"unknown checks: \['bogus'\]; available: "
+                                         + re.escape(str(list(diag.CHECKS)))):
+        diag.run_checks(paper_game, probe, [0.1], ["reg-path", "bogus", "dual-perturbation"])
+
+
+@pytest.mark.parametrize("game, skipped", [
+    ("paper-example", []),
+    ("softplus-ridge", ["reg-path", "estimator-mean"]),
+])
+def test_run_checks_reports_in_check_order_and_skips_quadratic_checks(game, skipped):
+    game = resolve_game(game)
+    probe = SmoothingProbe(mu=np.full(game.D, 0.1), lam=[0.2], sigma=0.3, num_samples=200)
+    reports, got = diag.run_checks(game, probe, [0.1, 0.01], diag.CHECKS[::-1])
+    assert got == skipped
+    expected = {"reg-path": ["regularization-path", "drift-spread"]}
+    assert [r.check for r in reports] == [name for check in diag.CHECKS if check not in skipped
+                                          for name in expected.get(check, [check])]
