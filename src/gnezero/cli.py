@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .games import QuadraticGame, _positive, resolve_game
+from .games import QuadraticGame, _integer, _positive, resolve_game
 from .harness import ExperimentConfig, _fmt, fit_rate, reproduce_fig1, run_experiment
 from .learner import DivergenceError
 from .oracles import SolverError, solve_regularized_vi, solve_vgne
@@ -130,7 +130,7 @@ def _report_csv_lines(reports) -> list[str]:
 
 def cmd_diagnose(args) -> int:
     game = resolve_game(args.game)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer("seed", args.seed, 0))  # numpy words a bad seed its own way
     # both built before any check runs, so a bad --sigma or --eps-grid fails
     # before any work, whichever checks use it
     probe = diag.SmoothingProbe(
@@ -164,7 +164,11 @@ def cmd_diagnose(args) -> int:
 def cmd_rate_fit(args) -> int:
     if not Path(args.csv).read_text().strip():  # genfromtxt raises IndexError on it
         raise ValueError(f"{args.csv} is empty")
-    data = np.genfromtxt(args.csv, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(args.csv, delimiter=",", names=True)
+    except ValueError as err:  # numpy's report: a heading, then one line per bad row
+        first = str(err).splitlines()[1:2] or [str(err)]
+        raise ValueError(f"malformed CSV {args.csv}: {first[0].strip()}") from None
     t = np.atleast_1d(data["t"])
     err = np.atleast_1d(data[args.column])
     fit = fit_rate(t, err, args.t_min, args.t_max)
@@ -282,7 +286,8 @@ def main(argv=None) -> int:
     """Run one subcommand; every failure a command raises prints one stderr line.
 
     Bad input (a flag value, a missing or malformed file) returns 2, a
-    diverging run or a failed solver check 1. A value argparse rejects
+    diverging run, a schedule that overflows the floats or a failed solver
+    check 1. A value argparse rejects
     (`learn --G abc`) prints usage and an error line and raises SystemExit(2).
     """
     args = _parser().parse_args(argv)
@@ -294,8 +299,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"gnezero {args.command}: error: {err}", file=sys.stderr)
         return 2
-    except DivergenceError as err:
-        # a run writes its CSVs after all its seeds finished; reproduce-fig1 sets where
+    except (DivergenceError, OverflowError) as err:
+        # a run writes its CSVs after all its seeds finished; reproduce-fig1 sets
+        # where. A schedule past the floats (learner.run's OverflowError) ends a
+        # run as a divergence does
         print(f"{args.command} diverged{getattr(err, 'where', ', no CSV written')}: {err}",
               file=sys.stderr)
         return 1

@@ -188,7 +188,7 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     # one one-row call per probe, not one batch of all means: numpy sends a
     # one-row matrix product to gemv, which rounds differently from the gemm
     # of a larger batch, so only this keeps each probe's results as alone
-    u_mu = [None if antithetic else payoffs(p.mu[None], p.lam)[0] for p in probes]
+    u_mu = [None if antithetic else payoffs(p.mu[None], p.lam) for p in probes]
 
     K = game.constraints.K
     width = game.D + K.shape[0]
@@ -201,15 +201,14 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
             sums[1, k, game.D:] = np.einsum("kj,kj->j", S, S)
             X = p.mu + p.sigma * xi
             U = payoffs(X, p.lam)
+            # the estimate's second point, its payoffs and its distance to X:
+            # (mu, u(mu), sigma) for a plain row, (mu - sigma xi, V, 2 sigma) for a pair
+            Y, V, spread = p.mu, u, p.sigma
             if antithetic:
                 Y = p.mu - p.sigma * xi
-                V = payoffs(Y, p.lam)
+                V, spread = payoffs(Y, p.lam), 2.0 * p.sigma
             for i, sl in enumerate(game.slices):
-                if antithetic:
-                    m = two_point_estimate(U[:, i, None], V[:, i, None], X[:, sl], Y[:, sl],
-                                           2.0 * p.sigma)
-                else:
-                    m = two_point_estimate(U[:, i, None], u[i], X[:, sl], p.mu[sl], p.sigma)
+                m = two_point_estimate(U[:, i, None], V[:, i, None], X[:, sl], Y[..., sl], spread)
                 sums[0, k, sl] = m.sum(axis=0)
                 sums[1, k, sl] = np.einsum("kj,kj->j", m, m)
         return sums

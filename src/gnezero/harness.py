@@ -131,33 +131,34 @@ def _reference(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_dists(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """||p - ref||^2 for each point of a (seeds, checkpoints, dim) stack.
+    """||p - ref||^2 for each point of a (..., dim) stack.
 
-    One dot per point: a row-wise reduction rounds differently.
+    A stacked matmul makes one dot per point, as oracles._verified does, so
+    each is bit-equal to d @ d on that point alone: a row-wise reduction
+    rounds differently.
     """
-    return np.array([[float(d @ d) for d in row - ref] for row in points])
+    d = points - ref
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
 
 
 def _aggregate(label: str, seeds: list[int], t: np.ndarray, mus: np.ndarray,
                lams: np.ndarray, reference) -> MetricsTable:
-    """Per-seed squared errors of the iterates and their mean and sem over seeds."""
-    ep, ed = _sq_dists(mus, reference[0]), _sq_dists(lams, reference[1])
+    """Per-seed squared errors of the iterates and their mean and sem over seeds.
+
+    The primal and dual errors are one (2, seeds, checkpoints) stack, reduced
+    once; a seed-axis reduction adds row by row, so each error's figures are
+    bit-equal to a reduction of that error alone.
+    """
+    errs = np.stack([_sq_dists(mus, reference[0]), _sq_dists(lams, reference[1])])
     # canonical seed order makes the reduction invariant to seed-list shuffles
-    order = np.argsort(seeds, kind="stable")
-    ep_sorted, ed_sorted, k = ep[order], ed[order], len(seeds)
-    sem_p = ep_sorted.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(t.shape[0])
-    sem_d = ed_sorted.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(t.shape[0])
+    ordered, k = errs[:, np.argsort(seeds, kind="stable")], len(seeds)
+    mean = ordered.mean(axis=1)
+    sem = ordered.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(mean.shape)
     return MetricsTable(
-        label=label,
-        t=t,
-        mean_err_primal_sq=ep_sorted.mean(axis=0),
-        sem_err_primal_sq=sem_p,
-        mean_err_dual_sq=ed_sorted.mean(axis=0),
-        sem_err_dual_sq=sem_d,
-        num_seeds=k,
-        seeds=seeds,
-        err_primal_sq=ep,
-        err_dual_sq=ed,
+        label=label, t=t, num_seeds=k, seeds=seeds,
+        mean_err_primal_sq=mean[0], sem_err_primal_sq=sem[0],
+        mean_err_dual_sq=mean[1], sem_err_dual_sq=sem[1],
+        err_primal_sq=errs[0], err_dual_sq=errs[1],
     )
 
 
@@ -318,7 +319,8 @@ def reproduce_fig1(
     seeds, writes CSVs, and emits a plot script drawing one curve per s.
     Every config is built before the first run, so bad input, an invalid s
     (its ScheduleError names it) or two s values whose CSVs would share a
-    label writes nothing. A DivergenceError carries `where`: the s value, and
+    label writes nothing. A DivergenceError, or the OverflowError of a
+    schedule that overflows the floats, carries `where`: the s value, and
     which s wrote CSVs; the plot script is written for those before the
     error is raised.
     """
@@ -347,7 +349,7 @@ def reproduce_fig1(
             table = run_experiment(cfg)
             table.label = f"s={s:g}"
             tables.append(table)
-    except DivergenceError as err:
+    except (DivergenceError, OverflowError) as err:  # a schedule overflow ends it too
         done = ", ".join(t.label for t in tables) or "none"
         err.where = f" at s={s:g} (CSVs written: {done})"
         raise

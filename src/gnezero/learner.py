@@ -82,17 +82,14 @@ def checkpoints(T: int, record_every) -> np.ndarray:
     T = _integer("T", T, 1)
     if record_every == "log":
         pts = np.geomspace(1, T, num=min(T, 200))
-        decades = 10 ** np.arange(0, int(np.floor(np.log10(T))) + 1)
-        ts = np.unique(np.concatenate([
+        decades = 10 ** np.arange(len(str(T)))  # exact; np.log10(10**15 - 1) is 15.0
+        return np.unique(np.concatenate([
             np.round(pts).astype(np.int64),
             decades.astype(np.int64),
             [1, T],
         ]))
-    else:
-        k = _integer("record_every", record_every, 1)
-        ts = np.unique(np.concatenate([np.arange(k, T + 1, k, dtype=np.int64),
-                                       [T]]))
-    return ts[(ts >= 1) & (ts <= T)]
+    k = _integer("record_every", record_every, 1)
+    return np.unique(np.concatenate([np.arange(k, T + 1, k, dtype=np.int64), [T]]))
 
 
 def _seed_list(seeds) -> list[int]:
@@ -128,7 +125,9 @@ def run(
     record_every that checkpoints rejects, then unless seeds is a nonempty
     list of integers >= 0, and DivergenceError when a checkpoint finds a
     non-finite mean or multiplier, naming the first seed in list order that
-    is non-finite there. Schedules are not checked: that policy is
+    is non-finite there. A schedule whose power t^x overflows the floats
+    raises OverflowError naming the schedule and the step; every seed
+    stops there. Schedules are not checked: that policy is
     harness.ExperimentConfig's.
     """
     ts = checkpoints(T, record_every).tolist()
@@ -156,9 +155,12 @@ def run(
                 xi[:, r] = rng.standard_normal((steps, D))
             for t, xi_t in zip(range(start, start + steps), xi):
                 # scalar calls: numpy's vectorized power can differ from t**g in the last ulp
-                gamma = sched.gamma(t)
-                eps = sched.eps(t)
-                sigma = sched.sigma(t)
+                try:
+                    gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
+                except OverflowError:  # t**x grows with x: the largest exponent overflows
+                    x, name = max(zip((sched.g, sched.e, sched.s), ("gamma", "eps", "sigma")))
+                    raise OverflowError(f"the {name} schedule overflows at step {t}: "
+                                        f"t^{x:g} exceeds the largest float") from None
                 a = mu + sigma * xi_t
                 # row r of the (R, 2D) concatenation is [a_r, mu_r]: the (R, 2, D) stack
                 U, g = env.feedback(np.concatenate((a, mu), axis=1).reshape(R, 2, D), lam)

@@ -138,11 +138,14 @@ _BAD_GAME_FILES = {
     ["diagnose", "--checks", "bogus"],
     # a label names the CSV files in outdir, so it cannot name a subdirectory
     ["learn", "--label", "a/b", "--T", "10"],
+    # a row with one column where the header has two
+    ["rate-fit", "--csv", "{tmp}/ragged.csv"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
         "t,mean_err_primal_sq\n" + "".join(f"{t},nan\n" for t in range(1, 6)))
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "ragged.csv").write_text("t,mean_err_primal_sq\n1,0.5\n2\n3,0.2\n")
     (tmp_path / "t0_agg.csv").write_text(
         "t,mean_err_primal_sq\n" + "".join(f"{t},{1 / (t + 1)}\n" for t in range(6)))
     for name, cfg in _BAD_GAME_FILES.items():
@@ -158,6 +161,19 @@ def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
     # bad input is rejected before the output directory is made
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # numpy reports every bad row; the message keeps the first
+    (["rate-fit", "--csv", "{tmp}/ragged.csv"],
+     "malformed CSV {tmp}/ragged.csv: Line #3 (got 1 columns instead of 3)"),
+    (["diagnose", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+], ids=["ragged-csv", "negative-seed"])
+def test_bad_input_messages_name_the_input(tmp_path, capsys, argv, message):
+    (tmp_path / "ragged.csv").write_text("t,a,b\n1,2,3\n4\n5,6\n7,8,9\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"gnezero {argv[0]}: error: {message.format(tmp=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("name, names_key", [
@@ -214,6 +230,24 @@ def test_reproduce_fig1_divergence_names_its_s_and_the_csvs_kept(tmp_path, capsy
     # the plot script draws the s values that finished, and only those
     assert "[('s=0.571429', 's_0p571429_agg.csv')]" in (
         tmp_path / "convergence_plot.py").read_text()
+
+
+@pytest.mark.parametrize("argv, start, kept", [
+    (["learn", "--T", "10", "--s", "1e300"],
+     "learn diverged, no CSV written: the sigma schedule overflows at step 2", []),
+    (["reproduce-fig1", "--s-values", "4/7,1e300", "--T", "10", "--num-seeds", "1"],
+     "reproduce-fig1 diverged at s=1e+300 (CSVs written: s=0.571429): "
+     "the sigma schedule overflows at step 2",
+     ["convergence_plot.py", "s_0p571429_agg.csv", "s_0p571429_raw.csv"]),
+], ids=["learn", "reproduce-fig1"])
+def test_schedule_overflow_ends_like_a_divergence(tmp_path, capsys, argv, start, kept):
+    # s = 1e300 passes validate_schedules, but 2**1e300 is past the floats
+    rc = main(argv + ["--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(start)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
 
 
 def test_learn_allows_override(tmp_path, capsys):

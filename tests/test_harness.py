@@ -5,6 +5,8 @@ from conftest import fresh_python
 from gnezero.harness import (
     ExperimentConfig,
     MetricsTable,
+    _aggregate,
+    _sq_dists,
     emit_plot_script,
     fit_rate,
     reproduce_fig1,
@@ -120,6 +122,44 @@ def test_aggregation_permutation_invariant():
     assert np.array_equal(t1.mean_err_primal_sq, t2.mean_err_primal_sq)
     assert np.array_equal(t1.sem_err_primal_sq, t2.sem_err_primal_sq)
     assert np.array_equal(t1.mean_err_dual_sq, t2.mean_err_dual_sq)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 5, 24, 48])
+def test_sq_dists_equal_one_dot_per_point(dim):
+    # dim 0 is the error of an empty dual; the points span scales 1e-6 to 1e3
+    rng = np.random.default_rng(dim)
+    points = rng.standard_normal((5, 41, dim)) * 10.0 ** rng.uniform(-6, 3, (5, 41, 1))
+    for ref in (rng.standard_normal(dim), np.full(dim, np.nan)):
+        expected = np.array([[float(d @ d) for d in row - ref] for row in points])
+        got = _sq_dists(points, ref)
+        assert got.shape == (5, 41)
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("num_seeds", [1, 2, 20])
+@pytest.mark.parametrize("D, n, num_checkpoints", [(2, 1, 1), (2, 1, 30), (24, 12, 30)])
+def test_aggregate_equals_one_reduction_per_error(num_seeds, D, n, num_checkpoints):
+    rng = np.random.default_rng([num_seeds, D, num_checkpoints])
+    seeds = rng.permutation(10 * num_seeds)[:num_seeds].tolist()  # shuffled
+    t = np.arange(1, num_checkpoints + 1)
+    mus = rng.standard_normal((num_seeds, num_checkpoints, D))
+    lams = rng.uniform(0.0, 2.0, (num_seeds, num_checkpoints, n))
+    reference = rng.standard_normal(D), rng.uniform(0.0, 1.0, n)
+    table = _aggregate("agg", seeds, t, mus, lams, reference)
+    order = np.argsort(seeds, kind="stable")
+    for points, ref, errs, mean, sem in (
+            (mus, reference[0], table.err_primal_sq, table.mean_err_primal_sq,
+             table.sem_err_primal_sq),
+            (lams, reference[1], table.err_dual_sq, table.mean_err_dual_sq,
+             table.sem_err_dual_sq)):
+        # the two-copy computation: one dot per point, then each error reduced alone
+        expected = np.array([[float(d @ d) for d in row - ref] for row in points])
+        assert np.array_equal(errs, expected)  # in seed-list order
+        ordered = expected[order]
+        assert np.array_equal(mean, ordered.mean(axis=0))
+        assert np.array_equal(sem, ordered.std(axis=0, ddof=1) / np.sqrt(num_seeds)
+                              if num_seeds > 1 else np.zeros(num_checkpoints))
+    assert (table.num_seeds, table.seeds) == (num_seeds, seeds)
 
 
 def test_mean_error_decreases_beyond_transient():

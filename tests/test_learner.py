@@ -323,6 +323,9 @@ def test_checkpoints_grids():
     assert log_grid.shape[0] <= 210
     assert checkpoints(1, "log").tolist() == [1]
     assert checkpoints(10.0, 4.0).tolist() == [4, 8, 10]
+    # the decades of T are exact: np.log10(10**15 - 1) rounds up to 15.0
+    log_grid = checkpoints(10**15 - 1, "log")
+    assert log_grid[0] == 1 and log_grid[-1] == 10**15 - 1 and 10**14 in log_grid
     # the cadence is a count: a fraction is not truncated, a string is not parsed
     for T, record_every in ((10, 2.7), (10, "5"), (10.5, 1), (True, 1), (10, False)):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
@@ -495,3 +498,18 @@ def test_divergence_in_a_batch_names_first_seed_in_list_order(paper_game, tmp_pa
         run_experiment(cfg)
     assert exc.value.seed == 4
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, name", [("g", "gamma"), ("e", "eps"), ("s", "sigma")])
+def test_schedule_overflow_names_the_schedule_and_the_step(paper_game, tmp_path, field, name):
+    # t**1e300 is past the floats from t = 2 on
+    sched = Schedules(**{field: 1e300})
+    message = rf"^the {name} schedule overflows at step 2: t\^1e\+300 exceeds the largest float$"
+    with pytest.raises(OverflowError, match=message):
+        run(PayoffEnvironment(paper_game), sched, 10, seeds=[0, 1])
+    if field == "s":  # a valid schedule; the error crosses the --workers process pool
+        cfg = ExperimentConfig(game=paper_game, schedules=sched, T=10, seeds=[0, 1],
+                               outdir=tmp_path, label="ovf", workers=2)
+        with pytest.raises(OverflowError, match=message):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
