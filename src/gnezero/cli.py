@@ -1,4 +1,9 @@
-"""Command-line interface: learn, oracle, diagnose, rate-fit, reproduce-fig1."""
+"""Command-line interface: learn, oracle, diagnose, rate-fit, reproduce-fig1.
+
+A command imports the modules it runs when it runs: oracle needs only games
+and oracles, so `gnezero oracle` never loads harness, schedules or
+diagnostics, and only diagnose loads diagnostics.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics as diag
-from .games import QuadraticGame, _integer, _positive, resolve_game
-from .harness import ExperimentConfig, _fmt, fit_rate, reproduce_fig1, run_experiment
+from .games import QuadraticGame, _fmt, _integer, _positive, resolve_game
 from .learner import DivergenceError
 from .oracles import SolverError, solve_regularized_vi, solve_vgne
-from .schedules import Schedules
 
 DEFAULT_OUTDIR = "gnezero-out"
 
@@ -90,6 +92,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    from .harness import ExperimentConfig, run_experiment
+    from .schedules import Schedules
+
     sched = Schedules(G=args.G, g=args.g, E=args.E, e=args.e, S=args.S, s=args.s)
     print(sched.validate())
     cfg = ExperimentConfig(
@@ -129,6 +134,8 @@ def _report_csv_lines(reports) -> list[str]:
 
 
 def cmd_diagnose(args) -> int:
+    from . import diagnostics as diag
+
     game = resolve_game(args.game)
     rng = np.random.default_rng(_integer("seed", args.seed, 0))  # numpy words a bad seed its own way
     # both built before any check runs, so a bad --sigma or --eps-grid fails
@@ -162,6 +169,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_rate_fit(args) -> int:
+    from .harness import fit_rate
+
     if not Path(args.csv).read_text().strip():  # genfromtxt raises IndexError on it
         raise ValueError(f"{args.csv} is empty")
     try:
@@ -183,6 +192,8 @@ def cmd_rate_fit(args) -> int:
 
 
 def cmd_reproduce_fig1(args) -> int:
+    from .harness import reproduce_fig1
+
     outdir = _resolve_outdir(args.outdir)
     s_values = tuple(_parse_number(x) for x in args.s_values.split(","))
     tables = reproduce_fig1(
@@ -203,15 +214,24 @@ def cmd_reproduce_fig1(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gnezero",
-        description=("Payoff-based learning of variational generalized Nash "
-                     "equilibria, exact oracles, and diagnostics."),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser; its arguments are added when it first parses.
 
-    p = sub.add_parser("oracle", help="exact equilibrium / regularized solution")
+    So building the parser imports nothing that one command's help needs
+    (diagnose lists diagnostics.CHECKS), and `gnezero --help`, which lists
+    only the commands, adds no command's arguments.
+    """
+
+    add_arguments = None  # a function of this parser, called before its first parse
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_arguments is not None:
+            add, self.add_arguments = self.add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", default="paper-example",
                    help="builtin name or path to a JSON game file")
     p.add_argument("--eps", type=_parse_number, default=None,
@@ -219,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--csv", default=None, help="also write the CSV block to this path")
 
-    p = sub.add_parser("learn", help="run the payoff-based learning iteration")
+
+def _learn_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", default="paper-example")
     p.add_argument("--G", type=_parse_number, default=1.0)
     p.add_argument("--g", type=_parse_number, default=4.0 / 7.0)
@@ -239,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-invalid-schedules", action="store_true")
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("diagnose", help="statistical and oracle-based checks")
+
+def _diagnose_arguments(p: argparse.ArgumentParser) -> None:
+    from . import diagnostics as diag
+
     p.add_argument("--game", default="paper-example")
     p.add_argument("--checks", default="all",
                    help="comma list of " + ",".join(diag.CHECKS))
@@ -253,14 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the report CSV here")
 
-    p = sub.add_parser("rate-fit", help="log-log rate fit of an aggregate CSV")
+
+def _rate_fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", required=True)
     p.add_argument("--t-min", type=_parse_number, default=1e3)
     p.add_argument("--t-max", type=_parse_number, default=1e5)
     p.add_argument("--column", default="mean_err_primal_sq")
 
-    p = sub.add_parser("reproduce-fig1",
-                       help="convergence comparison across sampling spreads")
+
+def _reproduce_fig1_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", default=None)
     p.add_argument("--T", type=int, default=100_000)
     p.add_argument("--num-seeds", type=int, default=20)
@@ -268,6 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-values", default="4/7,2,10")
     p.add_argument("--workers", type=int, default=1)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gnezero",
+        description=("Payoff-based learning of variational generalized Nash "
+                     "equilibria, exact oracles, and diagnostics."),
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, help_text, add_arguments in (
+        ("oracle", "exact equilibrium / regularized solution", _oracle_arguments),
+        ("learn", "run the payoff-based learning iteration", _learn_arguments),
+        ("diagnose", "statistical and oracle-based checks", _diagnose_arguments),
+        ("rate-fit", "log-log rate fit of an aggregate CSV", _rate_fit_arguments),
+        ("reproduce-fig1", "convergence comparison across sampling spreads",
+         _reproduce_fig1_arguments),
+    ):
+        sub.add_parser(name, help=help_text).add_arguments = add_arguments
     return parser
 
 

@@ -95,6 +95,11 @@ def _nonnegative(what: str, value: float) -> float:
     return float(value)
 
 
+def _fmt(x) -> str:
+    """x in a CSV cell: the shortest repr that reads back as the same float."""
+    return repr(float(x))
+
+
 def _finite_entries(what: str, value) -> np.ndarray:
     """value as a float array, or GameConfigError when an entry is not finite."""
     arr = np.asarray(value, dtype=float)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .games import GameSpec, PayoffEnvironment, QuadraticGame, _integer, resolve_game
+from .games import GameSpec, PayoffEnvironment, QuadraticGame, _fmt, _integer, resolve_game
 from .learner import DivergenceError, _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules, validate_schedules
 
@@ -89,10 +89,6 @@ class MetricsTable:
     err_dual_sq: np.ndarray | None = field(default=None, repr=False)
     raw_csv: Path | None = None
     agg_csv: Path | None = None
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def write_raw_csv(table: MetricsTable, path: Path, sched: Schedules):
@@ -246,7 +242,9 @@ def fit_rate(t, err, t_min: float, t_max: float) -> RateFit:
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    # a flat series is fit exactly; its ss_tot need not be 0.0, as the mean
+    # of equal logs can be off by an ulp
+    r_squared = 1.0 if (y == y[0]).all() else 1.0 - ss_res / ss_tot
     return RateFit(float(slope), float(intercept), float(t_min), float(t_max),
                    float(r_squared))
 

@@ -16,10 +16,14 @@ learner, and the harness measures the errors.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .games import PayoffEnvironment, _integer, _positive
-from .schedules import Schedules
+
+if TYPE_CHECKING:  # annotations only; harness loads schedules when a run needs them
+    from .schedules import Schedules
 
 __all__ = [
     "DivergenceError",
@@ -30,6 +34,8 @@ __all__ = [
 
 # steps of Gaussian draws taken ahead per seed; bounds the (steps, R, D) buffer
 _DRAW_CHUNK = 1024
+# the largest horizon: past it a float no longer holds every step count exactly
+_MAX_T = 2**53
 
 
 class DivergenceError(ArithmeticError):
@@ -77,9 +83,11 @@ def checkpoints(T: int, record_every) -> np.ndarray:
     An integer k records every k-th step (plus the final one); the default
     "log" cadence uses about 200 log-spaced steps, always including the
     first step, the powers of ten, and the final step. T and k are counts
-    >= 1 (games._integer), else ValueError.
+    >= 1 (games._integer) and T is at most 2**53, else ValueError.
     """
     T = _integer("T", T, 1)
+    if T > _MAX_T:
+        raise ValueError(f"T must be at most 2**53 = {_MAX_T}, got {T}")
     if record_every == "log":
         pts = np.geomspace(1, T, num=min(T, 200))
         decades = 10 ** np.arange(len(str(T)))  # exact; np.log10(10**15 - 1) is 15.0

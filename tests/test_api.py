@@ -1,9 +1,11 @@
 import ast
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
+from conftest import fresh_python
 
 import gnezero
 
@@ -90,3 +92,49 @@ def test_only_the_monte_carlo_pass_draws():
                        for node in ast.walk(func)):
                     callers.add((path.name, func.name))
     assert callers == {("diagnostics.py", "_moments")}
+
+
+# the names `from gnezero import *` has given since the package began exporting
+EXPORTS = (
+    "extended_pseudo_gradient", "CheckCase", "CheckReport", "SmoothingProbe",
+    "drift_spread_report", "dual_perturbation_stats", "estimator_second_moment",
+    "path_drift_ratios", "regularization_path_report", "smoothing_bias_stats",
+    "ConstraintSet", "DimensionMismatchError", "GameConfigError", "GameSpec",
+    "InfeasibleConstraintsError", "JointAction", "PayoffEnvironment", "QuadraticGame",
+    "SoftplusQuadraticGame", "builtin_game", "game_from_config", "load_game",
+    "paper_example", "probe_lipschitz", "probe_monotonicity", "random_quadratic_game",
+    "resolve_game", "softplus_game", "ExperimentConfig", "MetricsTable", "RateFit",
+    "emit_plot_script", "fit_rate", "reproduce_fig1", "run_experiment", "DivergenceError",
+    "checkpoints", "run", "two_point_estimate", "OracleSolution", "SolverError",
+    "solve_regularized_path", "solve_regularized_vi", "solve_vgne", "solve_vi_extragradient",
+    "ScheduleError", "ScheduleReport", "Schedules", "validate_schedules",
+)
+
+_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+import gnezero, gnezero.cli
+
+WATCHED = ("gnezero.diagnostics", "gnezero.harness", "gnezero.schedules",
+           "multiprocessing", "concurrent.futures.process")
+seen = {"dir": dir(gnezero)}
+seen["import"] = [m for m in WATCHED if m in sys.modules]
+for argv in (["oracle"], ["oracle", "--eps", "0.1"],
+             ["learn", "--T", "20", "--num-seeds", "2", "--outdir", sys.argv[1]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gnezero.cli.main(argv) == 0, argv
+    seen[argv[0]] = [m for m in WATCHED if m in sys.modules]
+namespace = {}
+exec("from gnezero import *", namespace)
+seen["star"] = sorted(namespace)
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # a fresh interpreter: this test process has loaded every module
+    seen = json.loads(fresh_python("-c", _IMPORTS_SCRIPT, str(tmp_path)))
+    assert seen["import"] == []  # neither the pool nor a module no command needs yet
+    assert seen["oracle"] == []
+    assert seen["learn"] == ["gnezero.harness", "gnezero.schedules"]
+    assert set(EXPORTS) <= set(seen["dir"])
+    assert set(EXPORTS) <= set(seen["star"])

@@ -140,6 +140,11 @@ _BAD_GAME_FILES = {
     ["learn", "--label", "a/b", "--T", "10"],
     # a row with one column where the header has two
     ["rate-fit", "--csv", "{tmp}/ragged.csv"],
+    # a horizon past 2**53, where a float no longer counts every step
+    ["learn", "--T", "100000000000000000000"],
+    ["reproduce-fig1", "--T", "100000000000000000000"],
+    pytest.param(["learn", "--T", "1" + "0" * 400], id="learn --T 400-digits"),
+    pytest.param(["reproduce-fig1", "--T", "1" + "0" * 400], id="reproduce-fig1 --T 400-digits"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_input_errors_print_one_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "nan_agg.csv").write_text(
@@ -321,7 +326,7 @@ def test_diagnose_failed_case_exits_1_after_the_report(monkeypatch, capsys):
     def failing_reports(game, probe, checks):
         return [CheckReport("dual-perturbation", (CheckCase("forced", 2.0, 1.0, False),))]
 
-    monkeypatch.setattr(gnezero.cli.diag, "_probe_reports", failing_reports)
+    monkeypatch.setattr(gnezero.diagnostics, "_probe_reports", failing_reports)
     rc = main(["diagnose", "--checks", "dual-perturbation"])
     captured = capsys.readouterr()
     assert rc == 1

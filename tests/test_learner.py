@@ -330,6 +330,11 @@ def test_checkpoints_grids():
     for T, record_every in ((10, 2.7), (10, "5"), (10.5, 1), (True, 1), (10, False)):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             checkpoints(T, record_every)
+    # a float counts every step up to 2**53, the largest horizon
+    assert checkpoints(2**53, "log")[-1] == 2**53
+    for T in (2**53 + 1, 10**20, 10**400):
+        with pytest.raises(ValueError, match=r"T must be at most 2\*\*53"):
+            checkpoints(T, "log")
 
 
 def test_update_decomposition_identity(paper_game, feedback_log):
