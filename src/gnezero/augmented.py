@@ -30,7 +30,10 @@ def _operator(game: GameSpec, eps: float):
     F(z) = B z + c + [h(a); 0] with a = z[:D], B = [[P, K'], [-K, eps I]],
     c = [q; l] and h the game's _nonaffine_gradient: primal block M(a) + K' lam
     for the pseudo-gradient M = P a + q + h, dual block -(K a - l) + eps lam.
-    Where h is None, F is one matvec. F leaves z alone and returns a new array.
+    Where h is None, F is one matvec. F leaves z alone and returns a new
+    array, which the extragradient loop then overwrites in place. The
+    matvec is B.dot(z), the same BLAS gemv as B @ z at half the dispatch
+    cost on these short vectors.
     """
     K, l = game.constraints.K, game.constraints.l
     n, D = K.shape
@@ -42,10 +45,10 @@ def _operator(game: GameSpec, eps: float):
     c = np.concatenate([game.q, l])
     h = game._nonaffine_gradient
     if h is None:
-        return lambda z: B @ z + c
+        return lambda z: B.dot(z) + c
 
     def F(z: np.ndarray) -> np.ndarray:
-        out = B @ z + c
+        out = B.dot(z) + c
         out[:D] += h(z[:D])
         return out
 

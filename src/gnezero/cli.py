@@ -47,11 +47,9 @@ def _record_every(text: str):
 
 def _oracle_csv_lines(sol) -> list[str]:
     lines = ["key,value"]
-    a = sol.primal.flat
-    for k in range(a.shape[0]):
-        lines.append(f"a[{k}],{_fmt(a[k])}")
-    for j in range(sol.dual.shape[0]):
-        lines.append(f"lambda[{j}],{_fmt(sol.dual[j])}")
+    # one tolist() per vector: Python floats, whose repr is _fmt's text
+    lines += [f"a[{k}],{_fmt(x)}" for k, x in enumerate(sol.primal.flat.tolist())]
+    lines += [f"lambda[{j}],{_fmt(x)}" for j, x in enumerate(sol.dual.tolist())]
     lines.append("active_set," + ";".join(str(j) for j in sol.active_set))
     lines.append(f"stationarity_residual,{_fmt(sol.stationarity_residual)}")
     lines.append(f"complementarity_residual,{_fmt(sol.complementarity_residual)}")
@@ -73,8 +71,8 @@ def cmd_oracle(args) -> int:
         kind = "variational equilibrium"
     print(f"game: {game.name}")
     print(f"{kind}:")
-    print(f"  a* = [{', '.join(f'{x:.12g}' for x in sol.primal.flat)}]")
-    print(f"  lambda* = [{', '.join(f'{x:.12g}' for x in sol.dual)}]")
+    print(f"  a* = [{', '.join(f'{x:.12g}' for x in sol.primal.flat.tolist())}]")
+    print(f"  lambda* = [{', '.join(f'{x:.12g}' for x in sol.dual.tolist())}]")
     print(f"  active set: {list(sol.active_set)}")
     print(f"  stationarity residual: {sol.stationarity_residual:.3e}")
     print(f"  complementarity residual: {sol.complementarity_residual:.3e}")

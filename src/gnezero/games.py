@@ -58,9 +58,10 @@ class DimensionMismatchError(ValueError):
 class InfeasibleConstraintsError(ValueError):
     """Slater's condition fails: no a has K a < l.
 
-    Raised when Lemke's method on LCP(K K', l - delta 1) ends on a ray, which
-    proves {a : K a <= l - delta 1} empty, hits its pivot cap, or returns a
-    point whose worst margin is not below -1e-9 (1 + ||l||).
+    Raised when Lemke's method on LCP(K K', l - delta 1) ends on a ray whose
+    direction y in lam is a Farkas vector, which proves
+    {a : K a <= l - delta 1} empty (_is_farkas_vector), or returns a point
+    whose worst margin is not below -1e-9 (1 + ||l||).
     """
 
 
@@ -135,6 +136,16 @@ class JointAction:
         return JointAction, (self.flat,)
 
 
+def _is_farkas_vector(K: np.ndarray, r: np.ndarray, y: np.ndarray) -> bool:
+    """Whether y proves {a : K a <= r} empty: y >= 0, K'y = 0 and r'y < 0.
+
+    K'y = 0 is checked to ||K'y|| <= 1e-9 ||K|| ||y||. Summing y_j (K a - r)_j
+    <= 0 over the rows gives 0 <= r'y for every a in the set.
+    """
+    return bool((y >= 0.0).all() and r.dot(y) < 0.0 and np.linalg.norm(K.T.dot(y))
+                <= 1e-9 * np.linalg.norm(K) * np.linalg.norm(y))
+
+
 class ConstraintSet:
     """Shared affine constraints g(a) = K a - l <= 0.
 
@@ -144,10 +155,12 @@ class ConstraintSet:
     delta = 1e-6 (1 + ||l||). Its minimal-norm point is a = -K' y, where y
     solves LCP(K K', l - delta 1); the check accepts that a when its worst
     margin is below -1e-9 (1 + ||l||). Lemke's method ending on a ray
-    proves the set empty. K is kept C-ordered: OpenBLAS can round a product
-    X @ K.T with a Fortran-ordered K differently in small batches than in
-    large ones, which would make a row block's constraint values differ from
-    the whole batch's.
+    proves the set empty when the ray's direction checks out as a Farkas
+    vector; any other failure of the pivoting raises SolverError, as
+    Slater's condition is then undecided. K is kept C-ordered: OpenBLAS can
+    round a product X @ K.T with a Fortran-ordered K differently in small
+    batches than in large ones, which would make a row block's constraint
+    values differ from the whole batch's.
     """
 
     def __init__(self, K, l):
@@ -167,8 +180,12 @@ class ConstraintSet:
         try:
             y = _lemke(self.K @ self.K.T, self.l - delta)
         except SolverError as err:
-            raise InfeasibleConstraintsError(
-                f"Slater's condition fails for K a <= l - {delta:.1e}: {err}") from None
+            if err.ray is not None and _is_farkas_vector(self.K, self.l - delta, err.ray):
+                raise InfeasibleConstraintsError(
+                    f"Slater's condition fails for K a <= l - {delta:.1e}: {err}, whose "
+                    "direction y >= 0 has K'y = 0 and (l - delta 1)'y < 0") from None
+            raise SolverError(f"Slater's condition is undecided: complementary pivoting "
+                              f"failed ({err})") from None
         worst = float(np.max(self.value(-self.K.T @ y), initial=-np.inf))
         if worst >= -1e-9 * scale:
             raise InfeasibleConstraintsError(
@@ -612,6 +629,8 @@ def game_from_config(cfg: dict) -> GameSpec:
                   for key in ("A", "b", "K", "l"))
     if players != len(dims):
         raise GameConfigError(f"players={players} but dims has {len(dims)} entries")
+    if K.shape == (0,):  # "K": [] is JSON's only spelling of no shared constraints
+        K = K.reshape(0, sum(dims))
     cs = ConstraintSet(K, l)
     return QuadraticGame(A, b, cs, dims=dims, name=str(cfg.get("name", "config-game")))
 

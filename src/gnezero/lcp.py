@@ -6,7 +6,15 @@ import numpy as np
 
 
 class SolverError(RuntimeError):
-    """A solver could not produce a solution satisfying its checks."""
+    """A solver could not produce a solution satisfying its checks.
+
+    ray is None, or, where Lemke's method ended on a ray, the ray's
+    direction in lam: a vector (n,) along which the multipliers grow.
+    """
+
+    def __init__(self, message: str, ray: np.ndarray | None = None):
+        super().__init__(message)
+        self.ray = ray
 
 
 def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -24,12 +32,12 @@ def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
       symmetric when P has a skew part;
     - the projector Pi onto a null space in the oracle's minimal-norm
       multiplier: symmetric positive semidefinite.
-    For M of these kinds the callers read ray termination as proof that the
-    LCP has no solution. That reading is not taken for other monotone M: the
+    Ray termination is not read as proof that the LCP has no solution: the
     skew-symmetric KKT LCP of a small feasible LP (max t subject to
     K x + t 1 <= l, t <= 1, in nonnegative parts) has ended on a ray
     although the LP has an optimum, because of the order of its degenerate
-    pivots. SolverError is raised on a ray and at the pivot cap.
+    pivots. SolverError is raised on a ray, carrying the ray's direction in
+    lam for a caller to check as a certificate, and at the pivot cap.
     """
     n = r.shape[0]
     if n == 0 or r.min() >= 0.0:
@@ -42,7 +50,8 @@ def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     def lex_min_row(rows, denom):
         for c in (rhs, *range(n)):
             ratios = T[rows, c] / denom[rows]
-            rows = rows[ratios <= ratios.min() + 1e-12 * max(1.0, abs(ratios.min()))]
+            least = ratios.min()
+            rows = rows[ratios <= least + 1e-12 * max(1.0, abs(least))]
             if rows.size == 1:
                 break
             if c == rhs and z0 in basis[rows]:
@@ -52,7 +61,7 @@ def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     row, entering = lex_min_row(np.arange(n), np.ones(n)), z0
     for _ in range(50 * (n + 1)):  # no basis repeats; the cap guards round-off
         pivot_row = T[row] / T[row, entering]
-        T -= np.outer(T[:, entering], pivot_row)
+        T -= T[:, entering, None] * pivot_row
         T[row] = pivot_row
         leaving, basis[row] = basis[row], entering
         if leaving == z0:
@@ -61,8 +70,11 @@ def _lemke(M: np.ndarray, r: np.ndarray) -> np.ndarray:
             return np.maximum(values[n:z0], 0.0)
         entering = leaving + n if leaving < n else leaving - n
         col = T[:, entering]
-        rows = np.flatnonzero(col > 1e-12 * max(1.0, float(np.abs(col).max())))
+        rows = (col > 1e-12 * max(1.0, float(np.abs(col).max()))).nonzero()[0]
         if rows.size == 0:
-            raise SolverError("complementary pivoting ended on a ray: the LCP has no solution")
+            # the entering variable grows without bound, the basic ones by -col
+            ray = np.zeros(rhs)
+            ray[basis], ray[entering] = -col, 1.0
+            raise SolverError("complementary pivoting ended on a ray", ray=ray[n:z0])
         row = lex_min_row(rows, col)
     raise SolverError("complementary pivoting did not terminate")

@@ -268,26 +268,39 @@ def solve_vi_extragradient(game: GameSpec, eps: float, tol: float = 1e-8) -> Ora
     F = _operator(game, eps)
     lo = np.concatenate([np.full(D, -np.inf), np.zeros(n)])
     z = np.zeros(D + n)
+    # numpy's per-call dispatch, not arithmetic, sets the cost on vectors
+    # this short: every step writes into a buffer allocated once, in the
+    # order of the allocating expressions, and x.dot(x) stands in for the
+    # dearer x @ x
+    d, y, dz, w = (np.empty(D + n) for _ in range(4))
+    da, dlam = d[:D], d[D:]
     residual = np.inf
     for _ in range(_MAX_ITER):
-        Fz = F(z)
-        d = z - np.maximum(z - tau0 * Fz, lo)
-        da, dlam = d[:D], d[D:]
-        residual = math.sqrt(_finite(da @ da)) + math.sqrt(dlam @ dlam)
+        Fz = F(z)  # a new array, free to overwrite
+        np.multiply(tau0, Fz, out=d)
+        np.subtract(z, d, out=d)
+        np.maximum(d, lo, out=d)
+        np.subtract(z, d, out=d)
+        residual = math.sqrt(_finite(da.dot(da))) + math.sqrt(dlam.dot(dlam))
         if residual <= tol * tau0:
             break
         while True:
-            y = np.maximum(z - tau * Fz, lo)
-            dF = F(y) - Fz
-            dz = y - z
-            if tau * tau * _finite(dF @ dF) <= _STEP_THETA ** 2 * (dz @ dz):
+            np.multiply(tau, Fz, out=y)
+            np.subtract(z, y, out=y)
+            np.maximum(y, lo, out=y)
+            dF = F(y)
+            np.subtract(dF, Fz, out=dF)
+            np.subtract(y, z, out=dz)
+            if tau * tau * _finite(dF.dot(dF)) <= _STEP_THETA ** 2 * dz.dot(dz):
                 break
             tau *= _STEP_SHRINK
             if tau < _STEP_FLOOR * tau0:
                 raise SolverError(
                     f"step fell below {_STEP_FLOOR:g} of the reference step {tau0:.3e}: "
                     "the pseudo-gradient is not locally Lipschitz here")
-        z = np.maximum(y - tau * dF, lo)
+        np.multiply(tau, dF, out=w)
+        np.subtract(y, w, out=z)
+        np.maximum(z, lo, out=z)
         tau *= _STEP_GROW
     else:
         raise SolverError(

@@ -112,6 +112,24 @@ def test_stacked_operator_matches_the_block_formula(eps):
             assert np.array_equal(extended_pseudo_gradient(game, a, lam, eps), got)
 
 
+@pytest.mark.parametrize("build", [paper_example, lambda: softplus_game(0)],
+                         ids=["paper-example", "softplus-0"])
+def test_operator_returns_a_fresh_array(build):
+    # the extragradient loop overwrites F's result in place, so F must not
+    # hand back z, a view of it, or storage it returned before
+    game = build()
+    F = _operator(game, 0.1)
+    z = np.linspace(-1.0, 1.0, game.D + game.constraints.num_constraints)
+    kept = z.copy()
+    first, second = F(z), F(z)
+    assert np.array_equal(z, kept)
+    for out in (first, second):
+        assert not np.may_share_memory(out, z)
+    assert not np.may_share_memory(first, second)
+    first[:] = np.nan  # writing into one result leaves the next alone
+    assert np.array_equal(F(z), second)
+
+
 def test_primal_block_cases(paper_game):
     # the first D coordinates are the primal block, the last n the dual one
     w = extended_pseudo_gradient(paper_game, [0.0, 1.0], [1.0])

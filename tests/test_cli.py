@@ -7,6 +7,8 @@ from conftest import fresh_python
 import gnezero.cli
 from gnezero.cli import main
 from gnezero.diagnostics import CheckCase, CheckReport
+from gnezero.games import random_quadratic_game
+from gnezero.oracles import solve_vgne
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +307,28 @@ def test_diagnose_all_on_a_nonquadratic_game_skips_the_quadratic_checks(capsys):
     assert "estimator-mean needs a quadratic game; skipping" in captured.err
     checks = {line.split(",", 1)[0] for line in captured.out.splitlines()[1:]}
     assert checks == {"dual-perturbation", "second-moment-growth", "smoothing-bias-order"}
+
+
+def test_a_json_game_without_shared_constraints_runs(tmp_path, capsys):
+    # n = 0 is written "K": [], "l": [] by tolist(), which reads back as shape (0,)
+    game = random_quadratic_game(1, dims=[1, 1], num_constraints=0)
+    path = tmp_path / "no_constraints.json"
+    path.write_text(json.dumps({
+        "name": game.name, "players": game.num_players, "dims": list(game.dims),
+        "A": game.A.tolist(), "b": game.b.tolist(),
+        "K": game.constraints.K.tolist(), "l": game.constraints.l.tolist()}))
+    assert '"K": [], "l": []' in path.read_text()
+    rc, out = run_cli(capsys, "oracle", "--game", str(path))
+    assert rc == 0
+    rows = dict(line.split(",", 1) for line in out.splitlines() if "," in line)
+    assert [float(rows[f"a[{k}]"]) for k in range(2)] == solve_vgne(game).primal.flat.tolist()
+    assert not any(key.startswith("lambda[") for key in rows)
+    rc, _ = run_cli(capsys, "learn", "--game", str(path), "--T", "200", "--num-seeds", "1",
+                    "--outdir", str(tmp_path))
+    assert rc == 0
+    rc, _ = run_cli(capsys, "diagnose", "--game", str(path), "--checks", "all",
+                    "--num-samples", "2000")
+    assert rc == 0
 
 
 def test_diagnose_on_a_constraint_that_never_binds(tmp_path, capsys):

@@ -25,6 +25,7 @@ from gnezero.games import (
     random_quadratic_game,
     softplus_game,
 )
+from gnezero.lcp import SolverError, _lemke
 from gnezero.oracles import solve_regularized_vi, solve_vgne
 
 from conftest import central_difference_gradient
@@ -464,6 +465,30 @@ def test_zero_row_with_negative_offset_raises():
     # row 0 asks 0 <= -0.5
     with pytest.raises(InfeasibleConstraintsError):
         ConstraintSet([[0.0, 0.0], [1.0, 0.0]], [-0.5, 1.0])
+
+
+def test_lemke_ray_carries_a_farkas_direction():
+    # x <= -1 and -x <= 0: y = (1, 1) sums the rows to 0 <= -1
+    K, r = np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0])
+    with pytest.raises(SolverError, match="^complementary pivoting ended on a ray$") as err:
+        _lemke(K @ K.T, r)
+    y = err.value.ray
+    assert y.shape == (2,) and games._is_farkas_vector(K, r, y)
+
+
+# -x <= 1 and x <= 1 is feasible; each direction fails one of the three
+# conditions: y >= 0, K'y = 0, (l - delta 1)'y < 0; None is the pivot cap
+@pytest.mark.parametrize("ray", [np.array([-1.0, -1.0]), np.array([1.0, 0.0]),
+                                 np.array([1.0, 1.0]), None],
+                         ids=["negative", "K'y-nonzero", "l'y-positive", "no-ray"])
+def test_a_ray_without_a_certificate_raises_solver_error(monkeypatch, ray):
+    def failing_lemke(M, r):
+        raise SolverError("complementary pivoting ended on a ray", ray=ray)
+
+    monkeypatch.setattr(games, "_lemke", failing_lemke)
+    with pytest.raises(SolverError, match="undecided: complementary pivoting failed") as err:
+        ConstraintSet([[-1.0], [1.0]], [1.0, 1.0])
+    assert not isinstance(err.value, InfeasibleConstraintsError)
 
 
 def test_random_quadratic_game_draws_are_pinned():

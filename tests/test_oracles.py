@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gnezero import oracles
-from gnezero.augmented import extended_pseudo_gradient
+from gnezero.augmented import _operator, extended_pseudo_gradient
 from gnezero.games import (
     ConstraintSet,
     QuadraticGame,
@@ -306,6 +307,67 @@ def test_extragradient_pseudo_gradient_calls_are_pinned(monkeypatch, build, eps,
     monkeypatch.setattr(oracles, "_operator", counted_operator)
     solve_vi_extragradient(game, eps)
     assert count[0] == calls
+
+
+def _allocating_fbf(game, eps, tol=1e-8):
+    """solve_vi_extragradient's loop with a new array per step: (z, F(z), F calls).
+
+    The solver runs the same steps on buffers allocated once per solve; this
+    copy of the loop as written before pins that its answers stay bit-equal.
+    """
+    K = game.constraints.K
+    D, n = game.D, K.shape[0]
+    tau0 = 1.0 / (2.0 * (game.lipschitz() + float(np.linalg.norm(K, 2)) + eps))
+    tau, F, calls = oracles._STEP_START * tau0, _operator(game, eps), 0
+    lo = np.concatenate([np.full(D, -np.inf), np.zeros(n)])
+    z = np.zeros(D + n)
+    for _ in range(oracles._MAX_ITER):
+        Fz = F(z)
+        calls += 1
+        d = z - np.maximum(z - tau0 * Fz, lo)
+        da, dlam = d[:D], d[D:]
+        if math.sqrt(da @ da) + math.sqrt(dlam @ dlam) <= tol * tau0:
+            return z, Fz, calls
+        while True:
+            y = np.maximum(z - tau * Fz, lo)
+            dF = F(y) - Fz
+            calls += 1
+            dz = y - z
+            if tau * tau * (dF @ dF) <= oracles._STEP_THETA ** 2 * (dz @ dz):
+                break
+            tau *= oracles._STEP_SHRINK
+        z = np.maximum(y - tau * dF, lo)
+        tau *= oracles._STEP_GROW
+    raise AssertionError("the allocating loop did not converge")
+
+
+@pytest.mark.parametrize("build, eps", [
+    (paper_example, 0.1),
+    (lambda: softplus_game(0), 0.1),
+    *[(lambda n=n: random_quadratic_game(n, dims=[2] * 12, num_constraints=n), 1e-3)
+      for n in range(2, 13)],
+], ids=["paper-example", "softplus-0", *[f"random-n{n}" for n in range(2, 13)]])
+def test_extragradient_buffers_match_the_allocating_loop(monkeypatch, build, eps):
+    game = build()
+    D, n = game.D, game.constraints.num_constraints
+    z, Fz, calls = _allocating_fbf(game, eps)
+    count = [0]
+
+    def counted_operator(game, eps):
+        F = _operator(game, eps)
+
+        def counted(z):
+            count[0] += 1
+            return F(z)
+
+        return counted
+
+    monkeypatch.setattr(oracles, "_operator", counted_operator)
+    sol = solve_vi_extragradient(game, eps)
+    assert count[0] == calls
+    assert np.array_equal(sol.primal.flat, z[:D]) and np.array_equal(sol.dual, z[D:])
+    assert sol.stationarity_residual == float(np.linalg.norm(Fz[:D]))
+    assert sol.complementarity_residual == (float(np.max(np.abs(z[D:] * Fz[D:]))) if n else 0.0)
 
 
 def test_extragradient_calls_no_pseudo_gradient_on_a_quadratic_game():
