@@ -213,12 +213,12 @@ class GameSpec:
     indices are 0-based. The pseudo-gradient is P a + q + h(a): the block-i
     rows of P are the block-i rows of the symmetrized A_i, q's block i is
     b_i's block i, and h is `_nonaffine_gradient(x)` on (..., D) points, or
-    None. A family with a term r beyond the quadratic part extends `_costs`
-    and sets h. All state is fixed at construction; instances are safe to
-    share across threads.
+    None. A family with a term r beyond the quadratic part sets h and
+    `_nonquadratic_costs(points)`, r at (P, D) points. All state is fixed at
+    construction; instances are safe to share across threads.
     """
 
-    _nonaffine_gradient = None
+    _nonaffine_gradient = _nonquadratic_costs = None
 
     def __init__(self, A, b, constraints: ConstraintSet, dims=None, name: str = "game"):
         A, b = _finite_entries("cost A", A), _finite_entries("cost b", b)
@@ -249,33 +249,50 @@ class GameSpec:
             self.q[sl] = b[i, sl]
         self.A, self.b = A, b
         self._A_flat = A.reshape(N * D, D)  # the stack of multi-point cost evaluation
+        self._A_flatT, self._bT = self._A_flat.T, b.T
         self._lipschitz = None
 
-    def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
-        """Quadratic part of every player's cost at each row of points; returns (P, N).
+    def _cost_work(self, rows: int, einsum: bool = False) -> tuple:
+        """Buffers _costs writes for `rows` points: AX (rows, N D) and its (rows, N, D)
+        view, the elementwise product (None with einsum) and two (rows, N) results."""
+        AX = np.empty((rows, self.num_players * self.D))
+        AX3 = AX.reshape(rows, self.num_players, self.D)
+        return (AX, AX3, None if einsum else np.empty_like(AX3),
+                np.empty((rows, self.num_players)), np.empty((rows, self.num_players)))
+
+    def _costs(self, points: np.ndarray, einsum: bool = False, work=None) -> np.ndarray:
+        """Every player's cost at each row of points; returns (P, N).
 
         By default a'A_i a is an elementwise (P, N, D) product summed over D, as
-        costs_at and so the learner take it. With einsum (the Monte Carlo pass
-        of the diagnostics) it is contracted in one np.einsum pass, which forms no
-        (P, N, D) temporary. At D = 2 both round the same; at D >= 3 einsum adds
-        in another order, so the results differ in the last bits. Either way a
-        row's value does not depend on the other rows of the batch. einsum does
-        not report overflow or invalid values to np.errstate, so a row whose
-        einsum result is not finite is computed again with the product and sum,
-        which gives the default's values and raises or warns as the caller's
-        errstate says. A floating-point error that leaves a row's einsum result
-        finite, such as an underflow, goes unreported.
+        costs_at and PayoffEnvironment.feedback take it. With einsum (the Monte
+        Carlo pass of the diagnostics) it is contracted in one np.einsum pass,
+        which forms no (P, N, D) product. At D = 2 both round the same; at D >= 3
+        einsum adds in another order, so the results differ in the last bits.
+        Either way a row's value does not depend on the other rows of the batch.
+        einsum does not report overflow or invalid values to np.errstate, so a
+        row whose einsum result is not finite is computed again with the product
+        and sum, which gives the default's values and raises or warns as the
+        caller's errstate says. A floating-point error that leaves a row's einsum
+        result finite, such as an underflow, goes unreported. The results are
+        written into work, _cost_work's buffers for P rows, and the returned
+        array is one of them; without work they are allocated for this call.
+        A family's _nonquadratic_costs(points) (P, N), if any, is added last.
         """
-        AX3 = (points @ self._A_flat.T).reshape(points.shape[0], self.num_players, self.D)
+        AX, AX3, prod, quad, bX = self._cost_work(len(points), einsum) if work is None else work
+        np.matmul(points, self._A_flatT, out=AX)
         if not einsum:
-            quad = (AX3 * points[:, None, :]).sum(axis=2)
+            np.add.reduce(np.multiply(AX3, points[:, None, :], out=prod), axis=2, out=quad)
         else:
-            quad = np.einsum("pnd,pd->pn", AX3, points)
+            np.einsum("pnd,pd->pn", AX3, points, out=quad)
             finite = np.isfinite(quad)
             if not finite.all():  # all(axis=1) alone would cost a third of the einsum
                 bad = ~finite.all(axis=1)
                 quad[bad] = (AX3[bad] * points[bad, None, :]).sum(axis=2)
-        return 0.5 * quad + points @ self.b.T
+        np.multiply(0.5, quad, out=quad)
+        np.add(quad, np.matmul(points, self._bT, out=bX), out=quad)
+        if self._nonquadratic_costs is not None:
+            quad += self._nonquadratic_costs(points)
+        return quad
 
     def costs_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every player's cost at each row of `points`; returns (P, N).
@@ -387,9 +404,8 @@ class SoftplusQuadraticGame(GameSpec):
             raise GameConfigError(f"cost delta must be >= 0 for a convex ridge, got {self.delta}")
         self.beta = _positive("beta", beta)
 
-    def _costs(self, points: np.ndarray, einsum: bool = False) -> np.ndarray:
-        ridge = self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
-        return super()._costs(points, einsum) + ridge
+    def _nonquadratic_costs(self, points: np.ndarray) -> np.ndarray:
+        return self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
 
     def _nonaffine_gradient(self, x: np.ndarray) -> np.ndarray:
         # coordinate j of player i: delta_i w_ij (softplus_beta^2)'(u_i), u_i = w_i' x
@@ -404,9 +420,13 @@ class PayoffEnvironment:
 
     A learner sees the game only through this view: the player dims, the
     constraint count and feedback. feedback evaluates the costs with
-    costs_at. The Monte Carlo pass of the diagnostics evaluates them itself,
-    with the einsum contraction of GameSpec._costs, on worker threads, and
-    adds the multiplier term through _lagrangian, the one copy of the payoff
+    GameSpec._costs into buffers bound to the last X it was passed; called
+    again with that same array (a caller's buffer rewritten in place), it
+    reuses them, and any other X binds new ones. So one instance does not
+    serve concurrent feedback calls, and a pickled one carries no buffers.
+    The Monte Carlo pass of the diagnostics evaluates the costs itself, with
+    the einsum contraction of GameSpec._costs, on worker threads, and adds
+    the multiplier term through _lagrangian, the one copy of the payoff
     formula.
     """
 
@@ -416,24 +436,40 @@ class PayoffEnvironment:
         self._l = game.constraints.l
         self.dims = game.dims
         self.num_constraints = game.constraints.num_constraints
+        self._X = self._bound = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "_X": None, "_bound": None}
 
     def feedback(self, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every player's Lagrangian payoff and the constraint values at each joint action.
 
         X holds joint actions along its last axis: a (P, D) batch, or an
         (R, P, D) stack of such batches with one multiplier row per batch in
-        lam (R, n). Returns U (..., P, N) with U[..., p, i] = J^i(X[..., p]) +
-        lam'g(X[..., p]) and g (..., P, n) with g[..., p] = K X[..., p] - l.
-        These opaque values are the only information that crosses from the
-        game to the players.
+        lam (R, n). Returns new arrays U (..., P, N) with U[..., p, i] =
+        J^i(X[..., p]) + lam'g(X[..., p]) and g (..., P, n) with g[..., p] =
+        K X[..., p] - l. These opaque values are the only information that
+        crosses from the game to the players.
         """
-        costs = self._game.costs_at(X.reshape(-1, X.shape[-1])).reshape(
-            X.shape[:-1] + (self._game.num_players,))
-        return self._lagrangian(costs, X, lam)
+        if X is not self._X:
+            X2 = np.asarray(X, dtype=float).reshape(-1, X.shape[-1])
+            if X2.shape[1] != self._game.D:
+                raise DimensionMismatchError("points", self._game.D, X2.shape[1])
+            self._X = X if np.may_share_memory(X, X2) else None  # a copy is not X's view
+            self._bound = (X2, self._game._cost_work(len(X2)), X.shape[:-1] + (len(self.dims),),
+                           self._K.T, np.empty((len(X2), self.num_constraints)),
+                           X.shape[:-1] + (self.num_constraints,))
+        X2, work, cost_shape, KT, KX, g_shape = self._bound
+        costs = self._game._costs(X2, work=work).reshape(cost_shape)
+        return self._lagrangian(costs, X, lam, np.matmul(X2, KT, out=KX).reshape(g_shape))
 
-    def _lagrangian(self, costs: np.ndarray, X: np.ndarray, lam: np.ndarray):
-        """(U, g) of feedback from the costs J(X) (..., P, N) at the joint actions X."""
-        g = X @ self._K.T - self._l
+    def _lagrangian(self, costs: np.ndarray, X: np.ndarray, lam: np.ndarray, KX=None):
+        """(U, g) of feedback from the costs J(X) (..., P, N) at the joint actions X.
+
+        KX, when given, is the product X K' of X's shape, which feedback forms
+        as one 2-D product; it rounds as X @ K' does.
+        """
+        g = (X @ self._K.T if KX is None else KX) - self._l
         return costs + g @ lam[..., None], g
 
 

@@ -9,9 +9,11 @@ primal-dual step with a vanishing Tikhonov term on the dual block. The game
 reaches the learner only as a games.PayoffEnvironment, so no gradients and
 no constraint data cross the feedback boundary. `run` is the one
 implementation of the iteration and steps every seed of an experiment
-together, one payoff batch per step; there is no separate sampling or
-single-step API. It returns iterates only: no reference solution reaches the
-learner, and the harness measures the errors.
+together, one payoff batch per step, in one (R, 2, D) buffer of action
+pairs; the estimate goes through `_two_point`, the unchecked core of
+`two_point_estimate`. There is no separate sampling or single-step API.
+It returns iterates only: no reference solution reaches the learner, and
+the harness measures the errors.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ __all__ = [
     "checkpoints",
 ]
 
-# steps of Gaussian draws taken ahead per seed; bounds the (steps, R, D) buffer
-_DRAW_CHUNK = 1024
+# steps of Gaussian draws and schedule values taken ahead; bounds the (steps,
+# R, D) buffer and the chunk's Python tuples and floats, whose 1,024-step
+# burst raised a 3-seed learn process's peak RSS by about 0.15 MiB
+_DRAW_CHUNK = 256
 # the largest horizon: past it a float no longer holds every step count exactly
 _MAX_T = 2**53
 
@@ -74,7 +78,12 @@ def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
     if mu_i.shape not in (a_i.shape, a_i.shape[-1:]):
         raise ValueError(f"a_i and mu_i must have equal block dimensions, "
                          f"got {a_i.shape} vs {mu_i.shape}")
-    return (u_at_a - u_at_mu) * (a_i - mu_i) / (sigma * sigma)
+    return _two_point(u_at_a - u_at_mu, a_i, mu_i, sigma)
+
+
+def _two_point(du, a_i, mu_i, sigma: float) -> np.ndarray:
+    """two_point_estimate, unchecked, from the payoff difference du = u_at_a - u_at_mu."""
+    return du * (a_i - mu_i) / (sigma * sigma)
 
 
 def checkpoints(T: int, record_every) -> np.ndarray:
@@ -125,7 +134,9 @@ def run(
     (R, 2, D) stack of [a_r; mu_r] pairs and the constraint values in one
     call, and applies the projected primal-dual step with the two-point
     estimate as the primal direction and eps_t * lam_r - g(a_r) as the dual
-    one. Returns the iterates mus (R, k, D) and lams (R, k, n), row r for
+    one. The stack is one buffer, rewritten in place and passed to feedback
+    every step, so the environment reuses the buffers it bound to it.
+    Returns the iterates mus (R, k, D) and lams (R, k, n), row r for
     seeds[r] and column j for the state after step checkpoints(T,
     record_every)[j].
 
@@ -134,9 +145,10 @@ def run(
     list of integers >= 0, and DivergenceError when a checkpoint finds a
     non-finite mean or multiplier, naming the first seed in list order that
     is non-finite there. A schedule whose power t^x overflows the floats
-    raises OverflowError naming the schedule and the step; every seed
-    stops there. Schedules are not checked: that policy is
-    harness.ExperimentConfig's.
+    raises OverflowError naming the schedule and the step, and a sigma_t
+    that is not positive and finite raises two_point_estimate's ValueError;
+    every seed stops there, after the checkpoints of the steps before it.
+    Schedules are not checked: that policy is harness.ExperimentConfig's.
     """
     ts = checkpoints(T, record_every).tolist()
     T = ts[-1]  # the checked int: checkpoints ends at T
@@ -145,7 +157,13 @@ def run(
     R, D = len(seeds), sum(env.dims)
     block_of = np.repeat(np.arange(len(env.dims)), env.dims)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    mu = np.zeros((R, D))  # one row per seed
+    # row r of the (R, 2D) concatenation is [a_r, mu_r]: the (R, 2, D) stack that
+    # feedback evaluates, one buffer for the run. a and mu stay contiguous
+    # arrays of their own, on which a ufunc costs about half of what it costs
+    # on the stack's strided views.
+    pair = np.empty((R, 2, D))
+    pairs = pair.reshape(R, 2 * D)
+    a, mu = np.empty((R, D)), np.zeros((R, D))
     lam = np.zeros((R, env.num_constraints))
     mus = np.empty((R, len(ts), D))
     lams = np.empty((R, len(ts), lam.shape[1]))
@@ -161,20 +179,29 @@ def run(
             xi = np.empty((steps, R, D))
             for r, rng in enumerate(rngs):
                 xi[:, r] = rng.standard_normal((steps, D))
-            for t, xi_t in zip(range(start, start + steps), xi):
-                # scalar calls: numpy's vectorized power can differ from t**g in the last ulp
-                try:
-                    gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
-                except OverflowError:  # t**x grows with x: the largest exponent overflows
-                    x, name = max(zip((sched.g, sched.e, sched.s), ("gamma", "eps", "sigma")))
-                    raise OverflowError(f"the {name} schedule overflows at step {t}: "
-                                        f"t^{x:g} exceeds the largest float") from None
-                a = mu + sigma * xi_t
-                # row r of the (R, 2D) concatenation is [a_r, mu_r]: the (R, 2, D) stack
-                U, g = env.feedback(np.concatenate((a, mu), axis=1).reshape(R, 2, D), lam)
-                U = U.take(block_of, axis=2)  # each player's payoff on each of its coordinates
-                m = two_point_estimate(U[:, 0], U[:, 1], a, mu, sigma)
-                mu = mu - gamma * m
+            # scalar calls, in the order of a step: numpy's vectorized power can
+            # differ from t**g in the last ulp. A step whose schedule overflows,
+            # or whose sigma two_point_estimate would reject, ends the chunk; its
+            # error is raised after the steps before it have run.
+            values, error = [], None
+            try:
+                for t in range(start, start + steps):
+                    values.append((sched.gamma(t), sched.eps(t), sched.sigma(t)))
+            except OverflowError:  # t**x grows with x: the largest exponent overflows
+                x, name = max(zip((sched.g, sched.e, sched.s), ("gamma", "eps", "sigma")))
+                error = OverflowError(f"the {name} schedule overflows at step {t}: "
+                                      f"t^{x:g} exceeds the largest float")
+            sigmas = np.array([v[2] for v in values])
+            valid = (sigmas > 0.0) & (sigmas < np.inf)
+            stop = len(values) if valid.all() else int(np.argmin(valid))
+            xi[:stop] *= sigmas[:stop, None, None]  # sigma_t xi_t
+            for t, (gamma, eps, sigma), sxi in zip(range(start, start + stop), values, xi):
+                np.add(mu, sxi, out=a)
+                np.concatenate((a, mu), axis=1, out=pairs)
+                U, g = env.feedback(pair, lam)
+                # each player's payoff difference on each of its coordinates
+                m = _two_point((U[:, 0] - U[:, 1]).take(block_of, axis=1), a, mu, sigma)
+                mu -= gamma * m
                 lam = np.maximum(lam - gamma * (eps * lam - g[:, 0]), 0.0)  # dual stays >= 0
                 if t == ts[j]:
                     finite = np.isfinite(mu).all(axis=1) & np.isfinite(lam).all(axis=1)
@@ -183,4 +210,8 @@ def run(
                                               ts[j - 1] if j else None)
                     mus[:, j], lams[:, j] = mu, lam
                     j += 1
+            if stop < len(values):
+                _positive("sigma", values[stop][2])  # raises two_point_estimate's ValueError
+            if error is not None:
+                raise error
     return mus, lams

@@ -4,9 +4,10 @@ perfbench/tracing.py wraps package functions by name and skips a class
 attribute that is not defined on its owner (it is wrapped where it is
 defined). A renamed or deleted name would then silently read zero in a
 per-layer metric, so this test fails first. Traced mini-runs pin the
-counts that the payoff boundary feeds: every learner payoff goes through
-GameSpec.costs_at, one row per evaluated joint action, and a learner step
-makes one payoff call for all seeds. The Monte Carlo pass of the
+counts that the payoff boundary feeds: a learner step makes one payoff call
+for all seeds, and PayoffEnvironment.feedback evaluates its costs with
+GameSpec._costs into bound buffers, not through the traced
+GameSpec.costs_at, so learn counts no cost row. The Monte Carlo pass of the
 diagnostics evaluates its costs on worker threads, through no traced
 function, so diagnose counts no payoff call and no cost row. diagnose
 reaches the pass through the untraced diagnostics._probe_reports, not
@@ -79,17 +80,18 @@ def test_traced_diagnose_records_one_span_per_blocked_cost_batch(capsys):
     assert m["games.costs_at_rows"] == 0
 
 
-def test_traced_learn_evaluates_two_rows_per_step(tmp_path, capsys):
+def test_traced_learn_evaluates_no_costs_at_row(tmp_path, capsys):
+    # feedback calls GameSpec._costs itself; test_learner's spy counts its rows
     m = _traced_round(["learn", "--T", "50", "--num-seeds", "1", "--outdir", str(tmp_path)])
     assert m["learner.steps"] == 50
-    assert m["games.costs_at_rows"] == 2 * m["learner.steps"]
+    assert m["games.costs_at_rows"] == 0
 
 
 def test_traced_learn_makes_one_payoff_call_per_step_for_all_seeds(tmp_path, capsys):
     m = _traced_round(["learn", "--T", "50", "--num-seeds", "3", "--outdir", str(tmp_path)])
     assert m["learner.run_calls"] == 1
     assert m["games.payoff_calls"] == 50
-    assert m["games.costs_at_rows"] == 2 * 3 * 50
+    assert m["games.costs_at_rows"] == 0
 
 
 def test_traced_diagnose_all_counts(capsys):

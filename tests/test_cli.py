@@ -257,6 +257,19 @@ def test_schedule_overflow_ends_like_a_divergence(tmp_path, capsys, argv, start,
     assert sorted(p.name for p in tmp_path.iterdir()) == kept
 
 
+def test_a_divergence_at_an_earlier_checkpoint_wins_over_a_schedule_overflow(tmp_path, capsys):
+    # the sigma schedule overflows at step 2, but step 1's checkpoint already
+    # holds a non-finite iterate (G = 1e308), and that is what learn reports
+    rc = main(["learn", "--game", "paper-example", "--G", "1e308", "--S", "1e10",
+               "--s", "1e300", "--T", "10", "--num-seeds", "2", "--allow-invalid-schedules",
+               "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("learn diverged, no CSV written: seed 0: non-finite iterate at step 1 "
+                   "(last finite checkpoint: none)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_learn_allows_override(tmp_path, capsys):
     rc, _ = run_cli(capsys, "learn", "--g", "0.5", "--T", "10",
                     "--outdir", str(tmp_path), "--allow-invalid-schedules")

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from gnezero.games import random_quadratic_game
 from gnezero.harness import (
     ExperimentConfig,
     MetricsTable,
@@ -195,6 +198,27 @@ def test_worker_pool_matches_sequential(tmp_path):
             agg.add((out / "w_agg.csv").read_bytes())
         assert len(raw) == 1  # the raw CSV lists seeds in seed-list order
     assert len(agg) == 1
+
+
+def test_a_d24_json_game_runs_the_same_over_workers_and_batches(tmp_path):
+    # D = 24 with 12 constraints: CSV bytes equal at 1 and 2 workers, and
+    # seed 0's rows equal those of a run of seed 0 alone
+    game = random_quadratic_game(7, dims=[2] * 12, num_constraints=12)
+    path = tmp_path / "d24.json"
+    path.write_text(json.dumps({
+        "name": game.name, "players": game.num_players, "dims": list(game.dims),
+        "A": game.A.tolist(), "b": game.b.tolist(),
+        "K": game.constraints.K.tolist(), "l": game.constraints.l.tolist()}))
+    sched = Schedules(G=0.138)
+    raw = {}
+    for label, seeds, workers in (("w1", range(20), 1), ("w2", range(20), 2), ("alone", [0], 1)):
+        run_experiment(ExperimentConfig(game=str(path), schedules=sched, T=300, seeds=list(seeds),
+                                        outdir=tmp_path, label=label, workers=workers))
+        raw[label] = (tmp_path / f"{label}_raw.csv").read_text().splitlines()
+    assert raw["w1"] == raw["w2"]
+    assert (tmp_path / "w1_agg.csv").read_bytes() == (tmp_path / "w2_agg.csv").read_bytes()
+    seed0 = [row for row in raw["w1"][1:] if row.split(",")[1] == "0"]
+    assert seed0 == raw["alone"][1:] and len(seed0) > 1
 
 
 def test_bad_outdir_fails_before_running(tmp_path):

@@ -11,6 +11,7 @@ from conftest import reference_run
 
 from gnezero.games import (
     ConstraintSet,
+    GameSpec,
     PayoffEnvironment,
     QuadraticGame,
     random_quadratic_game,
@@ -392,6 +393,89 @@ def test_payoff_boundary_hides_structure(paper_game):
     for r in range(2):
         Ur, gr = env.feedback(stack[r], lams[r])
         assert np.array_equal(U2[r], Ur) and np.array_equal(g2[r], gr)
+
+
+def _arrays(items) -> list:
+    """The arrays in a nested tuple of arrays, Nones and shapes."""
+    if isinstance(items, np.ndarray):
+        return [items]
+    return [a for item in items if isinstance(item, (tuple, np.ndarray)) for a in _arrays(item)]
+
+
+def test_buffered_feedback_returns_new_arrays(paper_game):
+    # run rewrites one X in place every step; feedback reuses the buffers
+    # bound to it, but U and g are new arrays that no later call overwrites
+    env = PayoffEnvironment(paper_game)
+    rng = np.random.default_rng(0)
+    X, lam = rng.standard_normal((3, 2, 2)), rng.random((3, 1))
+    first = env.feedback(X, lam)
+    kept = [x.copy() for x in first]
+    X[...] = rng.standard_normal(X.shape)
+    second = env.feedback(X, lam)
+    outputs = [*first, *second]
+    for k, x in enumerate(outputs):
+        for y in outputs[k + 1:] + [X] + _arrays(env._bound):
+            assert not np.shares_memory(x, y)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first, kept))
+    fresh = PayoffEnvironment(paper_game).feedback(X.copy(), lam)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(second, fresh))
+
+
+def test_feedback_on_another_X_equals_a_fresh_environment(paper_game):
+    # a new X rebinds, whatever its shape; an X that reshapes to a copy (not
+    # contiguous) is evaluated anew on every call, also after an in-place edit
+    env = PayoffEnvironment(paper_game)
+    rng = np.random.default_rng(1)
+    env.feedback(rng.standard_normal((3, 2, 2)), rng.random((3, 1)))
+    strided = rng.standard_normal((2, 4, 2)).transpose(1, 0, 2)  # (4, 2, 2)
+    for X, lam in ((rng.standard_normal((5, 2)), rng.random(1)),
+                   (rng.standard_normal((2, 4, 2)), rng.random((2, 1))),
+                   (strided, rng.random((4, 1))),
+                   (strided, rng.random((4, 1)))):
+        got = env.feedback(X, lam)
+        want = PayoffEnvironment(paper_game).feedback(X.copy(), lam)
+        assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(got, want))
+        strided += 1.0
+
+
+def test_an_environment_pickled_after_a_run_runs_the_same():
+    game = resolve_game("softplus-ridge")
+    env = PayoffEnvironment(game)
+    want = run(env, Schedules(), 200, seeds=[0, 1])
+    # the bound buffers stay behind: the pickle is a fresh environment's
+    assert pickle.dumps(env) == pickle.dumps(PayoffEnvironment(game))
+    for view in (pickle.loads(pickle.dumps(env)), env):
+        got = run(view, Schedules(), 200, seeds=[0, 1])
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(want, got))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: resolve_game("paper-example"),
+    lambda: resolve_game("softplus-ridge"),
+    lambda: random_quadratic_game(3, dims=(2, 1, 2), num_constraints=2),
+], ids=["paper-example", "softplus-ridge", "D=5"])
+def test_each_step_makes_one_feedback_and_one_cost_call(monkeypatch, build):
+    # the 2R points [a_r; mu_r] of a step are evaluated once, in one batch
+    game, calls = build(), []
+    for owner, name in ((PayoffEnvironment, "feedback"), (GameSpec, "_costs")):
+        def spy(self, X, *args, _name=name, _original=getattr(owner, name), **kw):
+            calls.append((_name, X.shape))
+            return _original(self, X, *args, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    T, R = 40, 3
+    run(PayoffEnvironment(game), Schedules(), T, seeds=range(R))
+    assert calls == [("feedback", (R, 2, game.D)), ("_costs", (2 * R, game.D))] * T
+
+
+def test_a_sigma_that_underflows_to_zero_is_rejected_at_its_step(paper_game):
+    # sigma_2 = 1e-300 / 2^80 is 0: step 2 raises two_point_estimate's error,
+    # unless step 1's checkpoint has found the iterate non-finite (sigma_1^2
+    # = 0 already divides by zero)
+    sched = Schedules(S=1e-300, s=80.0)
+    with pytest.raises(ValueError, match="^sigma must be positive and finite, got 0.0$"):
+        run(PayoffEnvironment(paper_game), sched, 10, seeds=[0], record_every=5)
+    with pytest.raises(DivergenceError, match="non-finite iterate at step 1 "):
+        run(PayoffEnvironment(paper_game), sched, 10, seeds=[0], record_every=1)
 
 
 @pytest.mark.parametrize("seeds", [[1.5], [True], [-1], [0, -3], [], [None]],
