@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .games import QuadraticGame, _fmt, _integer, _positive, resolve_game
+from .games import QuadraticGame, _csv, _fmt, _integer, _positive, resolve_game
 from .learner import DivergenceError
 from .oracles import SolverError, solve_regularized_vi, solve_vgne
 
@@ -45,18 +45,17 @@ def _record_every(text: str):
 # -- oracle -------------------------------------------------------------------
 
 
-def _oracle_csv_lines(sol) -> list[str]:
-    lines = ["key,value"]
+def _oracle_csv(sol) -> str:
     # one tolist() per vector: Python floats, whose repr is _fmt's text
-    lines += [f"a[{k}],{_fmt(x)}" for k, x in enumerate(sol.primal.flat.tolist())]
-    lines += [f"lambda[{j}],{_fmt(x)}" for j, x in enumerate(sol.dual.tolist())]
-    lines.append("active_set," + ";".join(str(j) for j in sol.active_set))
-    lines.append(f"stationarity_residual,{_fmt(sol.stationarity_residual)}")
-    lines.append(f"complementarity_residual,{_fmt(sol.complementarity_residual)}")
-    lines.append(f"dual_norm,{_fmt(np.linalg.norm(sol.dual))}")
+    rows = [(f"a[{k}]", _fmt(x)) for k, x in enumerate(sol.primal.flat.tolist())]
+    rows += [(f"lambda[{j}]", _fmt(x)) for j, x in enumerate(sol.dual.tolist())]
+    rows += [("active_set", ";".join(str(j) for j in sol.active_set)),
+             ("stationarity_residual", _fmt(sol.stationarity_residual)),
+             ("complementarity_residual", _fmt(sol.complementarity_residual)),
+             ("dual_norm", _fmt(np.linalg.norm(sol.dual)))]
     if sol.epsilon > 0:
-        lines.append(f"eps,{_fmt(sol.epsilon)}")
-    return lines
+        rows.append(("eps", _fmt(sol.epsilon)))
+    return _csv("key,value", rows)
 
 
 def cmd_oracle(args) -> int:
@@ -77,11 +76,10 @@ def cmd_oracle(args) -> int:
     print(f"  stationarity residual: {sol.stationarity_residual:.3e}")
     print(f"  complementarity residual: {sol.complementarity_residual:.3e}")
     print(f"  ||lambda*|| = {np.linalg.norm(sol.dual):.12g}")
-    csv_lines = _oracle_csv_lines(sol)
-    print()
-    print("\n".join(csv_lines))
+    text = _oracle_csv(sol)
+    print(f"\n{text}", end="")
     if args.csv:
-        Path(args.csv).write_text("\n".join(csv_lines) + "\n")
+        Path(args.csv).write_text(text)
         print(f"\nwrote {args.csv}", file=sys.stderr)
     return 0
 
@@ -117,20 +115,6 @@ def cmd_learn(args) -> int:
 
 # -- diagnose -------------------------------------------------------------------
 
-def _report_csv_lines(reports) -> list[str]:
-    lines = ["check,case,statistic,bound,passed"]
-    for rep in reports:
-        for case in rep.cases:
-            lines.append(",".join([
-                rep.check,
-                case.case.replace(",", ";"),
-                _fmt(case.statistic),
-                _fmt(case.bound),
-                str(case.passed),
-            ]))
-    return lines
-
-
 def cmd_diagnose(args) -> int:
     from . import diagnostics as diag
 
@@ -151,10 +135,13 @@ def cmd_diagnose(args) -> int:
     for check in skipped:
         print(f"{check} needs a quadratic game; skipping", file=sys.stderr)
 
-    lines = _report_csv_lines(reports)
-    print("\n".join(lines))
+    text = _csv("check,case,statistic,bound,passed", (
+        (rep.check, case.case.replace(",", ";"), _fmt(case.statistic), _fmt(case.bound),
+         str(case.passed))
+        for rep in reports for case in rep.cases))
+    print(text, end="")
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}", file=sys.stderr)
     failures = [c for rep in reports for c in rep.cases if not c.passed]
     if failures:

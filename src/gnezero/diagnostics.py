@@ -178,19 +178,18 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     call no traced function: perfbench's tracer keeps one span stack.
     """
     seed, num_samples, dim = _shared_stream(game, probes)  # before any draw
-    env = PayoffEnvironment(game)
+    env, K = PayoffEnvironment(game), game.constraints.K
 
     def payoffs(X, lam):
         # at D >= 3 the einsum contraction rounds the costs differently from
         # the learner's product and sum, in the last bits
-        return env._lagrangian(game._costs(X, True), X, lam)[0]
+        return env._lagrangian(game._costs(X, True), X @ K.T, lam)[0]
 
     # one one-row call per probe, not one batch of all means: numpy sends a
     # one-row matrix product to gemv, which rounds differently from the gemm
     # of a larger batch, so only this keeps each probe's results as alone
     u_mu = [None if antithetic else payoffs(p.mu[None], p.lam) for p in probes]
 
-    K = game.constraints.K
     width = game.D + K.shape[0]
 
     def block_sums(xi):

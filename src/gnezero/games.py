@@ -101,6 +101,25 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of cell strings joined by commas.
+
+    Every line, the last included, ends in one newline. The one builder of
+    the package's CSV text: the harness writes it and oracle and diagnose
+    print and write it.
+    """
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def _row_dots(V: np.ndarray) -> np.ndarray:
+    """v @ v for each row v of a (..., dim) stack.
+
+    A stacked matmul makes one BLAS dot per row, so each value is bit-equal
+    to v @ v on that row alone: a row-wise reduction rounds differently.
+    """
+    return np.matmul(V[..., None, :], V[..., :, None])[..., 0, 0]
+
+
 def _finite_entries(what: str, value) -> np.ndarray:
     """value as a float array, or GameConfigError when an entry is not finite."""
     arr = np.asarray(value, dtype=float)
@@ -461,15 +480,15 @@ class PayoffEnvironment:
                            X.shape[:-1] + (self.num_constraints,))
         X2, work, cost_shape, KT, KX, g_shape = self._bound
         costs = self._game._costs(X2, work=work).reshape(cost_shape)
-        return self._lagrangian(costs, X, lam, np.matmul(X2, KT, out=KX).reshape(g_shape))
+        return self._lagrangian(costs, np.matmul(X2, KT, out=KX).reshape(g_shape), lam)
 
-    def _lagrangian(self, costs: np.ndarray, X: np.ndarray, lam: np.ndarray, KX=None):
-        """(U, g) of feedback from the costs J(X) (..., P, N) at the joint actions X.
+    def _lagrangian(self, costs: np.ndarray, KX: np.ndarray, lam: np.ndarray):
+        """(U, g) of feedback from the costs J(X) (..., P, N) and the products X K' (..., P, n).
 
-        KX, when given, is the product X K' of X's shape, which feedback forms
-        as one 2-D product; it rounds as X @ K' does.
+        The caller forms X K': feedback as one 2-D product into its bound
+        buffer, the diagnostics' Monte Carlo pass as X @ K' on each row block.
         """
-        g = (X @ self._K.T if KX is None else KX) - self._l
+        g = KX - self._l
         return costs + g @ lam[..., None], g
 
 

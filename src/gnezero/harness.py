@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .games import GameSpec, PayoffEnvironment, QuadraticGame, _fmt, _integer, resolve_game
+from .games import (GameSpec, PayoffEnvironment, QuadraticGame, _csv, _fmt, _integer, _row_dots,
+                    resolve_game)
 from .learner import DivergenceError, _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules, validate_schedules
 
@@ -95,23 +96,18 @@ def write_raw_csv(table: MetricsTable, path: Path, sched: Schedules):
     """One row per seed and checkpoint, with the schedule values of that step."""
     steps = [(str(int(t)), _fmt(sched.gamma(int(t))), _fmt(sched.eps(int(t))),
               _fmt(sched.sigma(int(t)))) for t in table.t]
-    lines = [RAW_HEADER]
-    for seed, ep, ed in zip(table.seeds, table.err_primal_sq, table.err_dual_sq):
-        for (t, gamma, eps, sigma), p, d in zip(steps, ep, ed):
-            lines.append(",".join([t, str(seed), _fmt(p), _fmt(d), gamma, eps, sigma]))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_csv(RAW_HEADER, (
+        (t, str(seed), _fmt(p), _fmt(d), gamma, eps, sigma)
+        for seed, ep, ed in zip(table.seeds, table.err_primal_sq, table.err_dual_sq)
+        for (t, gamma, eps, sigma), p, d in zip(steps, ep, ed))))
 
 
 def write_aggregate_csv(table: MetricsTable, path: Path):
-    lines = [AGG_HEADER]
-    for j in range(table.t.shape[0]):
-        lines.append(",".join([
-            str(int(table.t[j])),
-            _fmt(table.mean_err_primal_sq[j]), _fmt(table.sem_err_primal_sq[j]),
-            _fmt(table.mean_err_dual_sq[j]), _fmt(table.sem_err_dual_sq[j]),
-            str(table.num_seeds),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    k = str(table.num_seeds)
+    path.write_text(_csv(AGG_HEADER, (
+        (str(int(t)), _fmt(mp), _fmt(sp), _fmt(md), _fmt(sd), k)
+        for t, mp, sp, md, sd in zip(table.t, table.mean_err_primal_sq, table.sem_err_primal_sq,
+                                     table.mean_err_dual_sq, table.sem_err_dual_sq))))
 
 
 def _reference(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -126,17 +122,6 @@ def _reference(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.full(game.D, np.nan), np.full(game.constraints.num_constraints, np.nan)
 
 
-def _sq_dists(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """||p - ref||^2 for each point of a (..., dim) stack.
-
-    A stacked matmul makes one dot per point, as oracles._verified does, so
-    each is bit-equal to d @ d on that point alone: a row-wise reduction
-    rounds differently.
-    """
-    d = points - ref
-    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
-
-
 def _aggregate(label: str, seeds: list[int], t: np.ndarray, mus: np.ndarray,
                lams: np.ndarray, reference) -> MetricsTable:
     """Per-seed squared errors of the iterates and their mean and sem over seeds.
@@ -145,7 +130,7 @@ def _aggregate(label: str, seeds: list[int], t: np.ndarray, mus: np.ndarray,
     once; a seed-axis reduction adds row by row, so each error's figures are
     bit-equal to a reduction of that error alone.
     """
-    errs = np.stack([_sq_dists(mus, reference[0]), _sq_dists(lams, reference[1])])
+    errs = np.stack([_row_dots(mus - reference[0]), _row_dots(lams - reference[1])])
     # canonical seed order makes the reduction invariant to seed-list shuffles
     ordered, k = errs[:, np.argsort(seeds, kind="stable")], len(seeds)
     mean = ordered.mean(axis=1)

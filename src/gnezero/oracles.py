@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .augmented import _operator
-from .games import GameSpec, JointAction, QuadraticGame, _positive
+from .games import GameSpec, JointAction, QuadraticGame, _positive, _row_dots
 from .lcp import SolverError, _lemke
 
 __all__ = [
@@ -120,9 +120,10 @@ def _verified(game, A, LAM, LAM_A, eps, tol, check_tol):
     feasibility check when LAM_A[i] < -check_tol or the shifted constraint
     value K a - l - eps lam exceeds check_tol somewhere; the first failing
     row ends the stack. SolverError when row 0 fails, or when a residual of
-    a row before the first failing one exceeds tol. Stacked matmuls make
-    one gemv or dot call per row, so each residual is bit-equal to K @ a
-    and np.linalg.norm on that row alone.
+    a row before the first failing one exceeds tol. Stacked matmuls, and
+    games._row_dots for the stationarity norm, make one gemv or dot call
+    per row, so each residual is bit-equal to K @ a and np.linalg.norm on
+    that row alone.
     """
     K, l = game.constraints.K, game.constraints.l
     # complementarity against the shifted constraint value (K a - l) - eps lam
@@ -130,7 +131,7 @@ def _verified(game, A, LAM, LAM_A, eps, tol, check_tol):
     fails = (LAM_A < -check_tol).any(axis=1) | (shifted > check_tol).any(axis=1)
     V = (np.matmul(game.P, A[:, :, None])[:, :, 0] + game.q
          + np.matmul(K.T, LAM[:, :, None])[:, :, 0])
-    stat = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+    stat = np.sqrt(_row_dots(V))
     comp = np.abs(LAM * shifted).max(axis=1, initial=0.0)
     passed = int(fails.argmax()) if fails.any() else len(fails)
     if passed == 0:

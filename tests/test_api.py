@@ -94,6 +94,21 @@ def test_only_the_monte_carlo_pass_draws():
     assert callers == {("diagnostics.py", "_moments")}
 
 
+def test_only_the_csv_writer_joins_cells():
+    # games._csv builds every CSV text the package writes or prints, so no
+    # other function joins cells with commas; the one other comma join is
+    # the --checks help, which lists check names, not a CSV row
+    joiners = set()
+    for path in sorted(Path(gnezero.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, ast.Attribute) and node.attr == "join"
+                       and isinstance(node.value, ast.Constant) and node.value.value == ","
+                       for node in ast.walk(func)):
+                    joiners.add((path.name, func.name))
+    assert joiners == {("games.py", "_csv"), ("cli.py", "_diagnose_arguments")}
+
+
 # the names `from gnezero import *` has given since the package began exporting
 EXPORTS = (
     "extended_pseudo_gradient", "CheckCase", "CheckReport", "SmoothingProbe",

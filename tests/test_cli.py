@@ -312,6 +312,32 @@ def test_diagnose_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _ends_in_one_newline(path) -> str:
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n") and b"\r" not in data
+    return data.decode()
+
+
+def test_each_csv_ends_in_one_newline_and_equals_the_printed_block(tmp_path, capsys):
+    # splitlines() cannot see a final newline that is lost or doubled; the
+    # bytes can
+    rc, _ = run_cli(capsys, "learn", "--T", "200", "--num-seeds", "2", "--outdir",
+                    str(tmp_path), "--label", "bytes", "--record-every", "20")
+    assert rc == 0
+    assert len(_ends_in_one_newline(tmp_path / "bytes_raw.csv").split("\n")) == 1 + 2 * 10 + 1
+    assert len(_ends_in_one_newline(tmp_path / "bytes_agg.csv").split("\n")) == 1 + 10 + 1
+    for eps in ([], ["--eps", "0.1"]):
+        rc, out = run_cli(capsys, "oracle", *eps, "--csv", str(tmp_path / "oracle.csv"))
+        assert rc == 0
+        text = _ends_in_one_newline(tmp_path / "oracle.csv")
+        _, block = out.split("\n\n", 1)  # the summary, one blank line, the CSV block
+        assert block == text and text.startswith("key,value\n")
+    rc, out = run_cli(capsys, "diagnose", "--checks", "estimator-mean,reg-path",
+                      "--num-samples", "20000", "--out", str(tmp_path / "report.csv"))
+    assert rc == 0
+    assert out == _ends_in_one_newline(tmp_path / "report.csv")
+
+
 def test_diagnose_all_on_a_nonquadratic_game_skips_the_quadratic_checks(capsys):
     rc = main(["diagnose", "--game", "softplus-ridge", "--checks", "all"])
     captured = capsys.readouterr()
@@ -389,6 +415,24 @@ def test_diagnose_at_an_overflowing_sigma_reports_failed_rows(capsys, argv, fail
     assert all(row[2] == "nan" for row in rows if row[-1] == "False")
     assert [str(w.message) for w in caught] == []
     assert captured.err == f"{sum(row[-1] == 'False' for row in rows)} check case(s) FAILED\n"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="second-moment-growth's fixed slope bound 2.2 fails on this game's "
+                          "exact statistic (ROADMAP item 18)")
+def test_second_moment_growth_passes_where_the_estimator_grows_quadratically(tmp_path, capsys):
+    # E||m||^2 grows quadratically along the probe ray, yet at seed 3 the
+    # fitted player0 slope is 2.204 against the bound 2.2; mending the check
+    # makes this pass, and the strict mark then fails until it is removed
+    game = random_quadratic_game(3, dims=[2, 3], num_constraints=2)
+    path = tmp_path / "growth.json"
+    path.write_text(json.dumps({
+        "players": game.num_players, "dims": list(game.dims),
+        "A": game.A.tolist(), "b": game.b.tolist(),
+        "K": game.constraints.K.tolist(), "l": game.constraints.l.tolist()}))
+    rc, out = run_cli(capsys, "diagnose", "--game", str(path), "--checks",
+                      "second-moment-growth", "--seed", "3", "--num-samples", "20000")
+    assert rc == 0, out
 
 
 def test_diagnose_unknown_check(capsys):

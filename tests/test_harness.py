@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from gnezero.games import random_quadratic_game
+from gnezero.games import _row_dots, random_quadratic_game
 from gnezero.harness import (
     ExperimentConfig,
     MetricsTable,
     _aggregate,
-    _sq_dists,
     emit_plot_script,
     fit_rate,
     reproduce_fig1,
@@ -137,12 +136,13 @@ def test_aggregation_permutation_invariant():
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 5, 24, 48])
 def test_sq_dists_equal_one_dot_per_point(dim):
+    # _aggregate's squared distances are games._row_dots of the differences;
     # dim 0 is the error of an empty dual; the points span scales 1e-6 to 1e3
     rng = np.random.default_rng(dim)
     points = rng.standard_normal((5, 41, dim)) * 10.0 ** rng.uniform(-6, 3, (5, 41, 1))
     for ref in (rng.standard_normal(dim), np.full(dim, np.nan)):
         expected = np.array([[float(d @ d) for d in row - ref] for row in points])
-        got = _sq_dists(points, ref)
+        got = _row_dots(points - ref)
         assert got.shape == (5, 41)
         assert np.array_equal(got, expected, equal_nan=True)
 
