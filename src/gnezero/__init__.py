@@ -14,7 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# every exported name and the module that defines it
+# every exported name and the module that defines it; a module's __all__ is
+# its entry here plus the names it exports as a module only
 _EXPORTS = {
     "augmented": ("extended_pseudo_gradient",),
     "diagnostics": (

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .games import GameSpec, _as_flat, _nonnegative
 
-__all__ = [
-    "extended_pseudo_gradient",
-]
+__all__ = [*_EXPORTS["augmented"]]
 
 
 def _operator(game: GameSpec, eps: float):

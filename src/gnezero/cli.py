@@ -279,7 +279,14 @@ def _reproduce_fig1_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main() call in this process, built once.
+
+    Sharing it is safe: parse_args returns a fresh namespace per call, and
+    no default depends on the environment (GNEZERO_OUTDIR is read when a
+    command runs, by _resolve_outdir).
+    """
     parser = argparse.ArgumentParser(
         prog="gnezero",
         description=("Payoff-based learning of variational generalized Nash "
@@ -298,17 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every main() call in this process.
-
-    Sharing it is safe: parse_args returns a fresh namespace per call, and
-    no default depends on the environment (GNEZERO_OUTDIR is read when a
-    command runs, by _resolve_outdir).
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run one subcommand; every failure a command raises prints one stderr line.
 
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
     check 1. A value argparse rejects
     (`learn --G abc`) prints usage and an error line and raises SystemExit(2).
     """
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # looked up when called, not bound into the shared parser, so a function
     # that later replaces cmd_<name> on this module is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]

@@ -45,29 +45,15 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .games import (DimensionMismatchError, GameSpec, PayoffEnvironment, QuadraticGame,
                     _integer, _positive, resolve_game)
-from .learner import two_point_estimate
+from .learner import _two_point
 from .oracles import solve_regularized_path, solve_vgne
 
-__all__ = [
-    "CHECKS",
-    "run_checks",
-    "SmoothingProbe",
-    "SmoothingBias",
-    "CheckCase",
-    "CheckReport",
-    "smoothing_bias_stats",
-    "dual_perturbation_stats",
-    "estimator_second_moment",
-    "path_drift_ratios",
-    "regularization_path_report",
-    "drift_spread_report",
-    "estimator_mean_report",
-    "dual_perturbation_report",
-    "smoothing_bias_order_report",
-    "second_moment_growth_report",
-]
+__all__ = [*_EXPORTS["diagnostics"], "CHECKS", "run_checks", "SmoothingBias",
+           "estimator_mean_report", "dual_perturbation_report", "smoothing_bias_order_report",
+           "second_moment_growth_report"]
 
 _CHUNK = 100_000
 # _moments cuts each chunk into row blocks of this size, one worker task
@@ -206,8 +192,9 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
             if antithetic:
                 Y = p.mu - p.sigma * xi
                 V, spread = payoffs(Y, p.lam), 2.0 * p.sigma
+            # the learner's estimator core; float(spread) as two_point_estimate takes it
             for i, sl in enumerate(game.slices):
-                m = two_point_estimate(U[:, i, None], V[:, i, None], X[:, sl], Y[..., sl], spread)
+                m = _two_point(U[:, i, None] - V[:, i, None], X[:, sl], Y[..., sl], float(spread))
                 sums[0, k, sl] = m.sum(axis=0)
                 sums[1, k, sl] = np.einsum("kj,kj->j", m, m)
         return sums

@@ -21,29 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .lcp import SolverError, _lemke
 
-__all__ = [
-    "DimensionMismatchError",
-    "InfeasibleConstraintsError",
-    "GameConfigError",
-    "JointAction",
-    "ConstraintSet",
-    "GameSpec",
-    "QuadraticGame",
-    "SoftplusQuadraticGame",
-    "PayoffEnvironment",
-    "probe_monotonicity",
-    "probe_lipschitz",
-    "paper_example",
-    "random_quadratic_game",
-    "softplus_game",
-    "builtin_game",
-    "game_from_config",
-    "load_game",
-    "resolve_game",
-    "BUILTIN_GAMES",
-]
+__all__ = [*_EXPORTS["games"], "BUILTIN_GAMES"]
 
 
 class DimensionMismatchError(ValueError):

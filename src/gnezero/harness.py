@@ -14,23 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles
+from . import _EXPORTS, oracles
 from .games import (GameSpec, PayoffEnvironment, QuadraticGame, _csv, _fmt, _integer, _row_dots,
                     resolve_game)
 from .learner import DivergenceError, _seed_list, checkpoints, run
 from .schedules import ScheduleError, Schedules, validate_schedules
 
-__all__ = [
-    "ExperimentConfig",
-    "MetricsTable",
-    "RateFit",
-    "run_experiment",
-    "fit_rate",
-    "emit_plot_script",
-    "reproduce_fig1",
-    "write_raw_csv",
-    "write_aggregate_csv",
-]
+__all__ = [*_EXPORTS["harness"], "write_raw_csv", "write_aggregate_csv"]
 
 RAW_HEADER = "t,seed,err_primal_sq,err_dual_sq,gamma,eps,sigma"
 AGG_HEADER = ("t,mean_err_primal_sq,sem_err_primal_sq,"

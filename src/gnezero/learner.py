@@ -22,17 +22,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _EXPORTS
 from .games import PayoffEnvironment, _integer, _positive
 
 if TYPE_CHECKING:  # annotations only; harness loads schedules when a run needs them
     from .schedules import Schedules
 
-__all__ = [
-    "DivergenceError",
-    "two_point_estimate",
-    "run",
-    "checkpoints",
-]
+__all__ = [*_EXPORTS["learner"]]
 
 # steps of Gaussian draws and schedule values taken ahead; bounds the (steps,
 # R, D) buffer and the chunk's Python tuples and floats, whose 1,024-step
@@ -82,7 +78,11 @@ def two_point_estimate(u_at_a, u_at_mu, a_i, mu_i, sigma: float) -> np.ndarray:
 
 
 def _two_point(du, a_i, mu_i, sigma: float) -> np.ndarray:
-    """two_point_estimate, unchecked, from the payoff difference du = u_at_a - u_at_mu."""
+    """two_point_estimate, unchecked, from the payoff difference du = u_at_a - u_at_mu.
+
+    The one estimator core: run and the Monte Carlo pass of
+    diagnostics._moments call it with a sigma and shapes fixed beforehand.
+    """
     return du * (a_i - mu_i) / (sigma * sigma)
 
 
@@ -186,16 +186,18 @@ def run(
             values, error = [], None
             try:
                 for t in range(start, start + steps):
-                    values.append((sched.gamma(t), sched.eps(t), sched.sigma(t)))
+                    gamma, eps, sigma = sched.gamma(t), sched.eps(t), sched.sigma(t)
+                    if not 0.0 < sigma < np.inf:
+                        _positive("sigma", sigma)  # raises two_point_estimate's ValueError
+                    values.append((gamma, eps, sigma))
             except OverflowError:  # t**x grows with x: the largest exponent overflows
                 x, name = max(zip((sched.g, sched.e, sched.s), ("gamma", "eps", "sigma")))
                 error = OverflowError(f"the {name} schedule overflows at step {t}: "
                                       f"t^{x:g} exceeds the largest float")
-            sigmas = np.array([v[2] for v in values])
-            valid = (sigmas > 0.0) & (sigmas < np.inf)
-            stop = len(values) if valid.all() else int(np.argmin(valid))
-            xi[:stop] *= sigmas[:stop, None, None]  # sigma_t xi_t
-            for t, (gamma, eps, sigma), sxi in zip(range(start, start + stop), values, xi):
+            except ValueError as err:
+                error = err
+            xi[:len(values)] *= np.array([v[2] for v in values]).reshape(-1, 1, 1)  # sigma_t xi_t
+            for t, (gamma, eps, sigma), sxi in zip(range(start, start + steps), values, xi):
                 np.add(mu, sxi, out=a)
                 np.concatenate((a, mu), axis=1, out=pairs)
                 U, g = env.feedback(pair, lam)
@@ -210,8 +212,6 @@ def run(
                                               ts[j - 1] if j else None)
                     mus[:, j], lams[:, j] = mu, lam
                     j += 1
-            if stop < len(values):
-                _positive("sigma", values[stop][2])  # raises two_point_estimate's ValueError
             if error is not None:
                 raise error
     return mus, lams

@@ -29,18 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .augmented import _operator
 from .games import GameSpec, JointAction, QuadraticGame, _positive, _row_dots
 from .lcp import SolverError, _lemke
 
-__all__ = [
-    "OracleSolution",
-    "SolverError",
-    "solve_vgne",
-    "solve_regularized_path",
-    "solve_regularized_vi",
-    "solve_vi_extragradient",
-]
+__all__ = [*_EXPORTS["oracles"]]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .games import _nonnegative, _positive
 
-__all__ = ["Schedules", "ScheduleReport", "validate_schedules", "ScheduleError"]
+__all__ = [*_EXPORTS["schedules"]]
 
 
 class ScheduleError(ValueError):

@@ -20,6 +20,20 @@ def test_module_all_resolves(name):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
+def test_each_package_name_is_declared_once():
+    # gnezero._EXPORTS is the one list of package-level names: a module's
+    # __all__ reads its entry and spells out only the names it exports alone
+    for module, names in gnezero._EXPORTS.items():
+        path = Path(gnezero.__file__).parent / f"{module}.py"
+        literals = {node.value for assign in ast.parse(path.read_text()).body
+                    if isinstance(assign, ast.Assign)
+                    and [getattr(t, "id", None) for t in assign.targets] == ["__all__"]
+                    for node in ast.walk(assign.value)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert literals & set(names) == set(), module
+        assert set(names) <= set(importlib.import_module(f"gnezero.{module}").__all__)
+
+
 def test_star_import():
     assert "gnezero.oracles" in MODULES
     namespace = {}

@@ -12,7 +12,9 @@ from gnezero.cli import main
 from gnezero.diagnostics import (
     SmoothingProbe,
     drift_spread_report,
+    dual_perturbation_report,
     dual_perturbation_stats,
+    estimator_mean_report,
     estimator_second_moment,
     path_drift_ratios,
     regularization_path_report,
@@ -490,6 +492,17 @@ def test_reports_deterministic(paper_game):
 
 def _fail(*args, **kwargs):
     raise AssertionError("a check ran")
+
+
+@pytest.mark.parametrize("report", [estimator_mean_report, dual_perturbation_report])
+def test_probe_report_functions_equal_the_run_checks_reports(paper_game, report):
+    # each public report is run_checks' report of its check, alone and
+    # read off the shared pass of every probe check
+    probe = SmoothingProbe(mu=[0.3, -0.2], lam=[0.4], sigma=0.2, num_samples=500, seed=7)
+    want = report(paper_game, probe)
+    for checks in ([want.check], diag._PROBE_CHECKS):
+        reports, _ = diag.run_checks(paper_game, probe, [0.1], checks)
+        assert [r for r in reports if r.check == want.check] == [want]
 
 
 def test_run_checks_rejects_an_unknown_name_before_any_check(monkeypatch, paper_game):

@@ -269,6 +269,13 @@ def test_config_rejects_bad_seeds_before_making_the_outdir(tmp_path, change, mat
     assert not outdir.exists()
 
 
+def test_reproduce_fig1_rejects_an_empty_s_list_before_writing(tmp_path):
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match="^need at least one s value$"):
+        reproduce_fig1(outdir, s_values=())
+    assert not outdir.exists()
+
+
 def test_reproduce_fig1_rejects_a_fractional_seed_count_before_writing(tmp_path):
     outdir = tmp_path / "out"
     for num_seeds in (1.5, 0, True):

@@ -11,6 +11,7 @@ from conftest import reference_run
 
 from gnezero.games import (
     ConstraintSet,
+    DimensionMismatchError,
     GameSpec,
     PayoffEnvironment,
     QuadraticGame,
@@ -438,6 +439,24 @@ def test_feedback_on_another_X_equals_a_fresh_environment(paper_game):
         strided += 1.0
 
 
+def test_feedback_rejects_a_wrong_column_count_before_and_after_binding(paper_game):
+    # the column check runs whenever X is not the bound array: on the first
+    # call and on a call after buffers were bound, which stay bound to X
+    env = PayoffEnvironment(paper_game)
+    rng = np.random.default_rng(2)
+    X, lam = rng.standard_normal((3, 2, 2)), rng.random((3, 1))
+    for wrong in (np.zeros((3, 2, 3)), np.zeros((4, 1))):
+        with pytest.raises(DimensionMismatchError) as exc:
+            env.feedback(wrong, lam)
+        assert (exc.value.expected, exc.value.given) == (2, wrong.shape[-1])
+    want = [x.tobytes() for x in env.feedback(X, lam)]
+    for wrong in (np.zeros((3, 2, 3)), np.zeros((4, 1))):
+        with pytest.raises(DimensionMismatchError, match="expected dimension 2"):
+            env.feedback(wrong, lam)
+    assert env._X is X
+    assert [x.tobytes() for x in env.feedback(X, lam)] == want
+
+
 def test_an_environment_pickled_after_a_run_runs_the_same():
     game = resolve_game("softplus-ridge")
     env = PayoffEnvironment(game)
@@ -476,6 +495,19 @@ def test_a_sigma_that_underflows_to_zero_is_rejected_at_its_step(paper_game):
         run(PayoffEnvironment(paper_game), sched, 10, seeds=[0], record_every=5)
     with pytest.raises(DivergenceError, match="non-finite iterate at step 1 "):
         run(PayoffEnvironment(paper_game), sched, 10, seeds=[0], record_every=1)
+
+
+@pytest.mark.parametrize("s, g, error, match", [
+    # sigma_2 underflows to 0 before 3^1000 overflows the gamma schedule
+    (80.0, 1000.0, ValueError, "^sigma must be positive and finite, got 0.0$"),
+    # 2^1e300 overflows before sigma_3 = 1e-300 / 3^60 underflows to 0
+    (60.0, 1e300, OverflowError, "^the gamma schedule overflows at step 2: "),
+], ids=["sigma-first", "overflow-first"])
+def test_the_earlier_of_a_vanishing_sigma_and_an_overflow_stops_the_run(paper_game, s, g,
+                                                                         error, match):
+    sched = Schedules(S=1e-300, s=s, g=g)
+    with pytest.raises(error, match=match):
+        run(PayoffEnvironment(paper_game), sched, 10, seeds=[0], record_every=5)
 
 
 @pytest.mark.parametrize("seeds", [[1.5], [True], [-1], [0, -3], [], [None]],
@@ -530,6 +562,12 @@ def test_learner_sees_a_game_only_through_the_payoff_environment():
     assert not names & {"GameSpec", "QuadraticGame", "SoftplusQuadraticGame"}
     assert not attrs & {"constraints", "P", "q", "A", "b", "K", "l", "pseudo_gradient",
                         "costs_at", "_costs", "_game"}
+
+
+def test_the_monte_carlo_pass_calls_the_estimator_core():
+    # diagnostics estimates with run's unchecked core: its sigma and shapes
+    # are fixed before the pass begins
+    assert _names_imported("diagnostics", "learner") == {"_two_point"}
 
 
 def test_run_is_the_bare_iteration():
