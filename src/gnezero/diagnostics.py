@@ -21,8 +21,10 @@ every probe's figures are bit-identical to a pass over that probe alone.
 _moments sums the sampled terms of the extended game, the D primal estimate
 coordinates and the n dual columns -sigma K xi, and their squares, per row
 block, and adds the block sums in order, so no figure depends on the number
-of worker threads. Each statistic is read from the pass's (sum, sumsq) by
-one function, whichever pass feeds it. _probe_reports builds the
+of worker threads. It evaluates each block on its transpose, rows
+innermost: the column layout of GameSpec._costs, and every estimate and sum
+along the contiguous row axis. Each statistic is read from the pass's
+(sum, sumsq) by one function, whichever pass feeds it. _probe_reports builds the
 estimator-mean, dual-perturbation and second-moment-growth reports from one
 pass, the growth check's scale sweep when it runs (estimator-mean and
 dual-perturbation read its scale-1.0 row) and the probe alone otherwise; it
@@ -75,8 +77,9 @@ def _available_cpus() -> int:
 class SmoothingProbe:
     """Where and how hard to probe: mean point, dual, spread, samples, seed.
 
-    sigma is a positive finite scale (games._positive), num_samples >= 1 and
-    seed >= 0 are counts (games._integer), stored as ints; else ValueError.
+    sigma is a positive finite scale (games._positive), stored as a float;
+    num_samples >= 1 and seed >= 0 are counts (games._integer), stored as
+    ints; else ValueError.
     """
 
     mu: np.ndarray
@@ -88,7 +91,7 @@ class SmoothingProbe:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).reshape(-1))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
-        _positive("sigma", self.sigma)
+        object.__setattr__(self, "sigma", _positive("sigma", self.sigma))
         for field in ("mu", "lam"):
             if not np.all(np.isfinite(getattr(self, field))):
                 raise ValueError(f"{field} must be finite")
@@ -146,18 +149,28 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     shared draws, where m is every player's estimate at
     X = mu_k + sigma_k xi, so X is bit-identical to a draw from probe k
     alone, followed by the dual player's sampling term
-    K (mu_k - X) = -sigma_k K xi, in either mode. With antithetic, m is
+    K (mu_k - X) = K (-sigma_k xi), in either mode. With antithetic, m is
     instead the estimate of the pair X, Y = mu_k - sigma_k xi, which lie
     2 sigma_k xi apart: the two-point estimate from Y to X at spread
     2 sigma_k, (u(X) - u(Y)) xi / (2 sigma_k), the mean of the estimates at
     xi and at -xi; the draw count is then a pair count. Each chunk xi of the
     stream is drawn once and cut into row blocks of _BLOCK rows; the last
-    block takes the remainder, since numpy sends a one-row matrix product to
-    gemv, which rounds differently from gemm. One pool of worker threads per
-    pass, at most one per available CPU, takes one block per task: for every
-    probe it evaluates the Lagrangian payoffs with PayoffEnvironment's
-    formula and returns the block's own (2, len(probes), D + n) sums. The caller
+    block takes the remainder, since numpy sends a matrix product with one
+    row or column to gemv, which rounds differently from gemm. One pool of
+    worker threads per pass, at most one per available CPU, takes one block
+    per task and returns its own (2, len(probes), D + n) sums. The caller
     adds them in block order, so no figure depends on the thread count.
+
+    A task reads its block as the transpose xi' (D, rows) and keeps every
+    array rows innermost: X (D, rows), the column costs of GameSpec._costs,
+    the multiplier term through PayoffEnvironment._lagrangian on the
+    transposes, each player's _two_point estimate (d_i, rows) and the dual
+    term (n, rows). Each term's block sum is np.sum along the row axis, a
+    pairwise sum, and its sum of squares an einsum there. For a term with one
+    coordinate (every term on paper-example) that is the sum numpy takes of
+    its rows in either layout, so those figures do not depend on it. X and
+    the pair point are buffers of the task, written from the strided xi', so
+    no task holds a transposed copy of its block.
 
     Each task runs in a copy of the caller's context, so np.errstate
     carries over (numpy >= 2 keeps it in a context variable). The workers
@@ -167,36 +180,37 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     env, K = PayoffEnvironment(game), game.constraints.K
 
     def payoffs(X, lam):
-        # at D >= 3 the einsum contraction rounds the costs differently from
-        # the learner's product and sum, in the last bits
-        return env._lagrangian(game._costs(X, True), X @ K.T, lam)[0]
+        # the (N, P) Lagrangian payoffs at the columns of X (D, P): the column
+        # costs, and _lagrangian on the transposes, the layout it takes
+        return env._lagrangian(game._costs(X, True).T, (K @ X).T, lam)[0].T
 
-    # one one-row call per probe, not one batch of all means: numpy sends a
-    # one-row matrix product to gemv, which rounds differently from the gemm
+    # one one-column call per probe, not one batch of all means: numpy sends a
+    # matrix-vector product to gemv, which rounds differently from the gemm
     # of a larger batch, so only this keeps each probe's results as alone
-    u_mu = [None if antithetic else payoffs(p.mu[None], p.lam) for p in probes]
+    u_mu = [None if antithetic else payoffs(p.mu[:, None], p.lam) for p in probes]
 
     width = game.D + K.shape[0]
 
-    def block_sums(xi):
+    def block_sums(xi):  # xi: a block's transpose (D, rows); every array here is rows innermost
+        X, pair = np.empty(xi.shape), np.empty(xi.shape) if antithetic else None
         sums = np.empty((2, len(probes), width))
         for k, (p, u) in enumerate(zip(probes, u_mu)):
-            S = -p.sigma * xi @ K.T
-            sums[0, k, game.D:] = S.sum(axis=0)
-            sums[1, k, game.D:] = np.einsum("kj,kj->j", S, S)
-            X = p.mu + p.sigma * xi
+            S = K @ np.multiply(-p.sigma, xi, out=X)
+            sums[0, k, game.D:] = S.sum(axis=1)
+            sums[1, k, game.D:] = np.einsum("jk,jk->j", S, S)
+            mu = p.mu[:, None]
+            np.add(mu, np.multiply(p.sigma, xi, out=X), out=X)
             U = payoffs(X, p.lam)
             # the estimate's second point, its payoffs and its distance to X:
             # (mu, u(mu), sigma) for a plain row, (mu - sigma xi, V, 2 sigma) for a pair
-            Y, V, spread = p.mu, u, p.sigma
+            Y, V, spread = mu, u, p.sigma
             if antithetic:
-                Y = p.mu - p.sigma * xi
+                Y = np.subtract(mu, np.multiply(p.sigma, xi, out=pair), out=pair)
                 V, spread = payoffs(Y, p.lam), 2.0 * p.sigma
-            # the learner's estimator core; float(spread) as two_point_estimate takes it
-            for i, sl in enumerate(game.slices):
-                m = _two_point(U[:, i, None] - V[:, i, None], X[:, sl], Y[..., sl], float(spread))
-                sums[0, k, sl] = m.sum(axis=0)
-                sums[1, k, sl] = np.einsum("kj,kj->j", m, m)
+            for i, sl in enumerate(game.slices):  # the learner's estimator core
+                m = _two_point(U[i] - V[i], X[sl], Y[sl], spread)
+                sums[0, k, sl] = m.sum(axis=1)
+                sums[1, k, sl] = np.einsum("jk,jk->j", m, m)
         return sums
 
     # imported here so that commands which draw no samples do not pay for it
@@ -207,7 +221,7 @@ def _moments(game: GameSpec, probes: Sequence[SmoothingProbe],
     with ThreadPoolExecutor(min(_available_cpus(), most)) as pool:
         for xi in _draws(seed, num_samples, dim):
             edges = [i * _BLOCK for i in range(max(1, len(xi) // _BLOCK))] + [len(xi)]
-            for future in [pool.submit(contextvars.copy_context().run, block_sums, xi[a:b])
+            for future in [pool.submit(contextvars.copy_context().run, block_sums, xi[a:b].T)
                            for a, b in zip(edges, edges[1:])]:
                 total += future.result()
     return total[0], total[1]

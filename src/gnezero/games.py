@@ -214,7 +214,8 @@ class GameSpec:
     rows of P are the block-i rows of the symmetrized A_i, q's block i is
     b_i's block i, and h is `_nonaffine_gradient(x)` on (..., D) points, or
     None. A family with a term r beyond the quadratic part sets h and
-    `_nonquadratic_costs(points)`, r at (P, D) points. All state is fixed at
+    `_nonquadratic_costs(points, columns)`, r at (P, D) points as (P, N), or
+    with columns at (D, P) points as (N, P). All state is fixed at
     construction; instances are safe to share across threads.
     """
 
@@ -252,46 +253,52 @@ class GameSpec:
         self._A_flatT, self._bT = self._A_flat.T, b.T
         self._lipschitz = None
 
-    def _cost_work(self, rows: int, einsum: bool = False) -> tuple:
-        """Buffers _costs writes for `rows` points: AX (rows, N D) and its (rows, N, D)
-        view, the elementwise product (None with einsum) and two (rows, N) results."""
-        AX = np.empty((rows, self.num_players * self.D))
-        AX3 = AX.reshape(rows, self.num_players, self.D)
-        return (AX, AX3, None if einsum else np.empty_like(AX3),
-                np.empty((rows, self.num_players)), np.empty((rows, self.num_players)))
+    def _cost_work(self, rows: int, columns: bool = False) -> tuple:
+        """Buffers _costs writes for `rows` points: (AX, AX3, costs, bX).
 
-    def _costs(self, points: np.ndarray, einsum: bool = False, work=None) -> np.ndarray:
-        """Every player's cost at each row of points; returns (P, N).
-
-        By default a'A_i a is an elementwise (P, N, D) product summed over D, as
-        costs_at and PayoffEnvironment.feedback take it. With einsum (the Monte
-        Carlo pass of the diagnostics) it is contracted in one np.einsum pass,
-        which forms no (P, N, D) product. At D = 2 both round the same; at D >= 3
-        einsum adds in another order, so the results differ in the last bits.
-        Either way a row's value does not depend on the other rows of the batch.
-        einsum does not report overflow or invalid values to np.errstate, so a
-        row whose einsum result is not finite is computed again with the product
-        and sum, which gives the default's values and raises or warns as the
-        caller's errstate says. A floating-point error that leaves a row's einsum
-        result finite, such as an underflow, goes unreported. The results are
-        written into work, _cost_work's buffers for P rows, and the returned
-        array is one of them; without work they are allocated for this call.
-        A family's _nonquadratic_costs(points) (P, N), if any, is added last.
+        AX holds the products A_flat x, AX3 views them as (N, D) per point, and
+        bX, the b'x terms, takes the front of AX's memory, which _costs has
+        read by then. Shapes (rows, N D), (rows, N, D), (rows, N), (rows, N);
+        with columns (N D, rows), (N, D, rows), (N, rows), (N, rows).
         """
-        AX, AX3, prod, quad, bX = self._cost_work(len(points), einsum) if work is None else work
-        np.matmul(points, self._A_flatT, out=AX)
-        if not einsum:
-            np.add.reduce(np.multiply(AX3, points[:, None, :], out=prod), axis=2, out=quad)
+        N, D = self.num_players, self.D
+        shape = (N, rows) if columns else (rows, N)
+        AX = np.empty((N * D, rows) if columns else (rows, N * D))
+        return (AX, AX.reshape((N, D, rows) if columns else (rows, N, D)), np.empty(shape),
+                AX.reshape(-1)[:N * rows].reshape(shape))
+
+    def _costs(self, points: np.ndarray, columns: bool = False, work=None) -> np.ndarray:
+        """Every player's cost at each row of points (P, D); returns (P, N).
+
+        a'A_i a is the product A_flat a, multiplied elementwise by a and summed
+        over D, as costs_at and PayoffEnvironment.feedback take it. With columns
+        (the Monte Carlo pass of the diagnostics) points is the transpose
+        (D, P) and the result (N, P): the same products, with every operation
+        running along the contiguous P axis and the sum over D taken in order.
+        The layouts round alike at D <= 7, where numpy sums a row's D terms in
+        order too; at D >= 8 it sums them pairwise, and the results differ in
+        the last bits. A point's value does not depend on the other points of a
+        batch, except that a batch of one goes through gemv; in the column
+        layout a BLAS may also round a batch's last (P mod 8) columns in
+        another kernel (OpenBLAS does at D >= 16). Every floating-point error
+        reaches np.errstate. The results are written into work, _cost_work's
+        buffers for P points in the same layout, and the returned array is one
+        of them; without work they are allocated for this call. A family's
+        _nonquadratic_costs(points, columns), if any, is added last.
+        """
+        AX, AX3, quad, bX = work or self._cost_work(points.shape[1 if columns else 0], columns)
+        if columns:
+            np.matmul(self._A_flat, points, out=AX)
+            np.add.reduce(np.multiply(AX3, points, out=AX3), axis=1, out=quad)
+            np.matmul(self.b, points, out=bX)
         else:
-            np.einsum("pnd,pd->pn", AX3, points, out=quad)
-            finite = np.isfinite(quad)
-            if not finite.all():  # all(axis=1) alone would cost a third of the einsum
-                bad = ~finite.all(axis=1)
-                quad[bad] = (AX3[bad] * points[bad, None, :]).sum(axis=2)
+            np.matmul(points, self._A_flatT, out=AX)
+            np.add.reduce(np.multiply(AX3, points[:, None, :], out=AX3), axis=2, out=quad)
+            np.matmul(points, self._bT, out=bX)
         np.multiply(0.5, quad, out=quad)
-        np.add(quad, np.matmul(points, self._bT, out=bX), out=quad)
+        np.add(quad, bX, out=quad)
         if self._nonquadratic_costs is not None:
-            quad += self._nonquadratic_costs(points)
+            quad += self._nonquadratic_costs(points, columns)
         return quad
 
     def costs_at(self, points: np.ndarray) -> np.ndarray:
@@ -404,7 +411,9 @@ class SoftplusQuadraticGame(GameSpec):
             raise GameConfigError(f"cost delta must be >= 0 for a convex ridge, got {self.delta}")
         self.beta = _positive("beta", beta)
 
-    def _nonquadratic_costs(self, points: np.ndarray) -> np.ndarray:
+    def _nonquadratic_costs(self, points: np.ndarray, columns: bool = False) -> np.ndarray:
+        if columns:  # (D, P) points, (N, P) costs
+            return self.delta[:, None] * _softplus(self.W @ points, self.beta) ** 2
         return self.delta * _softplus(points @ self.W.T, self.beta) ** 2  # (P, N)
 
     def _nonaffine_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -425,9 +434,8 @@ class PayoffEnvironment:
     reuses them, and any other X binds new ones. So one instance does not
     serve concurrent feedback calls, and a pickled one carries no buffers.
     The Monte Carlo pass of the diagnostics evaluates the costs itself, with
-    the einsum contraction of GameSpec._costs, on worker threads, and adds
-    the multiplier term through _lagrangian, the one copy of the payoff
-    formula.
+    the column layout of GameSpec._costs, on worker threads, and adds the
+    multiplier term through _lagrangian, the one copy of the payoff formula.
     """
 
     def __init__(self, game: GameSpec):
@@ -467,7 +475,8 @@ class PayoffEnvironment:
         """(U, g) of feedback from the costs J(X) (..., P, N) and the products X K' (..., P, n).
 
         The caller forms X K': feedback as one 2-D product into its bound
-        buffer, the diagnostics' Monte Carlo pass as X @ K' on each row block.
+        buffer. The diagnostics' Monte Carlo pass passes the transposes of its
+        column costs (N, P) and of K X (n, P), and transposes U back.
         """
         g = KX - self._l
         return costs + g @ lam[..., None], g

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -310,6 +311,24 @@ def test_diagnose_deterministic(tmp_path, capsys):
         run_cli(capsys, "diagnose", "--checks", "estimator-mean",
                 "--num-samples", "20000", "--out", str(p))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 of `gnezero diagnose --checks all --seed <s>` stdout on paper-example
+# (numpy 2.4, OpenBLAS); any change to the Monte Carlo pass's kernels or
+# reductions that moves a printed bit moves these
+_DIAGNOSE_ALL_SHA256 = {
+    0: "4bd977434d059fc32b2f48060f0ff6b745beec131739a9a6f8359532987187ca",
+    1: "77cf855ba589ed7ccf8f27931ce16a9ddb5a9f3c1d41efea5470fb569110c475",
+    2: "439d7a019637dd849950a784e3a8c944ad464ea3c337793140d99e91330fb266",
+    63: "fbadfbb2d40d558e2568cc6080ca8aebf385b24bce595dfc990640f27dc69a4e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_DIAGNOSE_ALL_SHA256))
+def test_diagnose_all_output_is_pinned(capsys, seed):
+    rc, out = run_cli(capsys, "diagnose", "--checks", "all", "--seed", str(seed))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIAGNOSE_ALL_SHA256[seed]
 
 
 def _ends_in_one_newline(path) -> str:

@@ -65,6 +65,13 @@ def test_probe_accepts_numpy_integers():
     assert type(probe.num_samples) is int and type(probe.seed) is int
 
 
+def test_a_float32_sigma_is_stored_and_reported_as_a_float(paper_game):
+    probe = SmoothingProbe(mu=[0.1, 0.9], lam=[0.5], sigma=np.float32(0.3), num_samples=1000)
+    assert type(probe.sigma) is float and probe.sigma == float(np.float32(0.3))
+    est, exact = dual_perturbation_stats(paper_game, probe)
+    assert type(est) is float and type(exact) is float
+
+
 @pytest.mark.parametrize("fields, what, expected, given", [
     (dict(mu=[0.1, 0.2, 0.3], lam=[0.5]), "probe mu", 2, 3),
     (dict(mu=[0.1, 0.2], lam=[0.5, 0.5]), "probe lam", 1, 2),

@@ -114,36 +114,39 @@ def test_thread_count_does_not_change_the_sums(monkeypatch, name):
 
 
 def one_block_estimates(game, probes):
-    """Every player's estimates, then the dual term -sigma K xi, from the pass's draws:
-    (k, blocks) per chunk and probe, each chunk evaluated in one piece."""
+    """Every player's estimates, then the dual term K (-sigma xi), from the pass's draws:
+    (k, blocks) per chunk and probe, each chunk evaluated in one piece on its
+    transpose, rows innermost, with the column costs and the multiplier term
+    of PayoffEnvironment._lagrangian."""
     K, l = game.constraints.K, game.constraints.l
 
     def payoffs(X, lam):
-        return game._costs(X, True) + (X @ K.T - l) @ lam[:, None]
+        return game._costs(X, True) + (((K @ X).T - l) @ lam[:, None]).T
 
-    u_mu = [payoffs(p.mu[None], p.lam)[0] for p in probes]
+    u_mu = [payoffs(p.mu[:, None], p.lam)[:, 0] for p in probes]
     for xi in diag._draws(probes[0].seed, probes[0].num_samples, game.D):
+        xi = np.ascontiguousarray(xi.T)
         for k, p in enumerate(probes):
-            X = p.mu + p.sigma * xi
+            X = p.mu[:, None] + p.sigma * xi
             U = payoffs(X, p.lam)
-            yield k, [(U[:, i, None] - u_mu[k][i]) * (X[:, sl] - p.mu[sl]) / (p.sigma * p.sigma)
-                      for i, sl in enumerate(game.slices)] + [-p.sigma * xi @ K.T]
+            yield k, [(U[i] - u_mu[k][i]) * (X[sl] - p.mu[sl, None]) / (p.sigma * p.sigma)
+                      for i, sl in enumerate(game.slices)] + [K @ (-p.sigma * xi)]
 
 
 def assert_pass_equals_one_block(game, probes):
     """_moments equals the one-piece estimates and dual terms reduced over the pass's
-    row blocks, in order."""
+    row blocks, in order, each block's sums taken along its rows."""
     width = game.D + game.constraints.num_constraints
     columns = [*game.slices, slice(game.D, width)]
     sum_m = np.zeros((len(probes), width))
     sumsq_m = np.zeros((len(probes), width))
     for k, blocks in one_block_estimates(game, probes):
-        size = blocks[0].shape[0]
+        size = blocks[0].shape[1]
         edges = [i * _BLOCK for i in range(max(1, size // _BLOCK))] + [size]
         for a, b in zip(edges, edges[1:]):
             for sl, m in zip(columns, blocks, strict=True):
-                sum_m[k, sl] += m[a:b].sum(axis=0)
-                sumsq_m[k, sl] += np.einsum("kj,kj->j", m[a:b], m[a:b])
+                sum_m[k, sl] += m[:, a:b].sum(axis=1)
+                sumsq_m[k, sl] += np.einsum("jk,jk->j", m[:, a:b], m[:, a:b])
     got_sum, got_sumsq = diag._moments(game, probes)
     assert np.array_equal(got_sum, sum_m)
     assert np.array_equal(got_sumsq, sumsq_m)
@@ -161,7 +164,7 @@ def test_blocked_costs_equal_one_shot_costs(four_cpus, name, rows):
 def test_blocked_pass_ends_in_a_one_row_chunk(four_cpus, name):
     # a full 1e5-row chunk in twelve blocks, then a one-row chunk in one;
     # random-D24 is left out: its one-piece reference chunk alone would
-    # take a 230 MB (P, N, D) temporary
+    # take a 230 MB (N, D, rows) temporary
     game = BLOCK_TEST_GAMES[name]()
     assert_pass_equals_one_block(game, two_probes(game, diag._CHUNK + 1))
 
@@ -170,10 +173,10 @@ def fail_on_the_last_block(game):
     """Make game's costs raise on a block of _BLOCK + 17 rows, the last of 3 * _BLOCK + 17."""
     costs = game._costs
 
-    def fails_on_marked_rows(points, einsum):
-        if points.shape[0] == _BLOCK + 17:
+    def fails_on_marked_rows(points, columns):
+        if points.shape[1] == _BLOCK + 17:  # the pass evaluates (D, rows) columns
             raise RuntimeError("marked block")
-        return costs(points, einsum)
+        return costs(points, columns)
 
     game._costs = fails_on_marked_rows
     return game
@@ -204,7 +207,10 @@ def test_blocked_costs_keep_the_callers_errstate(four_cpus, paper_game, rows):
         estimator_second_moment(paper_game, probe)
 
 
-# -- the einsum contraction -------------------------------------------------
+# -- the column costs of the Monte Carlo pass ------------------------------------
+# _costs(points, True) takes the transpose (D, P) and returns (N, P). The
+# Monte Carlo pass once took an einsum contraction here; the tests below keep
+# that word in their names.
 
 
 def product_and_sum_costs(game, X):
@@ -214,6 +220,11 @@ def product_and_sum_costs(game, X):
     if isinstance(game, SoftplusQuadraticGame):
         costs += game.delta * games._softplus(X @ game.W.T, game.beta) ** 2
     return costs
+
+
+def column_costs(game, X):
+    """game's column costs at the rows of X, as (P, N)."""
+    return game._costs(np.ascontiguousarray(X.T), True).T
 
 
 @pytest.mark.parametrize("rows", [1, 2, 10, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17])
@@ -227,58 +238,72 @@ def test_default_costs_are_the_product_and_sum(name, rows):
 @pytest.mark.parametrize("rows", [2, 10, _BLOCK, 3 * _BLOCK + 17])
 @pytest.mark.parametrize("name", ["paper", "softplus"])
 def test_einsum_costs_in_two_dimensions_equal_the_product_and_sum(name, rows):
-    # at D = 2 einsum forms the same two products and one add
+    # the same products, and numpy adds a point's two terms once either way
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
-    assert np.array_equal(game._costs(X, True), product_and_sum_costs(game, X))
+    assert np.array_equal(column_costs(game, X), product_and_sum_costs(game, X))
 
 
 @pytest.mark.parametrize("name", ["random-D5", "random-D24"])
 def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(name):
-    # einsum adds in another order; measure the error against the size of the
-    # summed terms, since a cost near zero can be a sum of large terms
+    # up to D = 7 numpy sums a row's D terms in order, as the column sum does:
+    # the costs are equal. At D >= 8 a row sum is pairwise; measure the error
+    # against the size of the summed terms, since a cost near zero can be a
+    # sum of large terms.
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(5).normal(scale=2.0, size=(3 * _BLOCK + 17, game.D))
+    if game.D <= 7:
+        assert np.array_equal(column_costs(game, X), product_and_sum_costs(game, X))
     AX3 = (X @ game._A_flat.T).reshape(X.shape[0], game.num_players, game.D)
     magnitude = 0.5 * np.abs(AX3 * X[:, None, :]).sum(axis=2) + np.abs(X) @ np.abs(game.b.T)
-    error = np.abs(game._costs(X, True) - product_and_sum_costs(game, X))
+    error = np.abs(column_costs(game, X) - product_and_sum_costs(game, X))
     assert np.all(error <= 1e-12 * magnitude)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
 def test_einsum_rows_do_not_depend_on_the_batch(name):
-    # rows past the first two overflow and fall back to the product and sum
+    # rows 2 and 3 overflow. Like the pass's block edges, the cuts fall at
+    # multiples of 8 columns: a BLAS gemm may round a batch's last
+    # (columns mod 8) columns in another kernel (OpenBLAS does at D >= 16),
+    # here the last 3 of the last part either way.
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(1).normal(scale=2.0, size=(_BLOCK + 3, game.D))
     X[2:4] *= 1e200
     with np.errstate(all="ignore"):
-        whole = game._costs(X, True)
-        parts = [game._costs(X[a:b], True)
-                 for a, b in [(0, 2), (2, 4), (4, 6), (6, _BLOCK + 3)]]
+        whole = column_costs(game, X)
+        parts = [column_costs(game, X[a:b])
+                 for a, b in [(0, 8), (8, 16), (16, 24), (24, _BLOCK + 3)]]
     assert np.array_equal(whole, np.concatenate(parts), equal_nan=True)
 
 
-def test_einsum_rows_that_overflow_are_recomputed_under_the_callers_errstate(paper_game):
+def test_column_costs_report_an_overflow_under_the_callers_errstate(paper_game):
     X = np.random.default_rng(0).normal(size=(3 * _BLOCK, 2))
     X[_BLOCK:2 * _BLOCK] *= 1e200  # only the middle rows overflow
     with np.errstate(all="ignore"):
         expected = product_and_sum_costs(paper_game, X)
     assert np.isinf(expected[_BLOCK:2 * _BLOCK]).any()
     with pytest.warns(RuntimeWarning) as caught:
-        costs = paper_game._costs(X, True)
+        costs = column_costs(paper_game, X)
     assert any("overflow" in str(w.message) for w in caught)
     np.testing.assert_array_equal(costs, expected)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        paper_game._costs(X, True)
+        column_costs(paper_game, X)
 
 
 @pytest.mark.parametrize("rows", [10, 3 * _BLOCK])
-def test_einsum_leaves_an_underflow_with_finite_costs_unreported(paper_game, rows):
+def test_the_pass_reports_an_underflow_that_leaves_the_costs_finite(four_cpus, paper_game, rows):
+    # x'A x underflows to 0 at points of size 1e-200, a finite cost
     X = np.full((rows, 2), 1e-200)
+    assert np.all(column_costs(paper_game, X) == 0.0)
+    probe = SmoothingProbe(mu=[0.0, 0.0], lam=[0.0], sigma=1e-200, num_samples=rows)
     with np.errstate(under="raise"):
-        assert np.all(paper_game._costs(X, True) == 0.0)
-        with pytest.raises(FloatingPointError):
-            paper_game.costs_at(X)
+        for costs in (paper_game.costs_at, lambda X: column_costs(paper_game, X)):
+            with pytest.raises(FloatingPointError):
+                costs(X)
+        # a worker's costs raise, before its estimates underflow as well
+        with pytest.raises(FloatingPointError) as caught:
+            estimator_second_moment(paper_game, probe)
+    assert "_costs" in [entry.name for entry in caught.traceback]
 
 
 # -- pseudo-gradient ----------------------------------------------------------
