@@ -1,8 +1,12 @@
 """Command-line interface: learn, oracle, diagnose, rate-fit, reproduce-fig1.
 
-A command imports the modules it runs when it runs: oracle needs only games
-and oracles, so `gnezero oracle` never loads harness, schedules or
-diagnostics, and only diagnose loads diagnostics.
+The module parses arguments and prints results; the library owns every
+decision. A learn schedule flag or a reproduce-fig1 value flag that is left
+out is absent from the parsed arguments, so Schedules or reproduce_fig1
+supplies its default. A command imports the modules it runs when it runs:
+oracle needs only games and oracles, so `gnezero oracle` never loads
+harness, schedules or diagnostics, and only diagnose loads diagnostics
+(building the parser, and any --help, loads none of them).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .learner import DivergenceError
 from .oracles import SolverError, solve_regularized_vi, solve_vgne
 
 DEFAULT_OUTDIR = "gnezero-out"
+_SCHEDULE_FLAGS = ("G", "g", "E", "e", "S", "s")  # learn's flags, one per Schedules field
 
 
 def _parse_number(text: str) -> float:
@@ -91,7 +96,8 @@ def cmd_learn(args) -> int:
     from .harness import ExperimentConfig, run_experiment
     from .schedules import Schedules
 
-    sched = Schedules(G=args.G, g=args.g, E=args.E, e=args.e, S=args.S, s=args.s)
+    # a schedule flag the user left out is not in args: Schedules has its default
+    sched = Schedules(**{name: getattr(args, name) for name in _SCHEDULE_FLAGS if name in args})
     print(sched.validate())
     cfg = ExperimentConfig(
         game=args.game,
@@ -108,6 +114,9 @@ def cmd_learn(args) -> int:
     print(f"game: {args.game}, T={args.T}, seeds={cfg.seeds[0]}..{cfg.seeds[-1]}")
     print(f"checkpoints: {table.t.shape[0]}")
     print(f"final mean err_primal_sq: {table.mean_err_primal_sq[-1]:.6e}")
+    if table.frozen:
+        print("frozen seeds (mean bit-identical from checkpoint t to T): "
+              + ", ".join(f"{seed} from t={t}" for seed, t in table.frozen.items()))
     print(f"raw CSV: {table.raw_csv}")
     print(f"aggregate CSV: {table.agg_csv}")
     return 0
@@ -180,15 +189,12 @@ def cmd_reproduce_fig1(args) -> int:
     from .harness import reproduce_fig1
 
     outdir = _resolve_outdir(args.outdir)
-    s_values = tuple(_parse_number(x) for x in args.s_values.split(","))
-    tables = reproduce_fig1(
-        outdir,
-        T=args.T,
-        num_seeds=args.num_seeds,
-        seed_base=args.seed_base,
-        s_values=s_values,
-        workers=args.workers,
-    )
+    # only the flags the user gave are in args: reproduce_fig1 has the defaults
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "outdir")}
+    if "s_values" in given:
+        given["s_values"] = tuple(_parse_number(x) for x in given["s_values"].split(","))
+    tables = reproduce_fig1(outdir, **given)
     for table in tables:
         print(f"{table.label}: final mean err_primal_sq "
               f"{table.mean_err_primal_sq[-1]:.6e} ({table.agg_csv})")
@@ -197,23 +203,6 @@ def cmd_reproduce_fig1(args) -> int:
 
 
 # -- parser ----------------------------------------------------------------------
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser; its arguments are added when it first parses.
-
-    So building the parser imports nothing that one command's help needs
-    (diagnose lists diagnostics.CHECKS), and `gnezero --help`, which lists
-    only the commands, adds no command's arguments.
-    """
-
-    add_arguments = None  # a function of this parser, called before its first parse
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.add_arguments is not None:
-            add, self.add_arguments = self.add_arguments, None
-            add(self)
-        return super().parse_known_args(args, namespace)
 
 
 def _oracle_arguments(p: argparse.ArgumentParser) -> None:
@@ -227,12 +216,8 @@ def _oracle_arguments(p: argparse.ArgumentParser) -> None:
 
 def _learn_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", default="paper-example")
-    p.add_argument("--G", type=_parse_number, default=1.0)
-    p.add_argument("--g", type=_parse_number, default=4.0 / 7.0)
-    p.add_argument("--E", type=_parse_number, default=1.0)
-    p.add_argument("--e", type=_parse_number, default=2.0 / 7.0)
-    p.add_argument("--S", type=_parse_number, default=1.0)
-    p.add_argument("--s", type=_parse_number, default=4.0 / 7.0)
+    for name in _SCHEDULE_FLAGS:
+        p.add_argument(f"--{name}", type=_parse_number, default=argparse.SUPPRESS)
     p.add_argument("--T", type=int, default=10_000)
     p.add_argument("--num-seeds", type=int, default=1)
     p.add_argument("--seed-base", type=int, default=0)
@@ -247,18 +232,15 @@ def _learn_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _diagnose_arguments(p: argparse.ArgumentParser) -> None:
-    from . import diagnostics as diag
-
     p.add_argument("--game", default="paper-example")
-    p.add_argument("--checks", default="all",
-                   help="comma list of " + ",".join(diag.CHECKS))
+    p.add_argument("--checks", default="all", help='comma list of check names, or "all"')
     p.add_argument("--eps-grid", default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--sigma", type=_parse_number, default=0.5,
                    help="sampling spread of the estimator probes; smoothing-bias-order "
-                        "ignores it and sweeps sigma in {0.2, 0.1, 0.05, 0.025}")
+                        "sweeps its own")
     p.add_argument("--num-samples", type=int, default=100_000,
                    help="Monte Carlo samples of the estimator probes; smoothing-bias-order "
-                        f"ignores it and draws {diag._BIAS_PAIRS} antithetic pairs per sigma")
+                        "draws its own")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the report CSV here")
 
@@ -272,11 +254,11 @@ def _rate_fit_arguments(p: argparse.ArgumentParser) -> None:
 
 def _reproduce_fig1_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", default=None)
-    p.add_argument("--T", type=int, default=100_000)
-    p.add_argument("--num-seeds", type=int, default=20)
-    p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--s-values", default="4/7,2,10")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--T", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--num-seeds", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed-base", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--s-values", default=argparse.SUPPRESS)
+    p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
 
 
 @functools.cache
@@ -292,16 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Payoff-based learning of variational generalized Nash "
                      "equilibria, exact oracles, and diagnostics."),
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, help_text, add_arguments in (
-        ("oracle", "exact equilibrium / regularized solution", _oracle_arguments),
-        ("learn", "run the payoff-based learning iteration", _learn_arguments),
-        ("diagnose", "statistical and oracle-based checks", _diagnose_arguments),
-        ("rate-fit", "log-log rate fit of an aggregate CSV", _rate_fit_arguments),
-        ("reproduce-fig1", "convergence comparison across sampling spreads",
-         _reproduce_fig1_arguments),
-    ):
-        sub.add_parser(name, help=help_text).add_arguments = add_arguments
+    sub = parser.add_subparsers(dest="command", required=True)
+    _oracle_arguments(sub.add_parser("oracle", help="exact equilibrium / regularized solution"))
+    _learn_arguments(sub.add_parser("learn", help="run the payoff-based learning iteration"))
+    _diagnose_arguments(sub.add_parser("diagnose", help="statistical and oracle-based checks"))
+    _rate_fit_arguments(sub.add_parser("rate-fit", help="log-log rate fit of an aggregate CSV"))
+    _reproduce_fig1_arguments(sub.add_parser(
+        "reproduce-fig1", help="convergence comparison across sampling spreads"))
     return parser
 
 

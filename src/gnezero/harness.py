@@ -8,6 +8,7 @@ produce byte-identical CSV files regardless of how the seeds were executed.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +66,11 @@ class MetricsTable:
     """Per-checkpoint aggregate statistics across seeds, plus the per-seed errors.
 
     Row r of err_primal_sq and err_dual_sq (seeds, checkpoints) belongs to
-    seeds[r], in seed-list order as in the raw CSV.
+    seeds[r], in seed-list order as in the raw CSV. frozen maps each seed
+    whose mean mu is bit-identical at every checkpoint from some t_j < T to T
+    to the earliest such t_j, in seed-list order: once sigma_t xi falls
+    below mu's float resolution every payoff difference is 0, and the primal
+    stops without a non-finite iterate.
     """
 
     label: str
@@ -76,6 +81,7 @@ class MetricsTable:
     sem_err_dual_sq: np.ndarray
     num_seeds: int
     seeds: list[int] = field(default_factory=list)
+    frozen: dict[int, int] = field(default_factory=dict)
     err_primal_sq: np.ndarray | None = field(default=None, repr=False)
     err_dual_sq: np.ndarray | None = field(default=None, repr=False)
     raw_csv: Path | None = None
@@ -121,12 +127,17 @@ def _aggregate(label: str, seeds: list[int], t: np.ndarray, mus: np.ndarray,
     bit-equal to a reduction of that error alone.
     """
     errs = np.stack([_row_dots(mus - reference[0]), _row_dots(lams - reference[1])])
+    # per seed, how many checkpoints at the end hold T's mean; counted in
+    # Python, as a cumprod here raised a learn process's peak RSS by 0.1 MiB
+    trailing = [len(list(itertools.takewhile(bool, reversed(row))))
+                for row in (mus == mus[:, -1:]).all(axis=2).tolist()]
     # canonical seed order makes the reduction invariant to seed-list shuffles
     ordered, k = errs[:, np.argsort(seeds, kind="stable")], len(seeds)
     mean = ordered.mean(axis=1)
     sem = ordered.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(mean.shape)
     return MetricsTable(
         label=label, t=t, num_seeds=k, seeds=seeds,
+        frozen={seed: int(t[-n]) for seed, n in zip(seeds, trailing) if n > 1},
         mean_err_primal_sq=mean[0], sem_err_primal_sq=sem[0],
         mean_err_dual_sq=mean[1], sem_err_dual_sq=sem[1],
         err_primal_sq=errs[0], err_dual_sq=errs[1],

@@ -97,6 +97,16 @@ def test_criterion_3_stall_reproduction(standard_run, stall_run):
             f"(ratio {ratio:.0f}x, need >=5), flat-curve change {rel_change:.2e} (need <1%)")
 
 
+def test_frozen_seeds_are_the_stalled_ones(standard_run, stall_run):
+    # criterion 3's stall is a frozen primal: at s = 10, sigma_t xi falls
+    # below the float resolution of every seed's mean; the standard run
+    # keeps moving to T
+    table, _ = standard_run
+    assert table.frozen == {}
+    assert list(stall_run.frozen) == SEEDS
+    assert max(stall_run.frozen.values()) < 1_000  # flat before criterion 3's window
+
+
 def test_criterion_4_regularization_gap_bound():
     t0 = time.perf_counter()
     games = [paper_example()] + [random_quadratic_game(seed) for seed in range(10)]

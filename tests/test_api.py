@@ -110,8 +110,7 @@ def test_only_the_monte_carlo_pass_draws():
 
 def test_only_the_csv_writer_joins_cells():
     # games._csv builds every CSV text the package writes or prints, so no
-    # other function joins cells with commas; the one other comma join is
-    # the --checks help, which lists check names, not a CSV row
+    # other function joins cells with commas
     joiners = set()
     for path in sorted(Path(gnezero.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -120,7 +119,7 @@ def test_only_the_csv_writer_joins_cells():
                        and isinstance(node.value, ast.Constant) and node.value.value == ","
                        for node in ast.walk(func)):
                     joiners.add((path.name, func.name))
-    assert joiners == {("games.py", "_csv"), ("cli.py", "_diagnose_arguments")}
+    assert joiners == {("games.py", "_csv")}
 
 
 # the names `from gnezero import *` has given since the package began exporting
@@ -167,3 +166,30 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert seen["learn"] == ["gnezero.harness", "gnezero.schedules"]
     assert set(EXPORTS) <= set(seen["dir"])
     assert set(EXPORTS) <= set(seen["star"])
+
+
+_HELP_SCRIPT = """
+import contextlib, io, json, sys
+import gnezero.cli
+
+WATCHED = ("gnezero.diagnostics", "gnezero.harness", "gnezero.schedules")
+seen = {}
+for command in ("oracle", "learn", "diagnose", "rate-fit", "reproduce-fig1"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            gnezero.cli.main([command, "--help"])
+        except SystemExit as exit_info:
+            code = exit_info.code
+    seen[command] = [code, out.getvalue().startswith("usage: gnezero " + command),
+                     [m for m in WATCHED if m in sys.modules]]
+print(json.dumps(seen))
+"""
+
+
+def test_every_help_loads_no_command_module():
+    # the parser owns no library decision: its help quotes no check list and
+    # no default of diagnostics, harness or schedules, so printing it,
+    # diagnose's included, loads none of them
+    seen = json.loads(fresh_python("-c", _HELP_SCRIPT))
+    assert seen == {command: [0, True, []] for command in
+                    ("oracle", "learn", "diagnose", "rate-fit", "reproduce-fig1")}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
@@ -277,6 +278,58 @@ def test_learn_allows_override(tmp_path, capsys):
     assert rc == 0
 
 
+def test_learn_takes_the_schedule_defaults_from_schedules(tmp_path, capsys, monkeypatch):
+    # a schedule flag the user leaves out reaches Schedules as no keyword
+    import gnezero.schedules
+
+    calls, schedules = [], gnezero.schedules.Schedules
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return schedules(**kwargs)
+
+    monkeypatch.setattr(gnezero.schedules, "Schedules", recording)
+    for flags in ([], ["--g", "0.6", "--S", "2"]):
+        rc, _ = run_cli(capsys, "learn", "--T", "20", "--outdir", str(tmp_path), *flags)
+        assert rc == 0
+    assert calls == [{}, {"g": 0.6, "S": 2.0}]
+
+
+def test_reproduce_fig1_takes_its_defaults_from_the_harness(tmp_path, capsys, monkeypatch):
+    # a value flag the user leaves out reaches reproduce_fig1 as no keyword
+    import gnezero.harness
+
+    calls = []
+    monkeypatch.setattr(gnezero.harness, "reproduce_fig1",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or [])
+    for flags in ([], ["--T", "300", "--s-values", "4/7,3", "--workers", "2"]):
+        rc, _ = run_cli(capsys, "reproduce-fig1", "--outdir", str(tmp_path), *flags)
+        assert rc == 0
+    assert calls == [((tmp_path,), {}),
+                     ((tmp_path,), {"T": 300, "s_values": (4 / 7, 3.0), "workers": 2})]
+
+
+def test_learn_names_the_seeds_whose_mean_froze(tmp_path, capsys):
+    # at G = 1 the D = 24 game's iterates run away until sigma_t xi falls
+    # below their float resolution; which seeds freeze may depend on the BLAS
+    game = random_quadratic_game(7, dims=[2] * 12, num_constraints=12)
+    path = tmp_path / "d24.json"
+    path.write_text(json.dumps({
+        "players": game.num_players, "dims": list(game.dims),
+        "A": game.A.tolist(), "b": game.b.tolist(),
+        "K": game.constraints.K.tolist(), "l": game.constraints.l.tolist()}))
+    rc, out = run_cli(capsys, "learn", "--game", str(path), "--T", "500", "--num-seeds", "20",
+                      "--outdir", str(tmp_path))
+    assert rc == 0
+    lines = [line for line in out.splitlines() if line.startswith("frozen seeds")]
+    assert len(lines) == 1
+    assert re.fullmatch(r"frozen seeds \(mean bit-identical from checkpoint t to T\): "
+                        r"\d+ from t=\d+(, \d+ from t=\d+)*", lines[0])
+    rc, out = run_cli(capsys, "learn", "--T", "500", "--num-seeds", "3",
+                      "--outdir", str(tmp_path))
+    assert rc == 0 and not any(line.startswith("frozen seeds") for line in out.splitlines())
+
+
 def test_learn_fraction_flags(tmp_path, capsys):
     rc, _ = run_cli(capsys, "learn", "--g", "4/7", "--e", "2/7", "--s", "4/7",
                     "--T", "50", "--outdir", str(tmp_path), "--label", "frac")
@@ -329,6 +382,15 @@ def test_diagnose_all_output_is_pinned(capsys, seed):
     rc, out = run_cli(capsys, "diagnose", "--checks", "all", "--seed", str(seed))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _DIAGNOSE_ALL_SHA256[seed]
+
+
+def test_diagnose_all_passes_on_the_benchmark_seed_pool(capsys):
+    # the benchmark's diagnose-all workload runs these 64 seeds and counts a
+    # nonzero exit as a failed operation
+    failed = [seed for seed in range(64)
+              if main(["diagnose", "--checks", "all", "--seed", str(seed)]) != 0]
+    capsys.readouterr()
+    assert failed == []
 
 
 def _ends_in_one_newline(path) -> str:

@@ -208,9 +208,7 @@ def test_blocked_costs_keep_the_callers_errstate(four_cpus, paper_game, rows):
 
 
 # -- the column costs of the Monte Carlo pass ------------------------------------
-# _costs(points, True) takes the transpose (D, P) and returns (N, P). The
-# Monte Carlo pass once took an einsum contraction here; the tests below keep
-# that word in their names.
+# _costs(points, True) takes the transpose (D, P) and returns (N, P).
 
 
 def product_and_sum_costs(game, X):
@@ -237,7 +235,7 @@ def test_default_costs_are_the_product_and_sum(name, rows):
 
 @pytest.mark.parametrize("rows", [2, 10, _BLOCK, 3 * _BLOCK + 17])
 @pytest.mark.parametrize("name", ["paper", "softplus"])
-def test_einsum_costs_in_two_dimensions_equal_the_product_and_sum(name, rows):
+def test_column_costs_in_two_dimensions_equal_the_product_and_sum(name, rows):
     # the same products, and numpy adds a point's two terms once either way
     game = BLOCK_TEST_GAMES[name]()
     X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, game.D))
@@ -245,7 +243,7 @@ def test_einsum_costs_in_two_dimensions_equal_the_product_and_sum(name, rows):
 
 
 @pytest.mark.parametrize("name", ["random-D5", "random-D24"])
-def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(name):
+def test_column_costs_in_more_dimensions_match_the_product_and_sum(name):
     # up to D = 7 numpy sums a row's D terms in order, as the column sum does:
     # the costs are equal. At D >= 8 a row sum is pairwise; measure the error
     # against the size of the summed terms, since a cost near zero can be a
@@ -261,7 +259,7 @@ def test_einsum_costs_in_more_dimensions_match_the_product_and_sum(name):
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_TEST_GAMES))
-def test_einsum_rows_do_not_depend_on_the_batch(name):
+def test_column_costs_do_not_depend_on_the_batch(name):
     # rows 2 and 3 overflow. Like the pass's block edges, the cuts fall at
     # multiples of 8 columns: a BLAS gemm may round a batch's last
     # (columns mod 8) columns in another kernel (OpenBLAS does at D >= 16),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gnezero.games import _row_dots, random_quadratic_game
+from gnezero.games import PayoffEnvironment, _row_dots, random_quadratic_game
 from gnezero.harness import (
     ExperimentConfig,
     MetricsTable,
@@ -13,7 +13,7 @@ from gnezero.harness import (
     reproduce_fig1,
     run_experiment,
 )
-from gnezero.learner import checkpoints
+from gnezero.learner import checkpoints, run
 from gnezero.schedules import Schedules
 
 
@@ -219,6 +219,28 @@ def test_a_d24_json_game_runs_the_same_over_workers_and_batches(tmp_path):
     assert (tmp_path / "w1_agg.csv").read_bytes() == (tmp_path / "w2_agg.csv").read_bytes()
     seed0 = [row for row in raw["w1"][1:] if row.split(",")[1] == "0"]
     assert seed0 == raw["alone"][1:] and len(seed0) > 1
+
+
+def test_frozen_seeds_are_bit_identical_from_their_checkpoint_to_T():
+    # at G = 1 the D = 24 game's iterates run away until sigma_t xi falls below
+    # their float resolution. Which seeds freeze may depend on the BLAS, so
+    # the test checks the rule on whatever seeds the run names.
+    game = random_quadratic_game(7, dims=[2] * 12, num_constraints=12)
+    seeds = list(range(20))
+    table = run_experiment(ExperimentConfig(game=game, schedules=Schedules(), T=500,
+                                            seeds=seeds))
+    assert table.frozen
+    assert list(table.frozen) == [seed for seed in seeds if seed in table.frozen]
+    mus, _ = run(PayoffEnvironment(game), Schedules(), 500, seeds)
+    last = len(table.t) - 1
+    for r, seed in enumerate(seeds):
+        same = [bool((mus[r, j] == mus[r, last]).all()) for j in range(last)]
+        if seed in table.frozen:
+            j = int(np.searchsorted(table.t, table.frozen[seed]))
+            assert table.t[j] == table.frozen[seed] and j < last
+            assert all(same[j:]) and (j == 0 or not same[j - 1])  # the earliest such t_j
+        else:
+            assert not same[-1]
 
 
 def test_bad_outdir_fails_before_running(tmp_path):
